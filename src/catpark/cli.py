@@ -5,7 +5,8 @@ verify.  Output formats are text (default), csv, and json; identical
 invocations produce identical bytes (verify timing fields excepted).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.
+cap exceeded.  ``main`` maps every ValueError or CatparkError an argument
+provokes to exit 2 with a one-line message, so no argv ends in a traceback.
 """
 
 import argparse
@@ -41,7 +42,7 @@ from catpark.engine import (
     multi_stat_poly_brute,
     r_poly_brute,
 )
-from catpark.errors import EnumerationCapError, NonMembershipError
+from catpark.errors import CatparkError, EnumerationCapError, NonMembershipError
 from catpark.harness import run_verification, CHECKS
 from catpark.polynomials import MultiPoly
 from catpark.sequences import (
@@ -70,6 +71,8 @@ class ResourceError(Exception):
 
 
 def _parse_seq(text):
+    if text is None:
+        raise UsageError("--seq is required")
     try:
         seq = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
@@ -80,12 +83,9 @@ def _parse_seq(text):
 def _family(args):
     if (args.k is None) != (args.r is None):
         raise UsageError("--k and --r must be given together")
-    try:
-        if args.k is None:
-            return canonical_family(args.m)
-        return BoundFamily(args.m, args.k, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if args.k is None:
+        return canonical_family(args.m)
+    return BoundFamily(args.m, args.k, args.r)
 
 
 def _check_order(order, max_order):
@@ -270,9 +270,9 @@ POLY_NAMES = ("R", "gamma", "multi", "B")
 
 
 def _poly_for(args):
+    _check_order(args.n, args.max_order)
     if args.name == "B":
         order = args.n
-        _check_order(order, args.max_order)
         series = fuss_catalan_series(args.m, order)
         terms = {}
         for j in range(order + 1):
@@ -280,7 +280,6 @@ def _poly_for(args):
             if c:
                 terms[(j,)] = c
         return MultiPoly(("x",), terms)
-    _check_order(args.n, args.max_order)
     if args.name == "R":
         return r_poly_brute(args.m, args.n)
     if args.name == "gamma":
@@ -344,11 +343,8 @@ def cmd_tables(args, out):
 def cmd_verify(args, out):
     if args.order is not None:
         _check_order(args.order, args.max_order)
-    try:
-        report = run_verification(args.scope, order=args.order,
-                                  max_n=args.max_n, m=args.m)
-    except ValueError as exc:
-        raise UsageError(f"--scope: {exc}")
+    report = run_verification(args.scope, order=args.order,
+                              max_n=args.max_n, m=args.m)
     if args.format == "json":
         _emit_json(out, report.to_dict())
     elif args.format == "csv":
@@ -469,16 +465,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = io.StringIO()
     try:
+        if getattr(args, "m", None) is not None and args.m < 1:
+            raise UsageError(f"--m must be >= 1, got {args.m}")
         code = args.fn(args, out)
-    except UsageError as exc:
+    except (EnumerationCapError, ResourceError) as exc:
+        sys.stderr.write(f"catpark {args.command}: {exc}\n")
+        return EXIT_RESOURCE
+    except (UsageError, CatparkError, ValueError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_USAGE
-    except EnumerationCapError as exc:
-        sys.stderr.write(f"catpark {args.command}: {exc}\n")
-        return EXIT_RESOURCE
-    except ResourceError as exc:
-        sys.stderr.write(f"catpark {args.command}: {exc}\n")
-        return EXIT_RESOURCE
     sys.stdout.write(out.getvalue())
     return code
 

@@ -48,16 +48,11 @@ class FirstReturnDecomposition:
 def first_fixed_point(seq, m, l):
     """Smallest k > 1 with m(k-2)+1+l <= seq[k] <= m(k-1)+1, else n+1."""
     _require_member(seq, m)
-    n = len(seq)
-    if n < 1:
+    if not seq:
         raise ValueError("sequence must be nonempty")
     if not 1 <= l <= m:
         raise ValueError(f"type must be in [1, {m}], got {l}")
-    for k in range(2, n + 1):
-        v = seq[k - 1]
-        if m * (k - 2) + 1 + l <= v <= m * (k - 1) + 1:
-            return k
-    return n + 1
+    return fixed_point_indices(seq, m).indices[l - 1]
 
 
 def fixed_point_indices(seq, m):

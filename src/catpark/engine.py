@@ -1,8 +1,10 @@
 """Generating functions, statistic polynomials, and identity checks.
 
-Brute-force polynomials are sums over enumerated distributions and serve as
-the ground truth.  Closed forms are built from truncated series and must
-match the brute values coefficient by coefficient.
+Brute-force polynomials are the ground truth.  The q-luck and joint
+four-statistic ones are exact DP counts from ``catpark.kernels``, whose
+oracle in the tests is plain enumeration; the tree multi-statistic one sums
+over enumerated distributions.  Closed forms are built from truncated series
+and must match the brute values coefficient by coefficient.
 
 Two published closed forms disagree with enumeration and are implemented in
 both variants: the q-luck series (the stated reciprocal omits an exponent m)
@@ -69,8 +71,14 @@ def verify_functional_equation(m, order=DEFAULT_ORDER):
     return check
 
 
+def _require_length(n):
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+
+
 def r_poly_brute(m, n):
     """Sum of q^luck over all canonically bounded distributions of length n."""
+    _require_length(n)
     hist = kernels.luck_histogram(m, n)
     return MultiPoly(("q",), {(k,): c for k, c in enumerate(hist) if c})
 
@@ -105,6 +113,7 @@ def verify_r_series(m, order, literal=False):
 def gamma_poly_brute(m, n):
     """Sum of q^luck t^(freq of 1) u^f v^g over length-n distributions;
     the empty length contributes the constant 1."""
+    _require_length(n)
     if n == 0:
         return MultiPoly.const(QT_UV, 1)
     hist = kernels.stat_quad_histogram(m, n)

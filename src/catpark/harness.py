@@ -52,6 +52,8 @@ GAMMA_H_VECTORS = {
     3: [(1,), (1, 2), (1, 5, 9), (1, 8, 30, 52)],
     4: [(1,), (1, 3), (1, 7, 18), (1, 11, 56, 136)],
 }
+MULTISTAT_ORDERS = {1: 5, 2: 4, 3: 3}  # default series order per m
+TENSOR_SYMMETRY_SIZES = {2: 5, 3: 4}  # largest backbone size checked per m
 
 
 @dataclass
@@ -90,29 +92,42 @@ class VerificationReport:
         return {"ok": self.ok, "checks": [e.to_dict() for e in self.entries]}
 
 
-def _timed(entries, identity, params, fn):
+def _clock(fn):
+    """Call fn; return its result and the wall time in whole milliseconds.
+    Every report entry's millis comes from here."""
     start = time.perf_counter()
-    status, counterexample = fn()
-    millis = int((time.perf_counter() - start) * 1000)
+    result = fn()
+    return result, int((time.perf_counter() - start) * 1000)
+
+
+def _timed(entries, identity, params, fn):
+    """Report the (status, counterexample) that fn returns."""
+    (status, counterexample), millis = _clock(fn)
     entries.append(ReportEntry(identity, status, params, counterexample, millis))
 
 
-def _from_identity_check(entries, check, identity=None):
-    name = identity or check.name
-    start = time.perf_counter()
-    status = "pass" if check.ok else "fail"
-    counterexample = check.mismatches[0] if check.mismatches else None
-    entries.append(
-        ReportEntry(name, status, check.params, counterexample,
-                    int((time.perf_counter() - start) * 1000))
-    )
+def _from_identity_check(entries, fn, params=None):
+    """Report the engine IdentityCheck that fn returns, under its own name
+    and, unless params is given, its own params."""
+    check, millis = _clock(fn)
+    entries.append(ReportEntry(
+        check.name, "pass" if check.ok else "fail",
+        check.params if params is None else params,
+        check.mismatches[0] if check.mismatches else None, millis))
+    return check
+
+
+def _opt(opts, key, default):
+    """An explicit option value, 0 included, else the default."""
+    value = opts.get(key)
+    return default if value is None else value
 
 
 # -- individual checks -----------------------------------------------------
 
 
 def check_counting(entries, opts):
-    n_max = opts.get("max_n") or 6
+    n_max = _opt(opts, "max_n", 6)
     for m in _m_range(opts, (1, 2, 3, 4)):
         def run(m=m):
             for n in range(n_max + 1):
@@ -129,19 +144,13 @@ def check_counting(entries, opts):
 
 
 def check_funceq(entries, opts):
-    order = opts.get("order") or 12
+    order = _opt(opts, "order", 12)
     for m in _m_range(opts, (1, 2, 3, 4)):
-        start = time.perf_counter()
-        check = verify_functional_equation(m, order)
-        entries.append(ReportEntry(
-            "functional-equation", "pass" if check.ok else "fail",
-            {"m": m, "order": order},
-            check.mismatches[0] if check.mismatches else None,
-            int((time.perf_counter() - start) * 1000)))
+        _from_identity_check(entries, lambda: verify_functional_equation(m, order))
 
 
 def check_hseries(entries, opts):
-    order = opts.get("order") or 6
+    order = _opt(opts, "order", 6)
     for m in _m_range(opts, (2, 3)):
         def run(m=m):
             for k in (1, 2, 3):
@@ -157,7 +166,7 @@ def check_hseries(entries, opts):
 
 def check_recurrence(entries, opts):
     """The two convolution recurrences satisfied by the (m,k,r) counts."""
-    n_max = opts.get("max_n") or 7
+    n_max = _opt(opts, "max_n", 7)
 
     def h(m, k, r, n):
         return count_for_bounds([m * (i + k - 1) - r for i in range(1, n + 1)])
@@ -183,7 +192,7 @@ def check_recurrence(entries, opts):
 
 
 def check_involution(entries, opts):
-    n_max = opts.get("max_n") or 6
+    n_max = _opt(opts, "max_n", 6)
     for m in _m_range(opts, (1, 2, 3)):
         def run(m=m):
             fam = canonical_family(m)
@@ -202,18 +211,18 @@ def check_involution(entries, opts):
 
 def check_gamma(entries, opts):
     for m in _m_range(opts, (2, 3)):
-        order = opts.get("order") or (5 if m == 2 else 4)
-        _from_identity_check(entries, verify_gamma_series(m, order))
+        order = _opt(opts, "order", 5 if m == 2 else 4)
+        _from_identity_check(entries, lambda: verify_gamma_series(m, order))
 
 
 def check_qluck(entries, opts):
-    order = opts.get("order") or 6
+    order = _opt(opts, "order", 6)
     for m in _m_range(opts, (1, 2, 3)):
-        _from_identity_check(entries, verify_r_series(m, order))
+        _from_identity_check(entries, lambda: verify_r_series(m, order))
 
 
 def check_hbasis(entries, opts):
-    for m in _m_range(opts, (2, 3, 4)):
+    for m in _m_range(opts, tuple(GAMMA_H_VECTORS)):
         def run(m=m):
             fam_counts = [count_for_bounds(
                 [m * i - 1 for i in range(1, r + 1)]) for r in range(5)]
@@ -241,7 +250,7 @@ def check_hbasis(entries, opts):
 
 
 def check_eta(entries, opts):
-    n_max = opts.get("max_n") or 5
+    n_max = _opt(opts, "max_n", 5)
     for m in _m_range(opts, (1, 2, 3)):
         def run(m=m):
             fam = canonical_family(m)
@@ -268,7 +277,7 @@ def check_eta(entries, opts):
 
 
 def check_theta(entries, opts):
-    n_max = opts.get("max_n") or 6
+    n_max = _opt(opts, "max_n", 6)
     for m in _m_range(opts, (1, 2, 3)):
         def run(m=m):
             fam = canonical_family(m)
@@ -332,7 +341,7 @@ def check_parking(entries, opts):
 
 
 def check_lattice(entries, opts):
-    n_max = opts.get("max_n") or 5
+    n_max = _opt(opts, "max_n", 5)
 
     def run():
         for m in (1, 2, 3):
@@ -357,17 +366,12 @@ def check_lattice(entries, opts):
 
 
 def check_multistat(entries, opts):
-    defaults = {1: 5, 2: 4, 3: 3}
-    for m in _m_range(opts, (1, 2, 3)):
-        order = opts.get("order") or defaults[m]
-        start = time.perf_counter()
-        check = verify_multi_stat_product(m, order)
-        millis = int((time.perf_counter() - start) * 1000)
-        status = "pass" if check.ok else "fail"
-        entries.append(ReportEntry(
-            "multi-stat-product", status, {"m": m, "order": order},
-            check.mismatches[0] if check.mismatches else None, millis))
-        if m >= 2:
+    for m in _m_range(opts, tuple(MULTISTAT_ORDERS)):
+        order = _opt(opts, "order", MULTISTAT_ORDERS[m])
+        check = _from_identity_check(
+            entries, lambda: verify_multi_stat_product(m, order),
+            {"m": m, "order": order})
+        if m >= 2 and order >= 1:  # the gap sits in the x^1 coefficient
             gap = check.params.get("order_one_gap")
             # expected: enumerated q0*q1 vs the product's full q0*...*qm
             expected_rhs = "*".join(f"q{i}" for i in range(m + 1))
@@ -393,9 +397,9 @@ def check_tensor(entries, opts):
         return "pass", None
 
     _timed(entries, "tensor-table", {"m": 2, "n": 4}, run)
-    for m, n_top in ((2, 5), (3, 4)):
-        if opts.get("m") and m != opts["m"]:
-            continue
+    for m in _m_range(opts, tuple(TENSOR_SYMMETRY_SIZES)):
+        n_top = TENSOR_SYMMETRY_SIZES[m]
+
         def run_sym(m=m, n_top=n_top):
             for n in range(1, n_top + 1):
                 check = verify_tensor_symmetry(m, n)
@@ -407,9 +411,9 @@ def check_tensor(entries, opts):
 
 
 def check_convolution(entries, opts):
-    n_max = opts.get("max_n") or 5
+    n_max = _opt(opts, "max_n", 5)
     for m in _m_range(opts, (1, 2, 3)):
-        _from_identity_check(entries, verify_convolution_identity(m, n_max))
+        _from_identity_check(entries, lambda: verify_convolution_identity(m, n_max))
 
 
 def check_errata(entries, opts):
@@ -474,16 +478,42 @@ def _m_range(opts, default):
     return tuple(v for v in default if v == m) or (m,)
 
 
+# Checks that read per-m reference data run only at the m it covers.
+M_SUPPORT = {
+    "hbasis": GAMMA_H_VECTORS,
+    "multistat": MULTISTAT_ORDERS,
+    "tensor": TENSOR_SYMMETRY_SIZES,
+}
+
+
 def run_verification(scope="all", **opts):
-    """Run the selected checks and return a VerificationReport."""
+    """Run the selected checks and return a VerificationReport.
+
+    opts may set order and max_n (each >= 0; an explicit 0 is honoured) and
+    m (>= 1) to restrict every check to one regularity.  Values out of
+    range, or an m that a selected check has no data for, raise ValueError
+    before any check runs; messages name the matching CLI options.
+    """
     if scope == "all":
         names = list(CHECKS)
     elif scope in CHECKS:
         names = [scope]
     else:
         raise ValueError(
-            f"unknown scope {scope!r}; valid scopes: all, {', '.join(CHECKS)}"
+            f"unknown --scope {scope!r}; valid scopes: all, {', '.join(CHECKS)}"
         )
+    for key, flag in (("order", "--order"), ("max_n", "--max-n")):
+        if opts.get(key) is not None and opts[key] < 0:
+            raise ValueError(f"{flag} must be >= 0, got {opts[key]}")
+    m = opts.get("m")
+    if m is not None:
+        if m < 1:
+            raise ValueError(f"--m must be >= 1, got {m}")
+        for name in names:
+            supported = M_SUPPORT.get(name)
+            if supported is not None and m not in supported:
+                raise ValueError(f"--m {m} is not supported by check {name!r} "
+                                 f"(m in {', '.join(map(str, supported))})")
     report = VerificationReport()
     for name in names:
         CHECKS[name](report.entries, opts)

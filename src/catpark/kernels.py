@@ -1,20 +1,125 @@
-"""Kernel backend selection.
+"""Counting kernels over nondecreasing bounded sequences.
 
-The compiled extension is optional: if ``catpark._fastcore`` was built it is
-used, otherwise the pure-Python kernels take over with identical behaviour.
-``BACKEND`` reports which one is active; benchmarks/bench_kernels.py times
-the two side by side.
+``iter_bounded`` walks every sequence under a bound list.  The two
+histogram kernels never walk: they count the canonically bounded sequences
+(1, m+1, 2m+1, ...) by an exact transfer-matrix DP over (last value,
+statistic state), using the same prefix sums as
+``sequences.count_for_bounds``.  Plain enumeration with the statistics
+restated from their definitions is their oracle in tests/test_kernels.py.
+
+Callers validate their inputs: m >= 1 and n >= 0.
 """
 
-from catpark import _purecore
+BACKEND = "pure"
 
-try:
-    from catpark import _fastcore as _impl
-except ImportError:  # extension not built; pure fallback
-    _impl = _purecore
 
-BACKEND = _impl.BACKEND
+def iter_bounded(bounds):
+    """Yield every nondecreasing tuple p with 1 <= p[i] <= bounds[i].
 
-iter_bounded = _impl.iter_bounded
-luck_histogram = _impl.luck_histogram
-stat_quad_histogram = _impl.stat_quad_histogram
+    Output is in strictly increasing lexicographic order.  The empty bound
+    list yields the empty tuple once.
+    """
+    n = len(bounds)
+    if n == 0:
+        yield ()
+        return
+    if min(bounds) < 1:
+        return
+    p = [1] * n
+    while True:
+        yield tuple(p)
+        j = n - 1
+        while j >= 0 and p[j] >= bounds[j]:
+            j -= 1
+        if j < 0:
+            return
+        v = p[j] + 1
+        for k in range(j, n):
+            p[k] = v
+
+
+def _extend(rows, k, m, moves):
+    """Append 1-based position k to every prefix counted in rows.
+
+    rows maps a statistic state to the counts of prefixes in that state,
+    indexed by last value (index 0 unused, no all-zero row).  Position k has
+    bound hi = m(k-1)+1, and every value past the previous bound lies in the
+    window [m(k-2)+2, hi] of the fixed points.  moves(state, k) gives the
+    state after a next value of 1, of 2 up to the previous bound, inside the
+    window below hi, and of hi itself.
+    """
+    hi = m * (k - 1) + 1
+    out = {}
+
+    def row(state):
+        counts = out.get(state)
+        if counts is None:
+            counts = out[state] = [0] * (hi + 1)
+        return counts
+
+    for state, counts in rows.items():
+        one, below, window, top = moves(state, k)
+        run = counts[1]
+        if run:
+            row(one)[1] += run
+        if len(counts) > 2:
+            same = row(below)
+            for v in range(2, len(counts)):
+                run += counts[v]
+                same[v] += run
+        if len(counts) < hi:
+            inside = row(window)
+            for v in range(len(counts), hi):
+                inside[v] += run
+        row(top)[hi] += run
+    return out
+
+
+def _luck_moves(luck, k):
+    return luck, luck, luck, luck + 1
+
+
+def _quad_moves(state, k):
+    luck, ones, first_win, first_top = state
+    hit = first_win or k
+    return ((luck, ones + 1, first_win, first_top), state,
+            (luck, ones, hit, first_top), (luck + 1, ones, hit, first_top or k))
+
+
+def luck_histogram(m, n):
+    """Histogram of the luck statistic over all length-n sequences bounded by
+    (1, m+1, 2m+1, ...).
+
+    Position i (1-based) is lucky when its value equals m*(i-1)+1, which for
+    this bound family is exactly the positional bound.  Returns a list of
+    length n+1 with hist[k] = number of sequences having k lucky positions.
+    """
+    hist = [0] * (n + 1)
+    if n == 0:
+        hist[0] = 1
+        return hist
+    rows = {1: [0, 1]}  # position 1 holds 1, its bound, so it is lucky
+    for k in range(2, n + 1):
+        rows = _extend(rows, k, m, _luck_moves)
+    for luck, counts in rows.items():
+        hist[luck] = sum(counts)
+    return hist
+
+
+def stat_quad_histogram(m, n):
+    """Joint histogram of (luck, freq of 1, first window hit, first top hit).
+
+    Runs over the same bounded sequences as luck_histogram.  The third
+    statistic is the first position k > 1 whose value lands in
+    [m(k-2)+2, m(k-1)+1]; the fourth is the first k > 1 hitting the window
+    top m(k-1)+1 exactly.  Missing hits are encoded as n+1.  Returns a dict
+    keyed by the 4-tuple of statistic values.
+    """
+    if n == 0:
+        return {}
+    rows = {(1, 1, 0, 0): [0, 1]}  # 0 marks a hit not seen yet
+    for k in range(2, n + 1):
+        rows = _extend(rows, k, m, _quad_moves)
+    absent = n + 1
+    return {(luck, ones, first_win or absent, first_top or absent): sum(counts)
+            for (luck, ones, first_win, first_top), counts in rows.items()}

@@ -232,3 +232,33 @@ def test_byte_determinism(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-n", "-1"],
+    ["--order", "-1"],
+    ["--scope", "multistat", "--m", "4"],
+    ["--scope", "hbasis", "--m", "5"],
+    ["--scope", "tensor", "--m", "4"],
+])
+def test_verify_rejects_unsupported_options(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--m", "2", "--n", "-1"],
+    ["count", "--m", "2", "--n", "-1"],
+    ["tensor", "--m", "0", "--n", "3"],
+    ["poly", "--name", "B", "--m", "2", "--n", "-3"],
+    ["map", "--name", "theta-inv", "--m", "0", "--seq", "1"],
+    ["stats", "--kind", "cat", "--m", "0", "--seq", "1"],
+    ["poly", "--name", "R", "--m", "0", "--n", "3"],
+    ["stats", "--m", "2"],
+    ["decompose", "--m", "2"],
+])
+def test_bad_values_exit_2_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1

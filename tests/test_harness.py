@@ -1,7 +1,10 @@
 """Verification harness: statuses, scoping, and report structure."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from catpark import harness
 from catpark.harness import CHECKS, run_verification
 
 
@@ -53,3 +56,25 @@ def test_report_serialization():
     for entry in data["checks"]:
         assert entry["status"] in ("pass", "fail", "erratum")
         assert isinstance(entry["millis"], int)
+
+
+def test_identity_checks_are_timed(monkeypatch):
+    clock = [0.0]
+    real = harness.verify_r_series
+
+    def slow(*args, **kwargs):
+        clock[0] += 1.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(harness, "verify_r_series", slow)
+    report = run_verification("qluck", m=2)
+    assert [e.identity for e in report.entries] == ["q-luck-series"]
+    assert report.entries[0].millis >= 1000
+
+
+def test_explicit_zero_is_honoured():
+    report = run_verification("counting", m=2, max_n=0)
+    assert report.entries[0].params == {"m": 2, "max_n": 0}
+    report = run_verification("funceq", m=2, order=0)
+    assert report.entries[0].params == {"m": 2, "order": 0}

@@ -1,24 +1,17 @@
-"""Backend parity and statistic-histogram correctness.
+"""The counting kernels against their definitional oracle.
 
-The histograms are checked against a definitional oracle written here: plain
+The histograms are exact DP counts.  Their oracle is written here: plain
 enumeration plus literal restatements of the statistics, with none of the
-incremental bookkeeping the kernels use.
+bookkeeping the kernels use.
 """
 
 import pytest
 
-from catpark import _purecore
 from catpark import kernels
+from catpark.decomposition import f_stat, g_stat
 
-try:
-    from catpark import _fastcore
-except ImportError:
-    _fastcore = None
-
-needs_compiled = pytest.mark.skipif(_fastcore is None,
-                                    reason="compiled kernels not built")
-
-GRID = [(1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (4, 3)]
+GRID = [(1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (4, 3),
+        (1, 10), (2, 8), (3, 7), (4, 6)]
 
 
 def canonical_bounds(m, n):
@@ -43,53 +36,36 @@ def oracle_stats(seq, m):
     return luck, ones, first_win, first_top
 
 
-@pytest.mark.parametrize("m,n", GRID)
+@pytest.mark.parametrize("m,n", GRID + [(2, 0), (3, 1)])
 def test_luck_histogram_against_oracle(m, n):
     expected = [0] * (n + 1)
-    for seq in _purecore.iter_bounded(canonical_bounds(m, n)):
+    for seq in kernels.iter_bounded(canonical_bounds(m, n)):
         expected[oracle_stats(seq, m)[0]] += 1
-    assert _purecore.luck_histogram(m, n) == expected
+    assert kernels.luck_histogram(m, n) == expected
 
 
-@pytest.mark.parametrize("m,n", GRID)
+@pytest.mark.parametrize("m,n", GRID + [(3, 1)])
 def test_quad_histogram_against_oracle(m, n):
     expected = {}
-    for seq in _purecore.iter_bounded(canonical_bounds(m, n)):
+    for seq in kernels.iter_bounded(canonical_bounds(m, n)):
         key = oracle_stats(seq, m)
+        # the window and top hits are the type-1 and type-m fixed points
+        assert key[2:] == (f_stat(seq, m), g_stat(seq, m))
         expected[key] = expected.get(key, 0) + 1
-    assert _purecore.stat_quad_histogram(m, n) == expected
+    assert kernels.stat_quad_histogram(m, n) == expected
 
 
 def test_iter_bounded_edge_cases():
-    assert list(_purecore.iter_bounded([])) == [()]
-    assert list(_purecore.iter_bounded([0, 3])) == []
-    assert list(_purecore.iter_bounded([2])) == [(1,), (2,)]
+    assert list(kernels.iter_bounded([])) == [()]
+    assert list(kernels.iter_bounded([0, 3])) == []
+    assert list(kernels.iter_bounded([2])) == [(1,), (2,)]
 
 
 def test_luck_histogram_empty_length():
-    assert _purecore.luck_histogram(3, 0) == [1]
-    assert _purecore.stat_quad_histogram(3, 0) == {}
-
-
-@needs_compiled
-@pytest.mark.parametrize("m,n", GRID)
-def test_backend_parity(m, n):
-    bounds = canonical_bounds(m, n)
-    assert list(_fastcore.iter_bounded(bounds)) == \
-        list(_purecore.iter_bounded(bounds))
-    assert _fastcore.luck_histogram(m, n) == _purecore.luck_histogram(m, n)
-    assert _fastcore.stat_quad_histogram(m, n) == \
-        _purecore.stat_quad_histogram(m, n)
-
-
-@needs_compiled
-def test_compiled_edge_cases():
-    assert list(_fastcore.iter_bounded([])) == [()]
-    assert list(_fastcore.iter_bounded([0, 3])) == []
-    assert _fastcore.luck_histogram(2, 0) == [1]
-    assert _fastcore.stat_quad_histogram(2, 0) == {}
+    assert kernels.luck_histogram(3, 0) == [1]
+    assert kernels.stat_quad_histogram(3, 0) == {}
 
 
 def test_dispatch_exports():
-    assert kernels.BACKEND in ("pure", "compiled")
+    assert kernels.BACKEND == "pure"
     assert list(kernels.iter_bounded([1, 3]))[0] == (1, 1)
