@@ -14,6 +14,7 @@ it prefers a backbone node and parks exactly there.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from catpark.errors import NonMembershipError
 from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
@@ -31,6 +32,7 @@ class CaterpillarTree:
     subtree_size: tuple = field(repr=False)
 
 
+@lru_cache
 def build_caterpillar(m, n):
     """Construct the labelled tree for regularity m and backbone length n."""
     if m < 1:
@@ -64,6 +66,7 @@ def build_caterpillar(m, n):
     )
 
 
+@lru_cache
 def non_backbone_labels(m, n):
     """Leaf labels of the (m, n) tree, ascending."""
     count = m * n - m + 1

@@ -5,8 +5,16 @@ For 1 <= l <= m, the first fixed point of type l is the smallest position
 k > 1 whose value lands in the window [m(k-2)+1+l, m(k-1)+1]; absent fixed
 points are reported as n+1.  Cutting a distribution at its m fixed-point
 indices and shifting each block down to start at 1 yields m+1 shorter
-distributions; recomposition inverts this exactly, which turns the defining
-property of the cut points into a runtime check.
+distributions; recomposition inverts this exactly.
+
+The module has two layers.  The private core (``_fixed_points``, ``_cut``,
+``_assemble``, ``_recompose``, ``_luck``) does no argument checks and
+assumes in-bounds input.  The public functions validate their input once,
+at the boundary, then run on the core.  The one runtime check inside the
+core guards recomposition.  The block lengths force the cut indices, and a
+result built from in-bounds blocks decomposes back into them exactly when
+its fixed points are those cut indices; so every recomposition checks that
+its result is in bounds and that its fixed points are the forced cuts.
 
 The involution tau swaps the first and last components (recursing into
 each), exchanging the luck statistic with the multiplicity of 1.  The map
@@ -18,11 +26,6 @@ from dataclasses import dataclass
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
 from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
-
-
-def _require_member(seq, m):
-    if not is_u_pk(seq, canonical_family(m)):
-        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,87 @@ class FirstReturnDecomposition:
     fixed_points: FixedPointIndices
 
 
+# -- core: no argument checks; every input is within the canonical bounds --
+
+
+def _fixed_points(seq, m):
+    """First fixed-point index per type as a plain tuple, n+1 when absent.
+
+    Position k holds fixed points of the types l <= v - m(k-2) - 1, so the
+    first index of type l is where that running maximum first reaches l.
+    """
+    found = []
+    reached = 0
+    floor = 1  # m(k-2) + 1
+    for k, v in enumerate(seq[1:], start=2):
+        if v - floor > reached:
+            found.extend([k] * (v - floor - reached))
+            reached = v - floor
+            if reached == m:
+                return tuple(found)
+        floor += m
+    return tuple(found) + (len(seq) + 1,) * (m - reached)
+
+
+def _cut(seq, cuts):
+    """The blocks between consecutive cut indices, shifted to start at 1.
+
+    With m cuts there are m+1 blocks; block l covers positions
+    cuts[l-1] .. cuts[l] - 1 (the first block starts at position 2, the
+    last runs to the end); the leading 1 at position 1 is dropped.
+    """
+    edges = (2,) + cuts + (len(seq) + 1,)
+    blocks = []
+    for start, stop in zip(edges, edges[1:]):
+        if start >= stop:
+            blocks.append(())
+        else:
+            shift = seq[start - 1] - 1
+            blocks.append(tuple(v - shift for v in seq[start - 1:stop - 1]))
+    return tuple(blocks)
+
+
+def _assemble(components, m):
+    """Place the blocks after a leading 1; return (sequence, forced cuts).
+
+    Block j >= 1 starts at the position its predecessors' lengths force and
+    is shifted up by m(start-2) + j, which makes its first entry a fresh
+    fixed point of type j.
+    """
+    out = [1, *components[0]]
+    cuts = []
+    for j in range(1, m + 1):
+        start = len(out) + 1
+        cuts.append(start)
+        shift = m * (start - 2) + j
+        out.extend(v + shift for v in components[j])
+    return tuple(out), tuple(cuts)
+
+
+def _recompose(components, m):
+    """Assemble in-bounds blocks and check the result decomposes back."""
+    result, cuts = _assemble(components, m)
+    if not is_u_pk(result, canonical_family(m)):
+        raise InvalidCompositionError(f"recomposed {result} violates the bounds")
+    if _fixed_points(result, m) != cuts:
+        raise InvalidCompositionError(
+            f"recomposed {result} does not decompose back into {components}"
+        )
+    return result
+
+
+def _luck(seq, m):
+    return sum(1 for i, v in enumerate(seq, start=1) if v == m * i - m + 1)
+
+
+# -- public entry points: validate once, then run on the core --------------
+
+
+def _require_member(seq, m):
+    if not is_u_pk(seq, canonical_family(m)):
+        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
+
+
 def first_fixed_point(seq, m, l):
     """Smallest k > 1 with m(k-2)+1+l <= seq[k] <= m(k-1)+1, else n+1."""
     _require_member(seq, m)
@@ -52,22 +136,7 @@ def first_fixed_point(seq, m, l):
         raise ValueError("sequence must be nonempty")
     if not 1 <= l <= m:
         raise ValueError(f"type must be in [1, {m}], got {l}")
-    return fixed_point_indices(seq, m).indices[l - 1]
-
-
-def fixed_point_indices(seq, m):
-    n = len(seq)
-    found = [n + 1] * m
-    for k in range(2, n + 1):
-        v = seq[k - 1]
-        if v > m * (k - 1) + 1:
-            continue
-        # v is in the type-l window iff l <= v - m(k-2) - 1
-        max_l = v - m * (k - 2) - 1
-        for l in range(1, min(max_l, m) + 1):
-            if found[l - 1] == n + 1:
-                found[l - 1] = k
-    return FixedPointIndices(m, tuple(found))
+    return _fixed_points(seq, m)[l - 1]
 
 
 def decompose(seq, m):
@@ -78,20 +147,10 @@ def decompose(seq, m):
     components.  The leading 1 at position 1 is implicit and dropped.
     """
     _require_member(seq, m)
-    n = len(seq)
-    if n < 1:
+    if not seq:
         raise ValueError("cannot decompose the empty sequence")
-    fp = fixed_point_indices(seq, m)
-    cuts = (2,) + fp.indices + (n + 1,)
-    components = []
-    for l in range(m + 1):
-        start, stop = cuts[l], cuts[l + 1]
-        if start >= stop:
-            components.append(())
-        else:
-            shift = seq[start - 1] - 1
-            components.append(tuple(seq[i - 1] - shift for i in range(start, stop)))
-    return FirstReturnDecomposition(tuple(components), fp)
+    cuts = _fixed_points(seq, m)
+    return FirstReturnDecomposition(_cut(seq, cuts), FixedPointIndices(m, cuts))
 
 
 def recompose(components, m):
@@ -99,43 +158,20 @@ def recompose(components, m):
 
     The cut positions are forced by the block lengths; each block is shifted
     back up by the unique offset that makes its first entry a fresh fixed
-    point of the right type.  The result is verified by decomposing again.
+    point of the right type.  The result is checked to be in bounds and to
+    have its fixed points at the forced cuts.
     """
     if len(components) != m + 1:
         raise InvalidCompositionError(
             f"need {m + 1} components, got {len(components)}"
         )
+    fam = canonical_family(m)
     for comp in components:
-        if not is_u_pk(comp, canonical_family(m)):
+        if not is_u_pk(comp, fam):
             raise InvalidCompositionError(
                 f"component {comp} is not within the canonical bounds for m={m}"
             )
-    idx = [0] * (m + 1)  # idx[l] = i_l for l >= 1
-    idx[0] = 2 + len(components[0])
-    for l in range(2, m + 1):
-        idx[l - 1] = idx[l - 2] + len(components[l - 1])
-    n = idx[m - 1] - 1 + len(components[m])
-    out = [0] * n
-    out[0] = 1
-    for pos, v in enumerate(components[0], start=2):
-        out[pos - 1] = v
-    for l in range(2, m + 1):
-        start = idx[l - 2]
-        shift = m * (start - 2) + l - 1
-        for pos, v in enumerate(components[l - 1], start=start):
-            out[pos - 1] = v + shift
-    start = idx[m - 1]
-    shift = m * (start - 1)
-    for pos, v in enumerate(components[m], start=start):
-        out[pos - 1] = v + shift
-    result = tuple(out)
-    if not is_u_pk(result, canonical_family(m)):
-        raise InvalidCompositionError(f"recomposed {result} violates the bounds")
-    if decompose(result, m).components != tuple(tuple(c) for c in components):
-        raise InvalidCompositionError(
-            f"recomposed {result} does not decompose back into {components}"
-        )
-    return result
+    return _recompose(components, m)
 
 
 def tau(seq, m):
@@ -156,11 +192,11 @@ def tau(seq, m):
             continue
         comps = parts.get(s)
         if comps is None:
-            comps = parts[s] = decompose(s, m).components
+            comps = parts[s] = _cut(s, _fixed_points(s, m))
         first, last = comps[0], comps[m]
         if first in done and last in done:
             swapped = (done[last],) + comps[1:m] + (done[first],)
-            done[s] = recompose(swapped, m)
+            done[s] = _recompose(swapped, m)
         else:
             stack.append(s)
             if last not in done:
@@ -173,7 +209,7 @@ def tau(seq, m):
 def u_luck(seq, m):
     """Number of positions i with seq[i] = m*i - m + 1."""
     _require_member(seq, m)
-    return sum(1 for i, v in enumerate(seq, start=1) if v == m * i - m + 1)
+    return _luck(seq, m)
 
 
 def u_omega(seq, j):
@@ -204,7 +240,7 @@ def eta(seq, m):
     _require_member(seq, m)
     if not seq:
         return ()
-    comps = decompose(seq, m).components
+    comps = _cut(seq, _fixed_points(seq, m))
     out = [1]
     for j, comp in enumerate(comps, start=1):
         out.extend([j] * u_omega(comp, 1))
@@ -264,8 +300,9 @@ def eta_inv(seq, m):
                 break
         if not placed:
             raise NonMembershipError(f"entry {e} of {seq} fits no component")
+    # each component is all 1s or passed is_u_pk when it was last extended
     try:
-        return recompose(tuple(tuple(c) for c in comps), m)
+        return _recompose(tuple(tuple(c) for c in comps), m)
     except InvalidCompositionError as exc:
         raise NonMembershipError(str(exc)) from exc
 
@@ -302,7 +339,7 @@ def check_statistic_compatibility(stat, const_index, m, n_max,
         stat_hist = {}
         luck_hist = {}
         for p in enumerate_u_pk(n, fam, **kwargs):
-            comp = decompose(p, m).components[const_index]
+            comp = _cut(p, _fixed_points(p, m))[const_index]
             diff = stat(p) - stat(comp)
             if constant is None:
                 constant = diff
@@ -311,7 +348,7 @@ def check_statistic_compatibility(stat, const_index, m, n_max,
                 constant_example = p
             s = stat(p)
             stat_hist[s] = stat_hist.get(s, 0) + 1
-            lk = u_luck(p, m)
+            lk = _luck(p, m)
             luck_hist[lk] = luck_hist.get(lk, 0) + 1
         if equid and stat_hist != luck_hist:
             equid = False

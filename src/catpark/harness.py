@@ -222,11 +222,13 @@ def check_qluck(entries, opts):
 
 
 def check_hbasis(entries, opts):
+    # GAMMA_H_VECTORS holds data for n = 1..4 only
+    n_max = min(_opt(opts, "max_n", 4), 4)
     for m in _m_range(opts, tuple(GAMMA_H_VECTORS)):
         def run(m=m):
             fam_counts = [count_for_bounds(
-                [m * i - 1 for i in range(1, r + 1)]) for r in range(5)]
-            for n in range(1, 5):
+                [m * i - 1 for i in range(1, r + 1)]) for r in range(n_max + 1)]
+            for n in range(1, n_max + 1):
                 flat = gamma_poly_brute(m, n).substitute({"u": 1, "v": 1})
                 coeffs = h_decompose(flat)
                 degrees = sorted(coeffs, reverse=True)
@@ -246,7 +248,7 @@ def check_hbasis(entries, opts):
                                         "convolution": other}
             return "pass", None
 
-        _timed(entries, "h-basis-decomposition", {"m": m, "max_n": 4}, run)
+        _timed(entries, "h-basis-decomposition", {"m": m, "max_n": n_max}, run)
 
 
 def check_eta(entries, opts):
@@ -342,9 +344,10 @@ def check_parking(entries, opts):
 
 def check_lattice(entries, opts):
     n_max = _opt(opts, "max_n", 5)
+    ms = _m_range(opts, (1, 2, 3))
 
     def run():
-        for m in (1, 2, 3):
+        for m in ms:
             fam = canonical_family(m)
             for n in range(n_max + 1):
                 for p in enumerate_u_pk(n, fam):
@@ -362,7 +365,10 @@ def check_lattice(entries, opts):
                             x += 1
         return "pass", None
 
-    _timed(entries, "lattice-codec", {"max_n": n_max}, run)
+    params = {"max_n": n_max}
+    if opts.get("m") is not None:
+        params = {"m": opts["m"], **params}
+    _timed(entries, "lattice-codec", params, run)
 
 
 def check_multistat(entries, opts):

@@ -8,6 +8,7 @@ enumeration is lexicographic and guarded by a configurable object cap.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from catpark.errors import EnumerationCapError
@@ -43,6 +44,7 @@ class BoundFamily:
         return [self.bound(i) for i in range(1, n + 1)]
 
 
+@lru_cache
 def canonical_family(m):
     """The family (m, 1, m-1) with ceilings (1, m+1, 2m+1, ...)."""
     return BoundFamily(m, 1, m - 1)
@@ -57,20 +59,21 @@ class CountTriple:
     count: int
 
 
-def is_nondecreasing_positive(seq):
-    if any(x < 1 for x in seq):
-        return False
-    return all(a <= b for a, b in zip(seq, seq[1:]))
-
-
 def is_u_pk(seq, family):
-    """True iff seq is nondecreasing, positive, and within the family bounds.
+    """True iff seq is positive, nondecreasing, and within the family bounds.
 
-    The empty sequence passes vacuously.
+    One pass: each entry must lie between its predecessor (1 for the first)
+    and its position's ceiling, which grows by m per position.  The empty
+    sequence passes vacuously.
     """
-    if not is_nondecreasing_positive(seq):
-        return False
-    return all(v <= family.bound(i) for i, v in enumerate(seq, start=1))
+    low = 1
+    top = family.m * family.k - family.r  # family.bound(1)
+    for v in seq:
+        if not low <= v <= top:
+            return False
+        low = v
+        top += family.m
+    return True
 
 
 def count_for_bounds(bounds):

@@ -1,10 +1,16 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catpark.cli import main
+from catpark.cli import MAP_NAMES, POLY_NAMES, main
+from catpark.harness import CHECKS
 from catpark.polynomials import MultiPoly
 
 
@@ -262,3 +268,82 @@ def test_bad_values_exit_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def _pick(valid, invalid):
+    """A valid value nine times in ten, else an invalid one."""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from(invalid if i == 9 else valid))
+
+
+def _int(lo, hi, low_bad=-1):
+    """A decimal in lo..hi, or else one in low_bad..lo-1 or a non-number."""
+    return _pick([str(v) for v in range(lo, hi + 1)],
+                 [str(v) for v in range(low_bad, lo)] + ["x"])
+
+
+def _choice(values):
+    return _pick(list(values), ["bogus"])
+
+
+SEQ = st.one_of(
+    # mostly nondecreasing from 1: running sums of small steps
+    st.lists(st.integers(-1, 4), max_size=7).map(
+        lambda steps: ",".join(map(str, accumulate([1] + steps)))),
+    st.lists(st.integers(-1, 14), max_size=7).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["x", "1,,2", ",", ""]),
+)
+FORMAT = _choice(("text", "csv", "json"))
+# (required options, optional options) of each verb, with small values:
+# n <= 6, order <= 6
+VERB_OPTIONS = {
+    "enumerate": ({"--m": _int(1, 4), "--n": _int(0, 6)},
+                  {"--k": _int(1, 3), "--r": _int(0, 2),
+                   "--kind": _choice(("u", "cat")),
+                   "--max-objects": _int(0, 3000)}),
+    "count": ({"--m": _int(1, 4), "--n": _int(0, 6)},
+              {"--k": _int(1, 3), "--r": _int(0, 2),
+               "--kind": _choice(("u", "cat"))}),
+    "stats": ({"--m": _int(1, 4), "--seq": SEQ},
+              {"--kind": _choice(("u", "cat"))}),
+    "decompose": ({"--m": _int(1, 4), "--seq": SEQ}, {}),
+    "map": ({"--m": _int(1, 4), "--name": _choice(MAP_NAMES)},
+            {"--seq": SEQ, "--word": st.text("NEx", max_size=12)}),
+    "poly": ({"--m": _int(1, 4), "--n": _int(0, 6),
+              "--name": _choice(POLY_NAMES)},
+             {"--max-objects": _int(0, 3000), "--max-order": _int(0, 6)}),
+    "tensor": ({"--m": _int(1, 4), "--n": _int(0, 6)},
+               {"--max-objects": _int(0, 3000)}),
+    "tables": ({"--id": _int(1, 10, low_bad=0)}, {}),
+    # the full default suite is the slow case; fuzz one scope at a time
+    "verify": ({"--scope": _choice(CHECKS)},
+               {"--m": _int(1, 5), "--order": _int(0, 6),
+                "--max-n": _int(0, 6), "--max-order": _int(0, 6)}),
+}
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(sorted(VERB_OPTIONS)))
+    required, optional = VERB_OPTIONS[verb]
+    values = {**required, **optional, "--format": FORMAT}
+    argv = [verb]
+    for flag in draw(st.permutations(sorted(values))):
+        # a required option is left out one time in ten, others half the time
+        if draw(st.integers(0, 9)) < (9 if flag in required else 5):
+            argv += [flag, draw(values[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    """An exception escaping main fails the test by propagating."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

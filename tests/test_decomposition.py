@@ -1,9 +1,12 @@
 """First-return decomposition, tau, eta, and the sequence statistics."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catpark import decomposition
 from catpark.decomposition import (
     check_statistic_compatibility,
     decompose,
@@ -17,8 +20,8 @@ from catpark.decomposition import (
     u_luck,
     u_omega,
 )
-from catpark.errors import InvalidCompositionError
-from catpark.sequences import canonical_family, count_u_pk, enumerate_u_pk
+from catpark.errors import InvalidCompositionError, NonMembershipError
+from catpark.sequences import canonical_family, count_u_pk, enumerate_u_pk, is_u_pk
 
 # decompositions printed for m=2, n=3 (bounds 1,3,5)
 TABLE_3 = {
@@ -289,3 +292,115 @@ def test_tau_involution_sampled(m, n, data):
             assert tau(q, m) == p
             assert u_luck(p, m) == u_omega(q, 1)
             break
+
+
+def _spy_membership(monkeypatch):
+    """Record every sequence decomposition checks; forbid decompose calls."""
+    checked = []
+
+    def spy(seq, family):
+        checked.append(tuple(seq))
+        return is_u_pk(seq, family)
+
+    def forbidden(seq, m):
+        raise AssertionError(f"decompose({seq}, {m}) called inside a map")
+
+    monkeypatch.setattr(decomposition, "is_u_pk", spy)
+    monkeypatch.setattr(decomposition, "decompose", forbidden)
+    return checked
+
+
+def test_tau_and_eta_validate_once(monkeypatch):
+    checked = _spy_membership(monkeypatch)
+    for m in (1, 2, 3):
+        for n in range(1, 6):
+            for p in enumerate_u_pk(n, canonical_family(m)):
+                checked.clear()
+                q = tau(p, m)
+                # the input once, then one post-check per recomposition; the
+                # last recomposition builds q, and every other one builds a
+                # shorter sequence, so no tuple is checked twice
+                assert checked[0] == p and checked[-1] == q
+                assert p not in checked[1:-1]
+                assert len(set(checked[1:])) == len(checked) - 1
+                checked.clear()
+                image = eta(p, m)
+                assert checked == [p, image]
+
+
+def _old_decompose(seq, m):
+    """Oracle decomposition: a separate scan of each type's window, then cut."""
+    n = len(seq)
+    found = [n + 1] * m
+    for k in range(2, n + 1):
+        v = seq[k - 1]
+        if v > m * (k - 1) + 1:
+            continue
+        for l in range(1, min(v - m * (k - 2) - 1, m) + 1):
+            if found[l - 1] == n + 1:
+                found[l - 1] = k
+    return _blocks(seq, tuple(found))
+
+
+def _blocks(seq, cuts):
+    edges = (2,) + cuts + (len(seq) + 1,)
+    return tuple(
+        tuple(v - seq[a - 1] + 1 for v in seq[a - 1:b - 1]) if a < b else ()
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+def test_cut_point_check_matches_decompose_and_compare(monkeypatch):
+    """recompose's cut-point check accepts exactly what decompose-and-compare
+    accepts.
+
+    Every enumerated p, cut at every admissible cut vector, gives blocks
+    that p translates block by block.  With an assembler that returns p and
+    those cuts, recompose's fixed-point comparison must agree with the old
+    check: p decomposes back into the blocks.
+    """
+    accepted = rejected = 0
+    for m in (1, 2, 3):
+        fam = canonical_family(m)
+        for n in range(1, 6):
+            for p in enumerate_u_pk(n, fam):
+                for cuts in combinations_with_replacement(range(2, n + 2), m):
+                    comps = _blocks(p, cuts)
+                    if not all(is_u_pk(c, fam) for c in comps):
+                        continue  # recompose rejects these up front
+                    monkeypatch.setattr(decomposition, "_assemble",
+                                        lambda c, m, r=(p, cuts): r)
+                    old = is_u_pk(p, fam) and _old_decompose(p, m) == comps
+                    try:
+                        new = recompose(comps, m) == p
+                    except InvalidCompositionError:
+                        new = False
+                    assert new == old, (m, p, cuts)
+                    accepted += new
+                    rejected += not new
+    assert accepted and rejected
+
+
+def test_recompose_check_catches_a_wrong_shift(monkeypatch):
+    real = decomposition._assemble
+
+    def off_by_one(components, m):
+        result, cuts = real(components, m)
+        return result[:-1] + (result[-1] + 1,), cuts
+
+    assert recompose(((), (1,), (1,)), 2) == (1, 2, 5)
+    monkeypatch.setattr(decomposition, "_assemble", off_by_one)
+    with pytest.raises(InvalidCompositionError):
+        recompose(((), (1,), (1,)), 2)  # (1, 2, 6) is out of bounds
+    with pytest.raises(InvalidCompositionError):
+        recompose(((1,), (), ()), 2)  # (1, 2) has its type-1 point at 2
+    with pytest.raises(NonMembershipError):
+        eta_inv((1, 2, 5), 2)
+
+
+def test_public_entry_points_reject_out_of_bounds():
+    for fn in (tau, eta, eta_inv, u_luck, decompose, f_stat, g_stat):
+        with pytest.raises(ValueError):
+            fn((1, 2, 6), 2)
+        with pytest.raises(ValueError):
+            fn((1, 0), 2)

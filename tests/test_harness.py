@@ -12,6 +12,7 @@ def test_full_run_is_green():
     report = run_verification("all")
     assert report.ok
     assert report.exit_code == 0
+    assert len(report.entries) == 46
     statuses = {}
     for entry in report.entries:
         statuses.setdefault(entry.status, []).append(entry.identity)
@@ -78,3 +79,42 @@ def test_explicit_zero_is_honoured():
     assert report.entries[0].params == {"m": 2, "max_n": 0}
     report = run_verification("funceq", m=2, order=0)
     assert report.entries[0].params == {"m": 2, "order": 0}
+
+
+def test_hbasis_honours_max_n(monkeypatch):
+    lengths = []
+    real = harness.gamma_poly_brute
+
+    def spy(m, n, *args, **kwargs):
+        lengths.append(n)
+        return real(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "gamma_poly_brute", spy)
+    report = run_verification("hbasis", m=2, max_n=2)
+    assert report.ok and lengths == [1, 2]
+    assert [e.params for e in report.entries] == [{"m": 2, "max_n": 2}]
+    lengths.clear()
+    report = run_verification("hbasis", m=3, max_n=0)
+    assert lengths == [] and report.entries[0].params == {"m": 3, "max_n": 0}
+    # reference vectors exist up to n = 4 only; the report says so
+    report = run_verification("hbasis", m=4, max_n=9)
+    assert lengths == [1, 2, 3, 4] and report.entries[0].params == {"m": 4, "max_n": 4}
+
+
+def test_lattice_honours_m(monkeypatch):
+    regularities = set()
+    real = harness.to_lattice_path
+
+    def spy(seq, m):
+        regularities.add(m)
+        return real(seq, m)
+
+    monkeypatch.setattr(harness, "to_lattice_path", spy)
+    report = run_verification("lattice", m=4, max_n=3)
+    assert report.ok and regularities == {4}
+    assert [(e.identity, e.params) for e in report.entries] == [
+        ("lattice-codec", {"m": 4, "max_n": 3})]
+    regularities.clear()
+    report = run_verification("lattice", max_n=3)
+    assert regularities == {1, 2, 3}
+    assert report.entries[0].params == {"max_n": 3}

@@ -1,6 +1,6 @@
 """Bounded-sequence enumeration and counting."""
 
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -171,3 +171,22 @@ def test_count_matches_filter_oracle(m, k, data):
     n = data.draw(st.integers(0, 4))
     fam = BoundFamily(m, k, r)
     assert count_u_pk(n, fam) == len(filter_oracle(n, fam))
+
+
+# short int tuples: raw draws, and running sums of steps that may be zero,
+# negative (decreasing runs) or large (over the ceiling)
+SHORT_TUPLES = st.one_of(
+    st.lists(st.integers(-2, 34), max_size=6),
+    st.lists(st.integers(-2, 6), max_size=6).map(accumulate),
+).map(tuple)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data(), SHORT_TUPLES)
+def test_is_u_pk_matches_definition(m, k, data, seq):
+    r = data.draw(st.integers(0, m - 1))
+    fam = BoundFamily(m, k, r)
+    expected = (all(v >= 1 for v in seq)
+                and all(a <= b for a, b in zip(seq, seq[1:]))
+                and all(v <= fam.bound(i) for i, v in enumerate(seq, start=1)))
+    assert is_u_pk(seq, fam) == expected
