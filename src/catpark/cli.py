@@ -7,10 +7,14 @@ invocations produce identical bytes (verify timing fields excepted).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.  ``main`` maps every ValueError or CatparkError an argument
 provokes to exit 2 with a one-line message, so no argv ends in a traceback.
+
+``main`` parses with one parser per process, built on its first call;
+``build_parser()`` returns a fresh parser on every call.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -127,8 +131,18 @@ def cmd_enumerate(args, out):
                                           max_objects=args.max_objects)
         length = args.m * args.n - args.m + 1
     if args.format == "json":
-        _emit_json(out, {"m": args.m, "n": args.n, "kind": args.kind,
-                         "sequences": [list(s) for s in stream]})
+        # json.dumps(payload, indent=2), written one row at a time.  The
+        # stream is never empty: every family and tree has a distribution.
+        head, tail = json.dumps({"m": args.m, "n": args.n, "kind": args.kind,
+                                 "sequences": []}, indent=2).rsplit("[]", 1)
+        out.write(head)
+        sep = "[\n"
+        for s in stream:
+            out.write(sep)
+            out.write("    [\n      " + ",\n      ".join(map(str, s)) + "\n    ]"
+                      if s else "    []")
+            sep = ",\n"
+        out.write("\n  ]" + tail + "\n")
     elif args.format == "csv":
         _emit_csv(out, [f"p{i}" for i in range(1, length + 1)], stream)
     else:
@@ -460,9 +474,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = io.StringIO()
     try:
         if getattr(args, "m", None) is not None and args.m < 1:

@@ -54,6 +54,9 @@ GAMMA_H_VECTORS = {
 }
 MULTISTAT_ORDERS = {1: 5, 2: 4, 3: 3}  # default series order per m
 TENSOR_SYMMETRY_SIZES = {2: 5, 3: 4}  # largest backbone size checked per m
+# (m, n) trees checked over every multiset of labels, and by enumeration
+PARKING_SMALL = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
+PARKING_LARGER = ((2, 5), (3, 4))
 
 
 @dataclass
@@ -316,8 +319,9 @@ def check_theta(entries, opts):
 
 def check_parking(entries, opts):
     """Subtree condition coincides with the parking process succeeding."""
-    small = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
-    larger = ((2, 5), (3, 4))
+    m = opts.get("m")
+    small = tuple(shape for shape in PARKING_SMALL if m in (None, shape[0]))
+    larger = tuple(shape for shape in PARKING_LARGER if m in (None, shape[0]))
 
     def run():
         from itertools import combinations_with_replacement
@@ -402,7 +406,8 @@ def check_tensor(entries, opts):
             return "fail", {"reason": "total"}
         return "pass", None
 
-    _timed(entries, "tensor-table", {"m": 2, "n": 4}, run)
+    if opts.get("m") in (None, 2):
+        _timed(entries, "tensor-table", {"m": 2, "n": 4}, run)
     for m in _m_range(opts, tuple(TENSOR_SYMMETRY_SIZES)):
         n_top = TENSOR_SYMMETRY_SIZES[m]
 
@@ -489,6 +494,7 @@ M_SUPPORT = {
     "hbasis": GAMMA_H_VECTORS,
     "multistat": MULTISTAT_ORDERS,
     "tensor": TENSOR_SYMMETRY_SIZES,
+    "parking": dict.fromkeys(m for m, _ in PARKING_SMALL),
 }
 
 
@@ -496,9 +502,11 @@ def run_verification(scope="all", **opts):
     """Run the selected checks and return a VerificationReport.
 
     opts may set order and max_n (each >= 0; an explicit 0 is honoured) and
-    m (>= 1) to restrict every check to one regularity.  Values out of
-    range, or an m that a selected check has no data for, raise ValueError
-    before any check runs; messages name the matching CLI options.
+    m (>= 1) to restrict every check to one regularity; an m other than 2
+    leaves out the m=2 errata and tensor table.  Values out of range, an m
+    that a selected check has no data for, or --scope errata with an m
+    other than 2 raise ValueError before any check runs; messages name the
+    matching CLI options.
     """
     if scope == "all":
         names = list(CHECKS)
@@ -520,6 +528,10 @@ def run_verification(scope="all", **opts):
             if supported is not None and m not in supported:
                 raise ValueError(f"--m {m} is not supported by check {name!r} "
                                  f"(m in {', '.join(map(str, supported))})")
+        if m != 2:  # the errata demonstrate formulas printed for m=2
+            if scope == "errata":
+                raise ValueError(f"--scope errata runs at m=2 only, got --m {m}")
+            names = [name for name in names if name != "errata"]
     report = VerificationReport()
     for name in names:
         CHECKS[name](report.entries, opts)

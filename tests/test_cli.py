@@ -3,15 +3,19 @@
 import contextlib
 import io
 import json
+import re
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catpark.cli import MAP_NAMES, POLY_NAMES, main
+from catpark import cli
+from catpark.caterpillar import enumerate_caterpillar_pk
+from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main
 from catpark.harness import CHECKS
 from catpark.polynomials import MultiPoly
+from catpark.sequences import canonical_family, enumerate_u_pk
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +250,8 @@ def test_byte_determinism(capsys):
     ["--scope", "multistat", "--m", "4"],
     ["--scope", "hbasis", "--m", "5"],
     ["--scope", "tensor", "--m", "4"],
+    ["--scope", "parking", "--m", "4"],
+    ["--scope", "errata", "--m", "3"],
 ])
 def test_verify_rejects_unsupported_options(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -347,3 +353,65 @@ def test_any_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def _call(argv):
+    """main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_errata_names_its_m():
+    code, out, err = _call(["verify", "--scope", "errata", "--m", "3"])
+    assert code == 2 and out == "" and "m=2" in err
+
+
+def test_shared_parser_matches_fresh_parser(monkeypatch):
+    """One parser serves every main call in a process; no value leaks."""
+    session = [
+        ["count", "--m", "2", "--n"],  # usage error
+        ["count", "--m", "2", "--n", "3", "--k", "2", "--r", "0"],
+        ["count", "--m", "2", "--n", "3"],
+        ["stats", "--m", "2", "--seq", "1,1,4", "--format", "json"],
+        ["stats", "--m", "2", "--seq", "1,1,4"],
+        ["map", "--name", "tau", "--m", "2", "--seq", "1,1,4"],
+        ["decompose", "--m", "3", "--seq", "1,1,2,5"],
+        ["verify", "--scope", "counting"],
+    ]
+
+    def run_session():
+        results = []
+        for argv in session:
+            code, out, _ = _call(argv)
+            results.append((code, re.sub(r"\(\d+ ms\)", "(ms)", out)))
+        return results
+
+    assert cli._parser() is cli._parser()
+    shared = run_session()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert shared == run_session()
+    assert shared[0] == (2, "")
+    assert shared[1][1] != shared[2][1]  # --k 2 --r 0 counts another family
+    assert shared[3][1].startswith("{") and shared[4][1].startswith("luck ")
+    assert build_parser() is not build_parser()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.sampled_from(("u", "cat")))
+def test_enumerate_json_bytes(m, n, kind):
+    assume(kind == "u" or n >= 1)
+    if kind == "u":
+        sequences = enumerate_u_pk(n, canonical_family(m))
+    else:
+        sequences = enumerate_caterpillar_pk(m, n)
+    payload = {"m": m, "n": n, "kind": kind,
+               "sequences": [list(s) for s in sequences]}
+    code, out, _ = _call(["enumerate", "--m", str(m), "--n", str(n),
+                          "--kind", kind, "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"

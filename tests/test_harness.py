@@ -118,3 +118,36 @@ def test_lattice_honours_m(monkeypatch):
     report = run_verification("lattice", max_n=3)
     assert regularities == {1, 2, 3}
     assert report.entries[0].params == {"max_n": 3}
+
+
+def test_parking_honours_m(monkeypatch):
+    shapes = set()
+    real = harness.build_caterpillar
+
+    def spy(m, n):
+        shapes.add((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(harness, "build_caterpillar", spy)
+    report = run_verification("parking", m=3)
+    assert report.ok and shapes == {(3, 2), (3, 3), (3, 4)}
+    assert report.entries[0].params == {"small": [(3, 2), (3, 3)],
+                                        "enumerated": [(3, 4)]}
+    with pytest.raises(ValueError, match="--m 4"):
+        run_verification("parking", m=4)
+
+
+def test_checks_pinned_to_m2_follow_m():
+    pinned = {"tensor-table", "stated-count-erratum",
+              "q-luck-exponent-erratum", "joint-series-arguments-erratum"}
+    report = run_verification("tensor", m=3)
+    assert [e.identity for e in report.entries] == ["tensor-symmetry"]
+    report = run_verification("tensor", m=2)
+    assert [e.identity for e in report.entries] == ["tensor-table",
+                                                    "tensor-symmetry"]
+    with pytest.raises(ValueError, match="m=2"):
+        run_verification("errata", m=3)
+    assert len(run_verification("errata", m=2).entries) == 3
+    identities = {e.identity for e in run_verification("all", m=3, max_n=2,
+                                                       order=2).entries}
+    assert identities and not identities & pinned
