@@ -156,6 +156,8 @@ def omega_tree(tree, seq, j):
 def theta(seq, m, n):
     """Merge one copy of every leaf label into a (1, m+1, 2m+1, ...)-bounded
     distribution of length n, producing a tree parking distribution."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if len(seq) != n:
         raise ValueError(f"expected length {n}, got {len(seq)}")
     if not is_u_pk(seq, canonical_family(m)):
@@ -180,12 +182,15 @@ def theta_inv(seq, m, n):
 
 
 def enumerate_caterpillar_pk(m, n, max_objects=None):
-    """Yield all parking distributions on the (m, n) tree, as theta images of
-    the bounded sequences, in the induced lexicographic order."""
+    """Iterate over all parking distributions on the (m, n) tree, as theta
+    images of the bounded sequences, in the induced lexicographic order.
+    An n < 1 raises ValueError at the call, before any row."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     kwargs = {} if max_objects is None else {"max_objects": max_objects}
     leaves = non_backbone_labels(m, n)
-    for seq in enumerate_u_pk(n, canonical_family(m), **kwargs):
-        yield tuple(sorted(seq + leaves))
+    return (tuple(sorted(seq + leaves))
+            for seq in enumerate_u_pk(n, canonical_family(m), **kwargs))
 
 
 def to_lattice_path(seq, m):

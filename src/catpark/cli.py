@@ -5,8 +5,15 @@ verify.  Output formats are text (default), csv, and json; identical
 invocations produce identical bytes (verify timing fields excepted).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.  ``main`` maps every ValueError or CatparkError an argument
-provokes to exit 2 with a one-line message, so no argv ends in a traceback.
+cap exceeded.  ``main`` checks --m >= 1, --max-objects >= 0 and
+--max-order >= 0 for every verb, and maps every ValueError or CatparkError
+an argument provokes to exit 2 with a one-line message, so no argv ends in
+a traceback.
+
+Every verb writes its result through ``_emit``, which holds the three
+formats: one JSON payload, one CSV table, or lines of text.  ``enumerate``
+streams: its CSV rows and text lines are written as the enumeration yields
+them, and its JSON is written row by row, so no list of rows is held.
 
 ``main`` parses with one parser per process, built on its first call;
 ``build_parser()`` returns a fresh parser on every call.
@@ -66,30 +73,36 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_ORDER = 24
 
 
-class UsageError(Exception):
-    pass
-
-
 class ResourceError(Exception):
     pass
 
 
 def _parse_seq(text):
     if text is None:
-        raise UsageError("--seq is required")
+        raise ValueError("--seq is required")
     try:
         seq = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise UsageError(f"--seq must be comma-separated integers, got {text!r}")
+        raise ValueError(f"--seq must be comma-separated integers, got {text!r}")
     return seq
 
 
 def _family(args):
     if (args.k is None) != (args.r is None):
-        raise UsageError("--k and --r must be given together")
+        raise ValueError("--k and --r must be given together")
     if args.k is None:
         return canonical_family(args.m)
     return BoundFamily(args.m, args.k, args.r)
+
+
+def _backbone_length(seq, m):
+    """The backbone length n of the regularity-m tree with len(seq) nodes."""
+    length = len(seq)
+    if length < 1 or (length - 1) % m:
+        raise ValueError(
+            f"--seq length {length} does not fit a regularity-{m} tree"
+        )
+    return (length - 1) // m + 1
 
 
 def _check_order(order, max_order):
@@ -99,15 +112,19 @@ def _check_order(order, max_order):
         )
 
 
-def _emit_csv(out, header, rows):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_json(out, payload):
-    out.write(json.dumps(payload, indent=2))
-    out.write("\n")
+def _emit(out, fmt, payload, header, rows, text):
+    """Write one result: payload as JSON, header and rows as CSV, or the
+    lines of text.  rows and text are read only in their own format, so
+    either may be a stream."""
+    if fmt == "json":
+        out.write(json.dumps(payload, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in text:
+            out.write(line + "\n")
 
 
 def seq_str(seq):
@@ -124,9 +141,9 @@ def cmd_enumerate(args, out):
         length = args.n
     else:
         if args.k is not None:
-            raise UsageError("--k/--r only apply to --kind u")
+            raise ValueError("--k/--r only apply to --kind u")
         if args.n < 1:
-            raise UsageError("--n must be >= 1 for --kind cat")
+            raise ValueError("--n must be >= 1 for --kind cat")
         stream = enumerate_caterpillar_pk(args.m, args.n,
                                           max_objects=args.max_objects)
         length = args.m * args.n - args.m + 1
@@ -143,28 +160,21 @@ def cmd_enumerate(args, out):
                       if s else "    []")
             sep = ",\n"
         out.write("\n  ]" + tail + "\n")
-    elif args.format == "csv":
-        _emit_csv(out, [f"p{i}" for i in range(1, length + 1)], stream)
-    else:
-        for s in stream:
-            out.write(seq_str(s) + "\n")
+    else:  # csv rows and text lines are written as the stream yields them
+        _emit(out, args.format, None, [f"p{i}" for i in range(1, length + 1)],
+              stream, map(seq_str, stream))
     return EXIT_OK
 
 
 def cmd_count(args, out):
     fam = _family(args)
     if args.kind == "cat" and args.k is not None:
-        raise UsageError("--k/--r only apply to --kind u")
+        raise ValueError("--k/--r only apply to --kind u")
     count = count_u_pk(args.n, fam)
     payload = {"m": args.m, "k": fam.k, "r": fam.r, "n": args.n,
                "kind": args.kind, "count": count}
-    if args.format == "json":
-        _emit_json(out, payload)
-    elif args.format == "csv":
-        _emit_csv(out, ["m", "k", "r", "n", "kind", "count"],
-                  [[args.m, fam.k, fam.r, args.n, args.kind, count]])
-    else:
-        out.write(f"{count}\n")
+    _emit(out, args.format, payload, list(payload), [payload.values()],
+          [str(count)])
     return EXIT_OK
 
 
@@ -179,29 +189,18 @@ def cmd_stats(args, out):
                 "g": g_stat(seq, args.m),
             }
         except ValueError as exc:
-            raise UsageError(f"--seq: {exc}")
+            raise ValueError(f"--seq: {exc}")
     else:
-        length = len(seq)
-        if length < 1 or (length - 1) % args.m:
-            raise UsageError(
-                f"--seq length {length} does not fit a regularity-{args.m} tree"
-            )
-        n = (length - 1) // args.m + 1
-        tree = build_caterpillar(args.m, n)
+        tree = build_caterpillar(args.m, _backbone_length(seq, args.m))
         try:
             outcome = simulate(tree, seq)
         except ValueError as exc:
-            raise UsageError(f"--seq: {exc}")
+            raise ValueError(f"--seq: {exc}")
         stats = {"luck": len(outcome.lucky_set), "parked": outcome.all_parked}
         for j in range(1, args.m + 1):
             stats[f"omega{j}"] = omega_tree(tree, seq, j)
-    if args.format == "json":
-        _emit_json(out, stats)
-    elif args.format == "csv":
-        _emit_csv(out, list(stats), [list(stats.values())])
-    else:
-        for key, value in stats.items():
-            out.write(f"{key} {value}\n")
+    _emit(out, args.format, stats, list(stats), [stats.values()],
+          (f"{key} {value}" for key, value in stats.items()))
     return EXIT_OK
 
 
@@ -210,73 +209,50 @@ def cmd_decompose(args, out):
     try:
         result = decompose(seq, args.m)
     except ValueError as exc:
-        raise UsageError(f"--seq: {exc}")
+        raise ValueError(f"--seq: {exc}")
     comps = result.components
-    if args.format == "json":
-        _emit_json(out, {"components": [list(c) for c in comps],
-                         "fixed_points": list(result.fixed_points.indices)})
-    elif args.format == "csv":
-        rows = [[f"p{i}", seq_str(c)] for i, c in enumerate(comps, start=1)]
-        rows.append(["fixed-points", seq_str(result.fixed_points.indices)])
-        _emit_csv(out, ["component", "values"], rows)
-    else:
-        for i, c in enumerate(comps, start=1):
-            out.write(f"p{i} ({seq_str(c)})\n")
-        out.write(f"fixed-points ({seq_str(result.fixed_points.indices)})\n")
+    fixed = result.fixed_points.indices
+    rows = [[f"p{i}", seq_str(c)] for i, c in enumerate(comps, start=1)]
+    rows.append(["fixed-points", seq_str(fixed)])
+    _emit(out, args.format,
+          {"components": [list(c) for c in comps], "fixed_points": list(fixed)},
+          ["component", "values"], rows,
+          (f"{label} ({values})" for label, values in rows))
     return EXIT_OK
 
 
-MAP_NAMES = ("theta", "theta-inv", "tau", "eta", "eta-inv",
-             "to-path", "from-path")
+# name -> f(parsed --seq, or --word for from-path, m); each map is looked
+# up when called, so a patched module name reaches it
+MAPS = {
+    "theta": lambda seq, m: theta(seq, m, len(seq)),
+    "theta-inv": lambda seq, m: theta_inv(seq, m, _backbone_length(seq, m)),
+    "tau": lambda seq, m: tau(seq, m),
+    "eta": lambda seq, m: eta(seq, m),
+    "eta-inv": lambda seq, m: eta_inv(seq, m),
+    "to-path": lambda seq, m: to_lattice_path(seq, m),
+    "from-path": lambda word, m: from_lattice_path(word, m),
+}
+MAP_NAMES = tuple(MAPS)
 
 
 def cmd_map(args, out):
-    m = args.m
     if args.name == "from-path":
-        if args.word is None:
-            raise UsageError("--word is required for --name from-path")
-        try:
-            result = from_lattice_path(args.word, m)
-        except NonMembershipError as exc:
-            raise UsageError(f"--word: {exc}")
-        out_text = seq_str(result)
-        payload = {"result": list(result)}
+        flag, value = "--word", args.word
     else:
-        if args.seq is None:
-            raise UsageError(f"--seq is required for --name {args.name}")
-        seq = _parse_seq(args.seq)
-        try:
-            if args.name == "theta":
-                result = theta(seq, m, len(seq))
-            elif args.name == "theta-inv":
-                length = len(seq)
-                if length < 1 or (length - 1) % m:
-                    raise UsageError(
-                        f"--seq length {length} does not fit a regularity-{m} tree"
-                    )
-                result = theta_inv(seq, m, (length - 1) // m + 1)
-            elif args.name == "tau":
-                result = tau(seq, m)
-            elif args.name == "eta":
-                result = eta(seq, m)
-            elif args.name == "eta-inv":
-                result = eta_inv(seq, m)
-            else:  # to-path
-                result = to_lattice_path(seq, m)
-        except (ValueError, NonMembershipError) as exc:
-            raise UsageError(f"--seq: {exc}")
-        if args.name == "to-path":
-            out_text = result
-            payload = {"result": result}
-        else:
-            out_text = seq_str(result)
-            payload = {"result": list(result)}
-    if args.format == "json":
-        _emit_json(out, payload)
-    elif args.format == "csv":
-        _emit_csv(out, ["result"], [[out_text]])
-    else:
-        out.write(out_text + "\n")
+        flag, value = "--seq", args.seq
+    if value is None:
+        raise ValueError(f"{flag} is required for --name {args.name}")
+    if flag == "--seq":
+        value = _parse_seq(value)
+        if args.name == "theta-inv":
+            # checked outside the try: its message names --seq itself
+            _backbone_length(value, args.m)
+    try:
+        result = MAPS[args.name](value, args.m)
+    except (ValueError, NonMembershipError) as exc:
+        raise ValueError(f"{flag}: {exc}")
+    text = result if args.name == "to-path" else seq_str(result)
+    _emit(out, args.format, {"result": result}, ["result"], [[text]], [text])
     return EXIT_OK
 
 
@@ -299,39 +275,29 @@ def _poly_for(args):
     if args.name == "gamma":
         return gamma_poly_brute(args.m, args.n)
     if args.n < 1:
-        raise UsageError("--n must be >= 1 for --name multi")
+        raise ValueError("--n must be >= 1 for --name multi")
     return multi_stat_poly_brute(args.m, args.n,
                                  max_objects=args.max_objects)
 
 
 def cmd_poly(args, out):
     poly = _poly_for(args)
-    if args.format == "json":
-        _emit_json(out, poly.to_dict())
-    elif args.format == "csv":
-        header = list(poly.variables) + ["coeff"]
-        rows = [list(exps) + [coeff] for exps, coeff in poly.items()]
-        _emit_csv(out, header, rows)
-    else:
-        out.write(poly.render() + "\n")
+    _emit(out, args.format, poly.to_dict(), list(poly.variables) + ["coeff"],
+          ([*exps, coeff] for exps, coeff in poly.items()), [poly.render()])
     return EXIT_OK
 
 
 def cmd_tensor(args, out):
     if args.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     tensor = joint_count_tensor(args.m, args.n, max_objects=args.max_objects)
     entries = sorted(tensor.entries.items())
-    if args.format == "json":
-        _emit_json(out, {"m": args.m, "n": args.n,
-                         "entries": [{"key": list(k), "count": c}
-                                     for k, c in entries]})
-    elif args.format == "csv":
-        header = ["k0"] + [f"k{j}" for j in range(1, args.m + 1)] + ["count"]
-        _emit_csv(out, header, [list(k) + [c] for k, c in entries])
-    else:
-        for key, count in entries:
-            out.write(f"{seq_str(key)} {count}\n")
+    _emit(out, args.format,
+          {"m": args.m, "n": args.n,
+           "entries": [{"key": list(k), "count": c} for k, c in entries]},
+          ["k0"] + [f"k{j}" for j in range(1, args.m + 1)] + ["count"],
+          ([*k, c] for k, c in entries),
+          (f"{seq_str(k)} {c}" for k, c in entries))
     return EXIT_OK
 
 
@@ -339,19 +305,24 @@ def cmd_tables(args, out):
     try:
         table = build_table(args.id)
     except ValueError as exc:
-        raise UsageError(f"--id: {exc}")
-    if args.format == "json":
-        _emit_json(out, table)
-    elif args.format == "csv":
-        _emit_csv(out, table["header"], table["rows"])
-    else:
-        out.write(table["title"] + "\n")
-        out.write(" | ".join(table["header"]) + "\n")
-        for row in table["rows"]:
-            out.write(" | ".join(row) + "\n")
-        for note in table["annotations"]:
-            out.write(f"note: {note}\n")
+        raise ValueError(f"--id: {exc}")
+    text = [table["title"], " | ".join(table["header"])]
+    text += [" | ".join(row) for row in table["rows"]]
+    text += [f"note: {note}" for note in table["annotations"]]
+    _emit(out, args.format, table, table["header"], table["rows"], text)
     return EXIT_OK
+
+
+def _verify_lines(entries):
+    for e in entries:
+        params = " ".join(f"{k}={v}" for k, v in e.params.items())
+        yield f"{e.status:8s} {e.identity} [{params}] ({e.millis} ms)"
+        if e.status == "fail" and e.counterexample is not None:
+            yield f"         counterexample: {e.counterexample}"
+    statuses = [e.status for e in entries]
+    yield (f"summary: {statuses.count('pass')} passed, "
+           f"{statuses.count('erratum')} errata demonstrated, "
+           f"{statuses.count('fail')} failed")
 
 
 def cmd_verify(args, out):
@@ -359,25 +330,11 @@ def cmd_verify(args, out):
         _check_order(args.order, args.max_order)
     report = run_verification(args.scope, order=args.order,
                               max_n=args.max_n, m=args.m)
-    if args.format == "json":
-        _emit_json(out, report.to_dict())
-    elif args.format == "csv":
-        rows = [[e.identity, e.status, json.dumps(e.params, sort_keys=True),
-                 e.millis] for e in report.entries]
-        _emit_csv(out, ["identity", "status", "params", "millis"], rows)
-    else:
-        for e in report.entries:
-            params = " ".join(f"{k}={v}" for k, v in e.params.items())
-            out.write(f"{e.status:8s} {e.identity} [{params}] ({e.millis} ms)\n")
-            if e.status == "fail" and e.counterexample is not None:
-                out.write(f"         counterexample: {e.counterexample}\n")
-        passed = sum(1 for e in report.entries if e.status == "pass")
-        errata = sum(1 for e in report.entries if e.status == "erratum")
-        failed = sum(1 for e in report.entries if e.status == "fail")
-        out.write(
-            f"summary: {passed} passed, {errata} errata demonstrated, "
-            f"{failed} failed\n"
-        )
+    _emit(out, args.format, report.to_dict(),
+          ["identity", "status", "params", "millis"],
+          ([e.identity, e.status, json.dumps(e.params, sort_keys=True), e.millis]
+           for e in report.entries),
+          _verify_lines(report.entries))
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
@@ -481,13 +438,16 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     out = io.StringIO()
     try:
-        if getattr(args, "m", None) is not None and args.m < 1:
-            raise UsageError(f"--m must be >= 1, got {args.m}")
+        for name, least in (("m", 1), ("max_objects", 0), ("max_order", 0)):
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= "
+                                 f"{least}, got {value}")
         code = args.fn(args, out)
     except (EnumerationCapError, ResourceError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_RESOURCE
-    except (UsageError, CatparkError, ValueError) as exc:
+    except (CatparkError, ValueError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_USAGE
     sys.stdout.write(out.getvalue())

@@ -48,6 +48,17 @@ class IdentityCheck:
         return not self.mismatches
 
 
+def _compare(name, params, order, lhs, rhs):
+    """Compare lhs(n) with rhs(n) for n = 0..order; each mismatch is
+    recorded as (n, lhs(n).render(), rhs(n).render())."""
+    check = IdentityCheck(name, params)
+    for n in range(order + 1):
+        left, right = lhs(n), rhs(n)
+        if left != right:
+            check.mismatches.append((n, left.render(), right.render()))
+    return check
+
+
 # -- series builders -----------------------------------------------------
 
 
@@ -62,13 +73,8 @@ def verify_functional_equation(m, order=DEFAULT_ORDER):
     """Check B = 1 + x*B^(m+1) coefficient-wise."""
     b = fuss_catalan_series(m, order)
     rhs = TruncatedSeries.one((), order) + (b ** (m + 1)).shifted(1)
-    check = IdentityCheck("functional-equation", {"m": m, "order": order})
-    for j in range(order + 1):
-        if b.coefficient(j) != rhs.coefficient(j):
-            check.mismatches.append(
-                (j, b.coefficient(j).render(), rhs.coefficient(j).render())
-            )
-    return check
+    return _compare("functional-equation", {"m": m, "order": order}, order,
+                    b.coefficient, rhs.coefficient)
 
 
 def _require_length(n):
@@ -99,15 +105,9 @@ def r_series_closed(m, order=DEFAULT_ORDER, variables=("q",), qvar="q",
 
 def verify_r_series(m, order, literal=False):
     name = "q-luck-series" + ("-literal" if literal else "")
-    check = IdentityCheck(name, {"m": m, "order": order})
     closed = r_series_closed(m, order, literal=literal)
-    for n in range(order + 1):
-        brute = r_poly_brute(m, n)
-        if closed.coefficient(n) != brute:
-            check.mismatches.append(
-                (n, brute.render(), closed.coefficient(n).render())
-            )
-    return check
+    return _compare(name, {"m": m, "order": order}, order,
+                    lambda n: r_poly_brute(m, n), closed.coefficient)
 
 
 def gamma_poly_brute(m, n):
@@ -144,15 +144,9 @@ def gamma_series_closed(m, order=DEFAULT_ORDER, literal=False):
 
 def verify_gamma_series(m, order, literal=False):
     name = "joint-series" + ("-literal" if literal else "")
-    check = IdentityCheck(name, {"m": m, "order": order})
     closed = gamma_series_closed(m, order, literal=literal)
-    for n in range(order + 1):
-        brute = gamma_poly_brute(m, n)
-        if closed.coefficient(n) != brute:
-            check.mismatches.append(
-                (n, brute.render(), closed.coefficient(n).render())
-            )
-    return check
+    return _compare(name, {"m": m, "order": order}, order,
+                    lambda n: gamma_poly_brute(m, n), closed.coefficient)
 
 
 def h_series(m, k, r, order=DEFAULT_ORDER):
@@ -165,17 +159,11 @@ def h_series(m, k, r, order=DEFAULT_ORDER):
 
 def verify_thm_rec(m, k, r, order):
     """Check that the (m,k,r) count series equals B^(mk-r)."""
-    check = IdentityCheck("count-series-power", {"m": m, "k": k, "r": r,
-                                                 "order": order})
     counted = h_series(m, k, r, order)
     powered = fuss_catalan_series(m, order) ** (m * k - r)
-    for n in range(order + 1):
-        if counted.coefficient(n) != powered.coefficient(n):
-            check.mismatches.append(
-                (n, counted.coefficient(n).render(),
-                 powered.coefficient(n).render())
-            )
-    return check
+    return _compare("count-series-power",
+                    {"m": m, "k": k, "r": r, "order": order}, order,
+                    counted.coefficient, powered.coefficient)
 
 
 # -- complete homogeneous decomposition -----------------------------------

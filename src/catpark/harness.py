@@ -6,6 +6,11 @@ disagrees with enumeration while the corrected variant passes; errata are
 expected and do not fail the run.  The overall run fails (exit code 1 from
 the CLI) only when a corrected-form identity breaks or an expected erratum
 stops reproducing.
+
+Every entry is made by ``_report``, which times one callable returning
+(status, counterexample); an entry's millis covers that call alone.
+``_verdict`` turns an engine IdentityCheck into that pair, and ``_per_m``
+builds the checks that report one body per m under {"m": m, option: value}.
 """
 
 import time
@@ -95,29 +100,19 @@ class VerificationReport:
         return {"ok": self.ok, "checks": [e.to_dict() for e in self.entries]}
 
 
-def _clock(fn):
-    """Call fn; return its result and the wall time in whole milliseconds.
+def _report(entries, identity, params, fn):
+    """Time fn, which returns (status, counterexample), and append its entry.
     Every report entry's millis comes from here."""
     start = time.perf_counter()
-    result = fn()
-    return result, int((time.perf_counter() - start) * 1000)
-
-
-def _timed(entries, identity, params, fn):
-    """Report the (status, counterexample) that fn returns."""
-    (status, counterexample), millis = _clock(fn)
+    status, counterexample = fn()
+    millis = int((time.perf_counter() - start) * 1000)
     entries.append(ReportEntry(identity, status, params, counterexample, millis))
 
 
-def _from_identity_check(entries, fn, params=None):
-    """Report the engine IdentityCheck that fn returns, under its own name
-    and, unless params is given, its own params."""
-    check, millis = _clock(fn)
-    entries.append(ReportEntry(
-        check.name, "pass" if check.ok else "fail",
-        check.params if params is None else params,
-        check.mismatches[0] if check.mismatches else None, millis))
-    return check
+def _verdict(check):
+    """An engine IdentityCheck as (status, counterexample)."""
+    return ("pass" if check.ok else "fail",
+            check.mismatches[0] if check.mismatches else None)
 
 
 def _opt(opts, key, default):
@@ -126,102 +121,96 @@ def _opt(opts, key, default):
     return default if value is None else value
 
 
+def _per_m(identity, ms, option, default):
+    """Turn body(m, **{option: value}) -> (status, counterexample) into a
+    CHECKS callable that reports identity [m=m option=value] for each m."""
+    def make(body):
+        def check(entries, opts):
+            value = _opt(opts, option, default)
+            for m in _m_range(opts, ms):
+                _report(entries, identity, {"m": m, option: value},
+                        lambda: body(m, **{option: value}))
+        return check
+    return make
+
+
 # -- individual checks -----------------------------------------------------
 
 
-def check_counting(entries, opts):
-    n_max = _opt(opts, "max_n", 6)
-    for m in _m_range(opts, (1, 2, 3, 4)):
-        def run(m=m):
-            for n in range(n_max + 1):
-                fam = canonical_family(m)
-                dp = count_u_pk(n, fam)
-                fc = fuss_catalan(m, n)
-                walked = sum(1 for _ in enumerate_u_pk(n, fam))
-                if not dp == fc == walked:
-                    return "fail", {"m": m, "n": n, "dp": dp, "closed": fc,
-                                    "enumerated": walked}
-            return "pass", None
-
-        _timed(entries, "counting", {"m": m, "max_n": n_max}, run)
+@_per_m("counting", (1, 2, 3, 4), "max_n", 6)
+def check_counting(m, max_n):
+    for n in range(max_n + 1):
+        fam = canonical_family(m)
+        dp = count_u_pk(n, fam)
+        fc = fuss_catalan(m, n)
+        walked = sum(1 for _ in enumerate_u_pk(n, fam))
+        if not dp == fc == walked:
+            return "fail", {"m": m, "n": n, "dp": dp, "closed": fc,
+                            "enumerated": walked}
+    return "pass", None
 
 
-def check_funceq(entries, opts):
-    order = _opt(opts, "order", 12)
-    for m in _m_range(opts, (1, 2, 3, 4)):
-        _from_identity_check(entries, lambda: verify_functional_equation(m, order))
+@_per_m("functional-equation", (1, 2, 3, 4), "order", 12)
+def check_funceq(m, order):
+    return _verdict(verify_functional_equation(m, order))
 
 
-def check_hseries(entries, opts):
-    order = _opt(opts, "order", 6)
-    for m in _m_range(opts, (2, 3)):
-        def run(m=m):
-            for k in (1, 2, 3):
-                for r in range(m):
-                    check = verify_thm_rec(m, k, r, order)
-                    if not check.ok:
-                        return "fail", {"k": k, "r": r,
-                                        "first": check.mismatches[0]}
-            return "pass", None
-
-        _timed(entries, "count-series-power", {"m": m, "order": order}, run)
+@_per_m("count-series-power", (2, 3), "order", 6)
+def check_hseries(m, order):
+    for k in (1, 2, 3):
+        for r in range(m):
+            check = verify_thm_rec(m, k, r, order)
+            if not check.ok:
+                return "fail", {"k": k, "r": r, "first": check.mismatches[0]}
+    return "pass", None
 
 
-def check_recurrence(entries, opts):
+@_per_m("count-recurrence", (1, 2, 3), "max_n", 7)
+def check_recurrence(m, max_n):
     """The two convolution recurrences satisfied by the (m,k,r) counts."""
-    n_max = _opt(opts, "max_n", 7)
-
-    def h(m, k, r, n):
+    def h(k, r, n):
         return count_for_bounds([m * (i + k - 1) - r for i in range(1, n + 1)])
 
-    for m in _m_range(opts, (1, 2, 3)):
-        def run(m=m):
-            for k in (1, 2, 3):
-                for r in range(m):
-                    for n in range(n_max + 1):
-                        lhs = h(m, k, r, n)
-                        if r < m - 1:
-                            rhs = sum(h(m, k, r + 1, j) * h(m, 1, m - 1, n - j)
-                                      for j in range(n + 1))
-                        else:
-                            rhs = sum(h(m, k - 1, 0, j) * h(m, 1, m - 1, n - j)
-                                      for j in range(n + 1))
-                        if lhs != rhs:
-                            return "fail", {"k": k, "r": r, "n": n,
-                                            "lhs": lhs, "rhs": rhs}
-            return "pass", None
-
-        _timed(entries, "count-recurrence", {"m": m, "max_n": n_max}, run)
+    for k in (1, 2, 3):
+        for r in range(m):
+            for n in range(max_n + 1):
+                lhs = h(k, r, n)
+                if r < m - 1:
+                    rhs = sum(h(k, r + 1, j) * h(1, m - 1, n - j)
+                              for j in range(n + 1))
+                else:
+                    rhs = sum(h(k - 1, 0, j) * h(1, m - 1, n - j)
+                              for j in range(n + 1))
+                if lhs != rhs:
+                    return "fail", {"k": k, "r": r, "n": n,
+                                    "lhs": lhs, "rhs": rhs}
+    return "pass", None
 
 
-def check_involution(entries, opts):
-    n_max = _opt(opts, "max_n", 6)
-    for m in _m_range(opts, (1, 2, 3)):
-        def run(m=m):
-            fam = canonical_family(m)
-            for n in range(n_max + 1):
-                for p in enumerate_u_pk(n, fam):
-                    q = tau(p, m)
-                    if tau(q, m) != p:
-                        return "fail", {"n": n, "p": p, "tau": q}
-                    if u_luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != u_luck(q, m):
-                        return "fail", {"n": n, "p": p, "tau": q,
-                                        "reason": "statistic exchange"}
-            return "pass", None
-
-        _timed(entries, "luck-ones-involution", {"m": m, "max_n": n_max}, run)
+@_per_m("luck-ones-involution", (1, 2, 3), "max_n", 6)
+def check_involution(m, max_n):
+    fam = canonical_family(m)
+    for n in range(max_n + 1):
+        for p in enumerate_u_pk(n, fam):
+            q = tau(p, m)
+            if tau(q, m) != p:
+                return "fail", {"n": n, "p": p, "tau": q}
+            if u_luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != u_luck(q, m):
+                return "fail", {"n": n, "p": p, "tau": q,
+                                "reason": "statistic exchange"}
+    return "pass", None
 
 
 def check_gamma(entries, opts):
     for m in _m_range(opts, (2, 3)):
         order = _opt(opts, "order", 5 if m == 2 else 4)
-        _from_identity_check(entries, lambda: verify_gamma_series(m, order))
+        _report(entries, "joint-series", {"m": m, "order": order},
+                lambda: _verdict(verify_gamma_series(m, order)))
 
 
-def check_qluck(entries, opts):
-    order = _opt(opts, "order", 6)
-    for m in _m_range(opts, (1, 2, 3)):
-        _from_identity_check(entries, lambda: verify_r_series(m, order))
+@_per_m("q-luck-series", (1, 2, 3), "order", 6)
+def check_qluck(m, order):
+    return _verdict(verify_r_series(m, order))
 
 
 def check_hbasis(entries, opts):
@@ -251,70 +240,60 @@ def check_hbasis(entries, opts):
                                         "convolution": other}
             return "pass", None
 
-        _timed(entries, "h-basis-decomposition", {"m": m, "max_n": n_max}, run)
+        _report(entries, "h-basis-decomposition", {"m": m, "max_n": n_max}, run)
 
 
-def check_eta(entries, opts):
-    n_max = _opt(opts, "max_n", 5)
-    for m in _m_range(opts, (1, 2, 3)):
-        def run(m=m):
-            fam = canonical_family(m)
-            for n in range(1, n_max + 1):
-                seen = set()
-                for p in enumerate_u_pk(n, fam):
-                    image = eta(p, m)
-                    if eta_inv(image, m) != p:
-                        return "fail", {"n": n, "p": p, "eta": image}
-                    seen.add(image)
-                    comps = decompose(p, m).components
-                    if u_omega(image, 1) != 1 + u_omega(comps[0], 1):
-                        return "fail", {"n": n, "p": p, "reason": "omega_1"}
-                    for j in range(2, m + 2):
-                        if u_omega(image, j) != u_omega(comps[j - 1], 1):
-                            return "fail", {"n": n, "p": p,
-                                            "reason": f"omega_{j}"}
-                if len(seen) != count_u_pk(n, fam):
-                    return "fail", {"n": n, "reason": "not surjective"}
-            return "pass", None
-
-        _timed(entries, "component-rebuild-bijection", {"m": m, "max_n": n_max},
-               run)
+@_per_m("component-rebuild-bijection", (1, 2, 3), "max_n", 5)
+def check_eta(m, max_n):
+    fam = canonical_family(m)
+    for n in range(1, max_n + 1):
+        seen = set()
+        for p in enumerate_u_pk(n, fam):
+            image = eta(p, m)
+            if eta_inv(image, m) != p:
+                return "fail", {"n": n, "p": p, "eta": image}
+            seen.add(image)
+            comps = decompose(p, m).components
+            if u_omega(image, 1) != 1 + u_omega(comps[0], 1):
+                return "fail", {"n": n, "p": p, "reason": "omega_1"}
+            for j in range(2, m + 2):
+                if u_omega(image, j) != u_omega(comps[j - 1], 1):
+                    return "fail", {"n": n, "p": p, "reason": f"omega_{j}"}
+        if len(seen) != count_u_pk(n, fam):
+            return "fail", {"n": n, "reason": "not surjective"}
+    return "pass", None
 
 
-def check_theta(entries, opts):
-    n_max = _opt(opts, "max_n", 6)
-    for m in _m_range(opts, (1, 2, 3)):
-        def run(m=m):
-            fam = canonical_family(m)
-            for n in range(1, n_max + 1):
-                tree = build_caterpillar(m, n)
-                total = 0
-                for p in enumerate_u_pk(n, fam):
-                    image = theta(p, m, n)
-                    total += 1
-                    if not is_tree_pk(tree, image):
-                        return "fail", {"n": n, "p": p, "image": image,
-                                        "reason": "image not a distribution"}
-                    if theta_inv(image, m, n) != p:
-                        return "fail", {"n": n, "p": p, "image": image,
-                                        "reason": "roundtrip"}
-                    outcome = simulate(tree, image)
-                    if len(outcome.lucky_set) != u_luck(p, m):
-                        return "fail", {"n": n, "p": p, "reason": "luck transport"}
-                    if omega_tree(tree, image, 1) != u_omega(p, 1):
-                        return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
-                    # the +1 applies to the leaf labels the tree actually has;
-                    # for n = 1 there are none and frequencies carry over as-is
-                    for j in range(2, m + 1):
-                        bump = 1 if j <= tree.node_count else 0
-                        if omega_tree(tree, image, j) != u_omega(p, j) + bump:
-                            return "fail", {"n": n, "p": p,
-                                            "reason": f"omega_{j} transport"}
-                if total != fuss_catalan(m, n):
-                    return "fail", {"n": n, "reason": "count"}
-            return "pass", None
-
-        _timed(entries, "tree-iso-transport", {"m": m, "max_n": n_max}, run)
+@_per_m("tree-iso-transport", (1, 2, 3), "max_n", 6)
+def check_theta(m, max_n):
+    fam = canonical_family(m)
+    for n in range(1, max_n + 1):
+        tree = build_caterpillar(m, n)
+        total = 0
+        for p in enumerate_u_pk(n, fam):
+            image = theta(p, m, n)
+            total += 1
+            if not is_tree_pk(tree, image):
+                return "fail", {"n": n, "p": p, "image": image,
+                                "reason": "image not a distribution"}
+            if theta_inv(image, m, n) != p:
+                return "fail", {"n": n, "p": p, "image": image,
+                                "reason": "roundtrip"}
+            outcome = simulate(tree, image)
+            if len(outcome.lucky_set) != u_luck(p, m):
+                return "fail", {"n": n, "p": p, "reason": "luck transport"}
+            if omega_tree(tree, image, 1) != u_omega(p, 1):
+                return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
+            # the +1 applies to the leaf labels the tree actually has;
+            # for n = 1 there are none and frequencies carry over as-is
+            for j in range(2, m + 1):
+                bump = 1 if j <= tree.node_count else 0
+                if omega_tree(tree, image, j) != u_omega(p, j) + bump:
+                    return "fail", {"n": n, "p": p,
+                                    "reason": f"omega_{j} transport"}
+        if total != fuss_catalan(m, n):
+            return "fail", {"n": n, "reason": "count"}
+    return "pass", None
 
 
 def check_parking(entries, opts):
@@ -342,8 +321,8 @@ def check_parking(entries, opts):
                     return "fail", {"m": m, "n": n, "seq": seq}
         return "pass", None
 
-    _timed(entries, "condition-vs-process", {"small": list(small),
-                                             "enumerated": list(larger)}, run)
+    _report(entries, "condition-vs-process", {"small": list(small),
+                                              "enumerated": list(larger)}, run)
 
 
 def check_lattice(entries, opts):
@@ -372,25 +351,26 @@ def check_lattice(entries, opts):
     params = {"max_n": n_max}
     if opts.get("m") is not None:
         params = {"m": opts["m"], **params}
-    _timed(entries, "lattice-codec", params, run)
+    _report(entries, "lattice-codec", params, run)
 
 
 def check_multistat(entries, opts):
     for m in _m_range(opts, tuple(MULTISTAT_ORDERS)):
         order = _opt(opts, "order", MULTISTAT_ORDERS[m])
-        check = _from_identity_check(
-            entries, lambda: verify_multi_stat_product(m, order),
-            {"m": m, "order": order})
+        _report(entries, "multi-stat-product", {"m": m, "order": order},
+                lambda: _verdict(verify_multi_stat_product(m, order)))
         if m >= 2 and order >= 1:  # the gap sits in the x^1 coefficient
-            gap = check.params.get("order_one_gap")
-            # expected: enumerated q0*q1 vs the product's full q0*...*qm
-            expected_rhs = "*".join(f"q{i}" for i in range(m + 1))
-            ok = gap == ("q0*q1", expected_rhs)
-            entries.append(ReportEntry(
-                "multi-stat-product-order1", "erratum" if ok else "fail",
-                {"m": m, "order": 1},
-                {"enumerated": gap[0] if gap else None,
-                 "stated": gap[1] if gap else None}, 0))
+            _report(entries, "multi-stat-product-order1", {"m": m, "order": 1},
+                    lambda: _order_one_gap(m))
+
+
+def _order_one_gap(m):
+    gap = verify_multi_stat_product(m, 1).params["order_one_gap"]
+    # expected: enumerated q0*q1 vs the product's full q0*...*qm
+    expected_rhs = "*".join(f"q{i}" for i in range(m + 1))
+    return ("erratum" if gap == ("q0*q1", expected_rhs) else "fail",
+            {"enumerated": gap[0] if gap else None,
+             "stated": gap[1] if gap else None})
 
 
 def check_tensor(entries, opts):
@@ -407,9 +387,9 @@ def check_tensor(entries, opts):
         return "pass", None
 
     if opts.get("m") in (None, 2):
-        _timed(entries, "tensor-table", {"m": 2, "n": 4}, run)
+        _report(entries, "tensor-table", {"m": 2, "n": 4}, run)
     for m in _m_range(opts, tuple(TENSOR_SYMMETRY_SIZES)):
-        n_top = TENSOR_SYMMETRY_SIZES[m]
+        n_top = _opt(opts, "max_n", TENSOR_SYMMETRY_SIZES[m])
 
         def run_sym(m=m, n_top=n_top):
             for n in range(1, n_top + 1):
@@ -418,13 +398,15 @@ def check_tensor(entries, opts):
                     return "fail", {"n": n, "first": check.mismatches[0]}
             return "pass", None
 
-        _timed(entries, "tensor-symmetry", {"m": m, "max_n": n_top}, run_sym)
+        _report(entries, "tensor-symmetry", {"m": m, "max_n": n_top}, run_sym)
 
 
 def check_convolution(entries, opts):
     n_max = _opt(opts, "max_n", 5)
     for m in _m_range(opts, (1, 2, 3)):
-        _from_identity_check(entries, lambda: verify_convolution_identity(m, n_max))
+        _report(entries, "luck-convolution",
+                {"m": m, "n_max": n_max, "t_max": m + 1},
+                lambda: _verdict(verify_convolution_identity(m, n_max)))
 
 
 def check_errata(entries, opts):
@@ -439,7 +421,7 @@ def check_errata(entries, opts):
             return "erratum", {"enumerated": enumerated, "stated": stated}
         return "fail", {"enumerated": enumerated, "stated": stated}
 
-    _timed(entries, "stated-count-erratum", {"m": 2, "n": 3}, run_prop1)
+    _report(entries, "stated-count-erratum", {"m": 2, "n": 3}, run_prop1)
 
     def run_cor1():
         literal = verify_r_series(2, 4, literal=True)
@@ -449,7 +431,7 @@ def check_errata(entries, opts):
             return "erratum", {"n": idx, "enumerated": brute, "stated": stated}
         return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
 
-    _timed(entries, "q-luck-exponent-erratum", {"m": 2}, run_cor1)
+    _report(entries, "q-luck-exponent-erratum", {"m": 2}, run_cor1)
 
     def run_thm3():
         literal = verify_gamma_series(2, 2, literal=True)
@@ -459,7 +441,7 @@ def check_errata(entries, opts):
             return "erratum", {"n": idx, "enumerated": brute, "stated": stated}
         return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
 
-    _timed(entries, "joint-series-arguments-erratum", {"m": 2}, run_thm3)
+    _report(entries, "joint-series-arguments-erratum", {"m": 2}, run_thm3)
 
 
 CHECKS = {

@@ -146,6 +146,11 @@ def test_theta_rejects_non_member():
         theta((1, 2, 6), 2, 3)
     with pytest.raises(ValueError):
         theta((1, 1), 2, 3)  # wrong length
+    # no tree has backbone length 0, so neither the map nor the listing does
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        theta((), 2, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        enumerate_caterpillar_pk(2, 0)  # raised at the call, before any row
 
 
 def test_theta_inv_missing_leaf_label():

@@ -5,12 +5,13 @@ import io
 import json
 import re
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catpark import cli
+from catpark import cli, harness
 from catpark.caterpillar import enumerate_caterpillar_pk
 from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main
 from catpark.harness import CHECKS
@@ -269,6 +270,10 @@ def test_verify_rejects_unsupported_options(capsys, argv):
     ["poly", "--name", "R", "--m", "0", "--n", "3"],
     ["stats", "--m", "2"],
     ["decompose", "--m", "2"],
+    ["enumerate", "--m", "2", "--n", "3", "--max-objects", "-1"],
+    ["poly", "--name", "R", "--m", "2", "--n", "0", "--max-order", "-1"],
+    ["verify", "--max-order", "-1"],
+    ["map", "--name", "theta", "--m", "2", "--seq", ","],
 ])
 def test_bad_values_exit_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -415,3 +420,81 @@ def test_enumerate_json_bytes(m, n, kind):
                           "--kind", kind, "--format", "json"])
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+TABLE_1 = ["(1,1,1,2,4)", "(1,1,2,2,4)", "(1,1,2,3,4)", "(1,1,2,4,4)",
+           "(1,1,2,4,5)", "(1,2,2,2,4)", "(1,2,2,3,4)", "(1,2,2,4,4)",
+           "(1,2,2,4,5)", "(1,2,3,3,4)", "(1,2,3,4,4)", "(1,2,3,4,5)"]
+TABLE_1_TITLE = "Parking distributions on the regularity-2, length-3 caterpillar"
+TABLE_1_NOTE = ("the printed source lists (1,2,3,4,4) twice and omits "
+                "(1,2,2,4,4); the corrected set is shown")
+ERRATA_CHECKS = [
+    ("stated-count-erratum", {"m": 2, "n": 3},
+     {"enumerated": 12, "stated": 4}),
+    ("q-luck-exponent-erratum", {"m": 2},
+     {"n": 2, "enumerated": "q^2 + 2*q", "stated": "q^2 + q"}),
+    ("joint-series-arguments-erratum", {"m": 2},
+     {"n": 2, "enumerated": "q*t^2*u^3*v^3 + q^2*t*u^2*v^2 + q*t*u^2*v^3",
+      "stated": "q*t^2*u^3*v^3 + q^2*t*u^2*v^3 + q*t*u^2*v^2"}),
+]
+# (argv, text, csv, json payload): one small call of every verb but
+# enumerate, as printed before the three formats shared one writer
+PINNED_OUTPUTS = [
+    (["count", "--m", "2", "--n", "3"],
+     "12\n",
+     "m,k,r,n,kind,count\n2,1,1,3,u,12\n",
+     {"m": 2, "k": 1, "r": 1, "n": 3, "kind": "u", "count": 12}),
+    (["stats", "--m", "2", "--kind", "cat", "--seq", "1,1,2,3,4"],
+     "luck 1\nparked True\nomega1 2\nomega2 1\n",
+     "luck,parked,omega1,omega2\n1,True,2,1\n",
+     {"luck": 1, "parked": True, "omega1": 2, "omega2": 1}),
+    (["decompose", "--m", "2", "--seq", "1,2,4,5"],
+     "p1 ()\np2 (1,3,4)\np3 ()\nfixed-points (2,5)\n",
+     'component,values\np1,\np2,"1,3,4"\np3,\nfixed-points,"2,5"\n',
+     {"components": [[], [1, 3, 4], []], "fixed_points": [2, 5]}),
+    (["map", "--name", "to-path", "--m", "2", "--seq", "1,1,3"],
+     "NNEENEE\n",
+     "result\nNNEENEE\n",
+     {"result": "NNEENEE"}),
+    (["poly", "--name", "R", "--m", "2", "--n", "2"],
+     "q^2 + 2*q\n",
+     "q,coeff\n2,1\n1,2\n",
+     {"variables": ["q"], "terms": [[[2], 1], [[1], 2]]}),
+    (["tensor", "--m", "2", "--n", "2"],
+     "1,1,2 1\n1,2,1 1\n2,1,1 1\n",
+     "k0,k1,k2,count\n1,1,2,1\n1,2,1,1\n2,1,1,1\n",
+     {"m": 2, "n": 2, "entries": [{"key": [1, 1, 2], "count": 1},
+                                  {"key": [1, 2, 1], "count": 1},
+                                  {"key": [2, 1, 1], "count": 1}]}),
+    (["tables", "--id", "1"],
+     "\n".join([TABLE_1_TITLE, "distribution"] + TABLE_1
+               + [f"note: {TABLE_1_NOTE}"]) + "\n",
+     "distribution\n" + "".join(f'"{row}"\n' for row in TABLE_1),
+     {"id": "1", "title": TABLE_1_TITLE, "header": ["distribution"],
+      "rows": [[row] for row in TABLE_1], "annotations": [TABLE_1_NOTE]}),
+    (["verify", "--scope", "errata"],
+     "erratum  stated-count-erratum [m=2 n=3] (0 ms)\n"
+     "erratum  q-luck-exponent-erratum [m=2] (0 ms)\n"
+     "erratum  joint-series-arguments-erratum [m=2] (0 ms)\n"
+     "summary: 0 passed, 3 errata demonstrated, 0 failed\n",
+     "identity,status,params,millis\n"
+     'stated-count-erratum,erratum,"{""m"": 2, ""n"": 3}",0\n'
+     'q-luck-exponent-erratum,erratum,"{""m"": 2}",0\n'
+     'joint-series-arguments-erratum,erratum,"{""m"": 2}",0\n',
+     {"ok": True, "checks": [
+         {"identity": identity, "status": "erratum", "params": params,
+          "counterexample": counterexample, "millis": 0}
+         for identity, params, counterexample in ERRATA_CHECKS]}),
+]
+
+
+@pytest.mark.parametrize("argv, text, csv_text, payload", PINNED_OUTPUTS,
+                         ids=[case[0][0] for case in PINNED_OUTPUTS])
+def test_pinned_outputs(monkeypatch, argv, text, csv_text, payload):
+    """Every format of every verb but enumerate, byte for byte; a frozen
+    clock makes verify's millis 0."""
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    expected = {"text": text, "csv": csv_text,
+                "json": json.dumps(payload, indent=2) + "\n"}
+    for fmt, want in expected.items():
+        assert _call(argv + ["--format", fmt]) == (0, want, "")

@@ -74,6 +74,17 @@ def test_identity_checks_are_timed(monkeypatch):
     assert report.entries[0].millis >= 1000
 
 
+def test_every_entry_is_timed_once(monkeypatch):
+    """Each entry reads the clock twice, around its own work only."""
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    report = run_verification("all", max_n=2, order=2)
+    assert report.entries
+    assert [(e.identity, e.millis) for e in report.entries] == [
+        (e.identity, 1000) for e in report.entries]
+
+
 def test_explicit_zero_is_honoured():
     report = run_verification("counting", m=2, max_n=0)
     assert report.entries[0].params == {"m": 2, "max_n": 0}
@@ -99,6 +110,27 @@ def test_hbasis_honours_max_n(monkeypatch):
     # reference vectors exist up to n = 4 only; the report says so
     report = run_verification("hbasis", m=4, max_n=9)
     assert lengths == [1, 2, 3, 4] and report.entries[0].params == {"m": 4, "max_n": 4}
+
+
+def test_tensor_symmetry_honours_max_n(monkeypatch):
+    lengths = []
+    real = harness.verify_tensor_symmetry
+
+    def spy(m, n, *args, **kwargs):
+        lengths.append(n)
+        return real(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "verify_tensor_symmetry", spy)
+    report = run_verification("tensor", m=3, max_n=2)
+    assert report.ok and lengths == [1, 2]
+    assert [(e.identity, e.params) for e in report.entries] == [
+        ("tensor-symmetry", {"m": 3, "max_n": 2})]
+    lengths.clear()
+    report = run_verification("tensor", m=3, max_n=0)
+    assert lengths == [] and report.entries[0].params == {"m": 3, "max_n": 0}
+    # without --max-n each m keeps its own largest size
+    report = run_verification("tensor", m=3)
+    assert lengths == [1, 2, 3, 4] and report.entries[0].params == {"m": 3, "max_n": 4}
 
 
 def test_lattice_honours_m(monkeypatch):
