@@ -5,7 +5,7 @@ verify.  Output formats are text (default), csv, and json; identical
 invocations produce identical bytes (verify timing fields excepted).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.  ``main`` checks --m >= 1, --max-objects >= 0 and
+cap exceeded.  ``main`` checks --m >= 1, --n >= 0, --max-objects >= 0 and
 --max-order >= 0 for every verb, and maps every ValueError or CatparkError
 an argument provokes to exit 2 with a one-line message, so no argv ends in
 a traceback.
@@ -438,7 +438,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     out = io.StringIO()
     try:
-        for name, least in (("m", 1), ("max_objects", 0), ("max_order", 0)):
+        for name, least in (("m", 1), ("n", 0), ("max_objects", 0),
+                            ("max_order", 0)):
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= "

@@ -17,9 +17,17 @@ its fixed points are those cut indices; so every recomposition checks that
 its result is in bounds and that its fixed points are the forced cuts.
 
 The involution tau swaps the first and last components (recursing into
-each), exchanging the luck statistic with the multiplicity of 1.  The map
-eta rebuilds a distribution from the per-component multiplicities of 1 and
-transports every other entry upward by a component-dependent offset.
+each), exchanging the luck statistic with the multiplicity of 1.  Its core
+``_tau(seq, m, images)`` reads and fills a caller-owned table of images
+(sequence -> tau image): it answers a sequence already in the table and
+adds the image of every component it computes, never that of seq itself.
+Public ``tau`` passes a fresh table, so each call stands alone; a sweep
+that visits sequences by increasing length can keep one table and store
+each image it wants reused, so each tau costs one cut and one recompose.
+
+The map eta rebuilds a distribution from the per-component multiplicities
+of 1 and transports every other entry upward by a component-dependent
+offset.
 """
 
 from dataclasses import dataclass
@@ -174,36 +182,51 @@ def recompose(components, m):
     return _recompose(components, m)
 
 
-def tau(seq, m):
-    """Involution exchanging luck with the multiplicity of 1.
+def _tau(seq, m, images):
+    """tau of an in-bounds seq, reading and filling the table images.
 
-    tau of the empty sequence is empty; otherwise the first and last
-    components are swapped, with tau applied inside each.  Evaluated with an
-    explicit stack so deep inputs cannot hit the recursion limit.
+    images maps sequences to their tau images and holds at least {(): ()}.
+    A seq already in the table is answered from it.  Otherwise the image of
+    every component computed on the way is added to images, but not the
+    image of seq itself: the caller decides whether the table keeps it.
+    Evaluated with an explicit stack so deep inputs cannot hit the
+    recursion limit.
     """
-    seq = tuple(seq)
-    _require_member(seq, m)
-    done = {(): ()}
+    image = images.get(seq)
+    if image is not None:
+        return image
     parts = {}
     stack = [seq]
     while stack:
         s = stack.pop()
-        if s in done:
+        if s in images:
             continue
         comps = parts.get(s)
         if comps is None:
             comps = parts[s] = _cut(s, _fixed_points(s, m))
         first, last = comps[0], comps[m]
-        if first in done and last in done:
-            swapped = (done[last],) + comps[1:m] + (done[first],)
-            done[s] = _recompose(swapped, m)
+        if first in images and last in images:
+            image = _recompose((images[last],) + comps[1:m] + (images[first],), m)
+            if not stack:  # seq sits at the bottom of the stack
+                return image
+            images[s] = image
         else:
             stack.append(s)
-            if last not in done:
+            if last not in images:
                 stack.append(last)
-            if first not in done:
+            if first not in images:
                 stack.append(first)
-    return done[seq]
+
+
+def tau(seq, m):
+    """Involution exchanging luck with the multiplicity of 1.
+
+    tau of the empty sequence is empty; otherwise the first and last
+    components are swapped, with tau applied inside each.
+    """
+    seq = tuple(seq)
+    _require_member(seq, m)
+    return _tau(seq, m, {(): ()})
 
 
 def u_luck(seq, m):

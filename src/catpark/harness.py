@@ -28,7 +28,7 @@ from catpark.caterpillar import (
     theta_inv,
     to_lattice_path,
 )
-from catpark.decomposition import decompose, eta, eta_inv, tau, u_luck, u_omega
+from catpark.decomposition import _tau, decompose, eta, eta_inv, u_luck, u_omega
 from catpark.engine import (
     gamma_poly_brute,
     h_decompose,
@@ -43,6 +43,7 @@ from catpark.engine import (
     verify_tensor_symmetry,
     verify_thm_rec,
 )
+from catpark.errors import NonMembershipError
 from catpark.sequences import (
     canonical_family,
     count_for_bounds,
@@ -189,15 +190,22 @@ def check_recurrence(m, max_n):
 
 @_per_m("luck-ones-involution", (1, 2, 3), "max_n", 6)
 def check_involution(m, max_n):
+    """One tau table per m: enumeration runs by increasing length, so every
+    component of p is already in it and each tau recomposes one level.
+    Images of the top length are never stored, which keeps the table small.
+    """
     fam = canonical_family(m)
+    images = {(): ()}
     for n in range(max_n + 1):
         for p in enumerate_u_pk(n, fam):
-            q = tau(p, m)
-            if tau(q, m) != p:
+            q = _tau(p, m, images)
+            if _tau(q, m, images) != p:
                 return "fail", {"n": n, "p": p, "tau": q}
             if u_luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != u_luck(q, m):
                 return "fail", {"n": n, "p": p, "tau": q,
                                 "reason": "statistic exchange"}
+            if n < max_n:
+                images[p] = q
     return "pass", None
 
 
@@ -273,10 +281,12 @@ def check_theta(m, max_n):
         for p in enumerate_u_pk(n, fam):
             image = theta(p, m, n)
             total += 1
-            if not is_tree_pk(tree, image):
+            try:  # theta_inv's own boundary check tests the distribution
+                back = theta_inv(image, m, n)
+            except (ValueError, NonMembershipError):
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "image not a distribution"}
-            if theta_inv(image, m, n) != p:
+            if back != p:
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "roundtrip"}
             outcome = simulate(tree, image)
@@ -297,10 +307,15 @@ def check_theta(m, max_n):
 
 
 def check_parking(entries, opts):
-    """Subtree condition coincides with the parking process succeeding."""
-    m = opts.get("m")
-    small = tuple(shape for shape in PARKING_SMALL if m in (None, shape[0]))
-    larger = tuple(shape for shape in PARKING_LARGER if m in (None, shape[0]))
+    """Subtree condition coincides with the parking process succeeding, on
+    the (m, n) shapes that --m and --max-n leave."""
+    m, max_n = opts.get("m"), opts.get("max_n")
+
+    def keep(shapes):
+        return tuple(shape for shape in shapes if m in (None, shape[0])
+                     and (max_n is None or shape[1] <= max_n))
+
+    small, larger = keep(PARKING_SMALL), keep(PARKING_LARGER)
 
     def run():
         from itertools import combinations_with_replacement
@@ -485,10 +500,11 @@ def run_verification(scope="all", **opts):
 
     opts may set order and max_n (each >= 0; an explicit 0 is honoured) and
     m (>= 1) to restrict every check to one regularity; an m other than 2
-    leaves out the m=2 errata and tensor table.  Values out of range, an m
-    that a selected check has no data for, or --scope errata with an m
-    other than 2 raise ValueError before any check runs; messages name the
-    matching CLI options.
+    leaves out the m=2 errata and tensor table.  The errata and
+    ``tensor-table`` are fixed demonstrations that take no order or max_n.
+    Values out of range, an m that a selected check has no data for, or
+    --scope errata with an m other than 2 raise ValueError before any check
+    runs; messages name the matching CLI options.
     """
     if scope == "all":
         names = list(CHECKS)

@@ -117,17 +117,29 @@ def count_u_pk_triple(n, family):
     return CountTriple(n, family, count_u_pk(n, family))
 
 
+def _raney_count(n, family):
+    """count_u_pk by the Raney closed form [x^n] B^s = s/((m+1)n+s) *
+    binom((m+1)n+s, n) with s = mk - r (Graham-Knuth-Patashnik, Concrete
+    Mathematics 5.4 and 7.5).  Unlike the DP it allocates no list as long
+    as the largest bound, so its cost hardly grows with m.
+    """
+    s = family.m * family.k - family.r
+    total = (family.m + 1) * n + s
+    return s * comb(total, n) // total
+
+
 def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS):
     """Yield every family-bounded distribution of length n, lexicographically.
 
-    The projected count is checked against max_objects before the first
-    yield; EnumerationCapError is raised when it would be exceeded.
+    The count projected by the closed form is checked against max_objects
+    before the first yield; EnumerationCapError is raised when it would be
+    exceeded.
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     bounds = family.bounds(n)
     if max_objects is not None:
-        projected = count_for_bounds(bounds)
+        projected = _raney_count(n, family)
         if projected > max_objects:
             raise EnumerationCapError(projected, max_objects)
     return kernels.iter_bounded(bounds)

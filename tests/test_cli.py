@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -184,6 +185,15 @@ def test_resource_cap_exit_3(capsys):
     assert code == 3 and "exceeding" in err
 
 
+def test_cap_refusal_at_large_m_is_fast(capsys):
+    # the projection is a closed form, not a DP over bounds up to 3m
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--m", "1000000", "--n", "3",
+                             "--max-objects", "10")
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == "" and "exceeding the cap of 10" in err
+
+
 def test_verify_scope_funceq(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "funceq",
                            "--order", "12")
@@ -274,11 +284,21 @@ def test_verify_rejects_unsupported_options(capsys, argv):
     ["poly", "--name", "R", "--m", "2", "--n", "0", "--max-order", "-1"],
     ["verify", "--max-order", "-1"],
     ["map", "--name", "theta", "--m", "2", "--seq", ","],
+    ["poly", "--name", "R", "--m", "2", "--n", "-1"],
+    ["tensor", "--m", "2", "--n", "-1"],
 ])
 def test_bad_values_exit_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", [["enumerate"], ["count"], ["tensor"],
+                                  ["poly", "--name", "R"], ["poly", "--name", "B"]])
+def test_negative_n_names_the_flag(capsys, verb):
+    code, out, err = run_cli(capsys, *verb, "--m", "2", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err.endswith("--n must be >= 0, got -1\n")
 
 
 def _pick(valid, invalid):

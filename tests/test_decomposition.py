@@ -199,6 +199,27 @@ def test_tau_involution_and_exchange():
                 assert u_omega(p, 1) == u_luck(q, m)
 
 
+def test_tau_core_on_one_table_matches_tau():
+    """One shared table, fed in enumeration order as the harness feeds it,
+    gives public tau's image on every sequence."""
+    for m in (1, 2, 3):
+        images = {(): ()}
+        for n in range(7):
+            for p in enumerate_u_pk(n, canonical_family(m)):
+                q = decomposition._tau(p, m, images)
+                assert q == tau(p, m)
+                assert p not in images or n == 0  # never stores its argument
+                images[p] = q
+                assert decomposition._tau(p, m, images) is q
+
+
+def test_tau_deep_input_stays_off_the_call_stack():
+    # m=1 all-ones nests first components 1500 deep, past the default
+    # recursion limit; tau swaps luck 1 and omega_1 = n
+    n = 1500
+    assert tau((1,) * n, 1) == tuple(range(1, n + 1))
+
+
 def test_tau_equidistribution():
     """luck and the ones-count have identical histograms at each length."""
     for m in (1, 2, 3):

@@ -169,6 +169,34 @@ def test_parking_honours_m(monkeypatch):
         run_verification("parking", m=4)
 
 
+def test_parking_honours_max_n(monkeypatch):
+    shapes = set()
+    real = harness.build_caterpillar
+
+    def spy(m, n):
+        shapes.add((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(harness, "build_caterpillar", spy)
+    report = run_verification("parking", max_n=3)
+    assert report.ok and shapes == {(2, 3), (3, 2), (3, 3)}
+    assert report.entries[0].params == {"small": [(2, 3), (3, 2), (3, 3)],
+                                        "enumerated": []}
+    shapes.clear()
+    report = run_verification("parking", m=3, max_n=2)
+    assert report.ok and shapes == {(3, 2)}
+    assert report.entries[0].params == {"small": [(3, 2)], "enumerated": []}
+    shapes.clear()
+    report = run_verification("parking", max_n=0)
+    assert report.ok and shapes == set()
+    assert report.entries[0].params == {"small": [], "enumerated": []}
+    # without --max-n every shape runs
+    report = run_verification("parking")
+    assert report.entries[0].params == {
+        "small": list(harness.PARKING_SMALL),
+        "enumerated": list(harness.PARKING_LARGER)}
+
+
 def test_checks_pinned_to_m2_follow_m():
     pinned = {"tensor-table", "stated-count-erratum",
               "q-luck-exponent-erratum", "joint-series-arguments-erratum"}
@@ -183,3 +211,49 @@ def test_checks_pinned_to_m2_follow_m():
     identities = {e.identity for e in run_verification("all", m=3, max_n=2,
                                                        order=2).entries}
     assert identities and not identities & pinned
+
+
+def test_involution_table_holds_no_top_length(monkeypatch):
+    tables = []
+    real = harness._tau
+
+    def spy(seq, m, images):
+        if not any(t is images for t in tables):
+            tables.append(images)
+        return real(seq, m, images)
+
+    monkeypatch.setattr(harness, "_tau", spy)
+    report = run_verification("involution", max_n=5)
+    assert report.ok and len(tables) == 3  # one table per m
+    assert all(len(key) < 5 for table in tables for key in table)
+    assert max(len(key) for table in tables for key in table) == 4
+
+
+def test_involution_reports_a_broken_image(monkeypatch):
+    real = harness._tau
+
+    def broken(seq, m, images):
+        return (1, 1) if seq == (1, 2) else real(seq, m, images)
+
+    monkeypatch.setattr(harness, "_tau", broken)
+    report = run_verification("involution", m=2, max_n=3)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("luck-ones-involution", "fail")]
+    assert report.entries[0].counterexample == {"n": 2, "p": (1, 2), "tau": (1, 1)}
+
+
+def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
+    real = harness.theta
+
+    def drop_leaf(seq, m, n):
+        image = list(real(seq, m, n))
+        if n >= 2:
+            image.remove(harness.non_backbone_labels(m, n)[0])
+        return tuple(image)
+
+    monkeypatch.setattr(harness, "theta", drop_leaf)
+    report = run_verification("theta", m=2, max_n=3)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("tree-iso-transport", "fail")]
+    assert report.entries[0].counterexample["reason"] == "image not a distribution"
+    assert report.entries[0].counterexample["n"] == 2

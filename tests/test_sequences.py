@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catpark import sequences
 from catpark.errors import EnumerationCapError
 from catpark.sequences import (
     BoundFamily,
@@ -154,6 +155,24 @@ def test_count_recurrences():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_u_pk(8, canonical_family(4), max_objects=1000))
+
+
+def test_cap_projection_matches_count(monkeypatch):
+    """The Raney closed form the cap reads equals the DP on every family
+    with m <= 5, k <= 4, r < m and n <= 7, and the cap is exact."""
+    for m in range(1, 6):
+        for k in range(1, 5):
+            for r in range(m):
+                fam = BoundFamily(m, k, r)
+                for n in range(8):
+                    assert sequences._raney_count(n, fam) == count_u_pk(n, fam)
+    fam = BoundFamily(3, 2, 1)
+    total = count_u_pk(4, fam)
+    monkeypatch.setattr(sequences, "count_for_bounds", None)  # not consulted
+    assert len(list(enumerate_u_pk(4, fam, max_objects=total))) == total
+    with pytest.raises(EnumerationCapError) as exc:
+        enumerate_u_pk(4, fam, max_objects=total - 1)
+    assert exc.value.projected == total
 
 
 def test_every_yield_passes_membership():
