@@ -14,7 +14,6 @@ from catpark.caterpillar import (
     enumerate_caterpillar_pk,
     from_lattice_path,
     is_tree_pk,
-    luck_tree,
     omega_tree,
     simulate,
     theta,

@@ -10,12 +10,21 @@ exploit that by accumulating in a single ascending pass.
 Parking: cars arrive in index order, drive to their preferred node, and roll
 toward the sink until they find a free node or fall out.  A car is lucky when
 it prefers a backbone node and parks exactly there.
+
+The module has two layers.  The private core (``_park``, ``_theta_inv``)
+does no argument checks and assumes its input is in range: ``_park`` takes
+preferences within 1..node_count, ``_theta_inv`` a parking distribution on
+the tree whose leaf labels it is given.  The public functions validate
+their input once, at the boundary, then run on the core: ``simulate``
+checks the entries and ``theta_inv`` checks the subtree condition.  A
+sweep whose objects are in range by construction, or already checked,
+calls the core directly.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from catpark.decomposition import u_omega
 from catpark.errors import NonMembershipError
 from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
 
@@ -119,38 +128,38 @@ class ParkingOutcome:
         return all(node is not None for node in self.assignment)
 
 
-def simulate(tree, seq):
-    """Run the parking process for the given preferences, in index order."""
-    _validate_entries(tree, seq)
+def _park(tree, seq):
+    """The parking process on preferences within 1..node_count."""
+    parent = tree.parent
+    backbone = tree.backbone_set
     occupied = [False] * (tree.node_count + 1)
     assignment = []
     lucky = set()
     for car, pref in enumerate(seq, start=1):
         node = pref
         while node and occupied[node]:
-            node = tree.parent[node]
+            node = parent[node]
         if node:
             occupied[node] = True
             assignment.append(node)
-            if node == pref and pref in tree.backbone_set:
+            if node == pref and pref in backbone:
                 lucky.add(car)
         else:
             assignment.append(None)
     return ParkingOutcome(tuple(assignment), frozenset(lucky))
 
 
-def luck_tree(tree, seq):
-    """Number of lucky cars; requires a full parking distribution."""
-    if not is_tree_pk(tree, seq):
-        raise ValueError("sequence is not a parking distribution on this tree")
-    return len(simulate(tree, seq).lucky_set)
+def simulate(tree, seq):
+    """Run the parking process for the given preferences, in index order."""
+    _validate_entries(tree, seq)
+    return _park(tree, seq)
 
 
 def omega_tree(tree, seq, j):
     """Number of cars preferring node j; 0 for labels the tree lacks."""
     if j < 1:
         raise ValueError(f"node label must be >= 1, got {j}")
-    return sum(1 for v in seq if v == j)
+    return u_omega(seq, j)
 
 
 def theta(seq, m, n):
@@ -165,20 +174,21 @@ def theta(seq, m, n):
     return tuple(sorted(tuple(seq) + non_backbone_labels(m, n)))
 
 
+def _theta_inv(seq, leaves):
+    """sorted(seq) less one copy of each leaf label; seq must hold them all,
+    as every parking distribution does (a leaf's subtree is the leaf)."""
+    out = sorted(seq)
+    for label in leaves:
+        out.remove(label)
+    return tuple(out)
+
+
 def theta_inv(seq, m, n):
     """Remove one copy of every leaf label; inverse of theta."""
     tree = build_caterpillar(m, n)
     if not is_tree_pk(tree, seq):
         raise ValueError(f"{seq} is not a parking distribution on the ({m},{n}) tree")
-    counts = Counter(seq)
-    for label in non_backbone_labels(m, n):
-        if counts[label] < 1:
-            raise NonMembershipError(f"leaf label {label} absent from {seq}")
-        counts[label] -= 1
-    out = []
-    for label in sorted(counts):
-        out.extend([label] * counts[label])
-    return tuple(out)
+    return _theta_inv(seq, non_backbone_labels(m, n))
 
 
 def enumerate_caterpillar_pk(m, n, max_objects=None):

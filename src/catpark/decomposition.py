@@ -8,13 +8,14 @@ indices and shifting each block down to start at 1 yields m+1 shorter
 distributions; recomposition inverts this exactly.
 
 The module has two layers.  The private core (``_fixed_points``, ``_cut``,
-``_assemble``, ``_recompose``, ``_luck``) does no argument checks and
-assumes in-bounds input.  The public functions validate their input once,
-at the boundary, then run on the core.  The one runtime check inside the
-core guards recomposition.  The block lengths force the cut indices, and a
-result built from in-bounds blocks decomposes back into them exactly when
-its fixed points are those cut indices; so every recomposition checks that
-its result is in bounds and that its fixed points are the forced cuts.
+``_assemble``, ``_recompose``, ``_luck``, ``_eta_inv``) does no argument
+checks and assumes in-bounds input.  The public functions validate their
+input once, at the boundary, then run on the core.  The runtime checks
+inside the core guard recomposition.  The block lengths force the cut
+indices, and a result built from in-bounds blocks decomposes back into them
+exactly when its fixed points are those cut indices; so every recomposition
+checks that its result is in bounds and that its fixed points are the
+forced cuts.
 
 The involution tau swaps the first and last components (recursing into
 each), exchanging the luck statistic with the multiplicity of 1.  Its core
@@ -237,7 +238,7 @@ def u_luck(seq, m):
 
 def u_omega(seq, j):
     """Number of entries equal to j."""
-    return sum(1 for v in seq if v == j)
+    return seq.count(j)
 
 
 def f_stat(seq, m):
@@ -281,8 +282,8 @@ def eta(seq, m):
     return result
 
 
-def eta_inv(seq, m):
-    """Invert eta by reconstructing the components.
+def _eta_inv(seq, m):
+    """eta_inv of an in-bounds seq.
 
     The multiplicity of j in the image fixes how many 1s component j holds
     (component 1 gets one less: the leading 1 is structural).  Remaining
@@ -291,17 +292,13 @@ def eta_inv(seq, m):
     down and placed in the largest component index that keeps the component
     within bounds.
     """
-    seq = tuple(seq)
-    _require_member(seq, m)
     if not seq:
         return ()
     fam = canonical_family(m)
     counts = {}
     for v in seq:
         counts[v] = counts.get(v, 0) + 1
-    if counts.get(1, 0) < 1:
-        raise NonMembershipError(f"{seq} lacks the structural leading 1")
-    comps = [[1] * (counts.get(1, 0) - 1)]
+    comps = [[1] * (counts[1] - 1)]  # in bounds, so seq starts with 1
     for j in range(2, m + 2):
         comps.append([1] * counts.get(j, 0))
     rest = sorted(v for v in seq if v > m + 1)
@@ -328,6 +325,13 @@ def eta_inv(seq, m):
         return _recompose(tuple(tuple(c) for c in comps), m)
     except InvalidCompositionError as exc:
         raise NonMembershipError(str(exc)) from exc
+
+
+def eta_inv(seq, m):
+    """Invert eta by reconstructing the components."""
+    seq = tuple(seq)
+    _require_member(seq, m)
+    return _eta_inv(seq, m)
 
 
 @dataclass(frozen=True)

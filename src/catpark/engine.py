@@ -18,12 +18,8 @@ node the smallest tree does not have (see verify_multi_stat_product).
 
 from dataclasses import dataclass, field
 
-from catpark.caterpillar import (
-    build_caterpillar,
-    enumerate_caterpillar_pk,
-    omega_tree,
-    simulate,
-)
+from catpark.caterpillar import _park, build_caterpillar, enumerate_caterpillar_pk
+from catpark.decomposition import u_omega
 from catpark.errors import HBasisError
 from catpark.polynomials import MultiPoly, complete_homogeneous
 from catpark.sequences import canonical_family, count_u_pk, fuss_catalan, BoundFamily
@@ -211,16 +207,16 @@ def multi_stat_variables(m):
 
 def multi_stat_poly_brute(m, n, max_objects=None):
     """Sum of q0^luck * prod_j qj^(freq of node j) over all parking
-    distributions on the (m, n) tree, with luck read off the simulation."""
+    distributions on the (m, n) tree, with luck read off the simulation.
+    The enumerated rows are in range, so they park on the core."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     variables = multi_stat_variables(m)
     tree = build_caterpillar(m, n)
     terms = {}
     for seq in enumerate_caterpillar_pk(m, n, max_objects=max_objects):
-        outcome = simulate(tree, seq)
-        key = (len(outcome.lucky_set),) + tuple(
-            omega_tree(tree, seq, j) for j in range(1, m + 1)
+        key = (len(_park(tree, seq).lucky_set),) + tuple(
+            u_omega(seq, j) for j in range(1, m + 1)
         )
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(variables, terms)

@@ -17,18 +17,25 @@ import time
 from dataclasses import dataclass, field
 
 from catpark.caterpillar import (
+    _park,
+    _theta_inv,
     build_caterpillar,
     enumerate_caterpillar_pk,
     from_lattice_path,
     is_tree_pk,
     non_backbone_labels,
-    omega_tree,
-    simulate,
     theta,
-    theta_inv,
     to_lattice_path,
 )
-from catpark.decomposition import _tau, decompose, eta, eta_inv, u_luck, u_omega
+from catpark.decomposition import (
+    _cut,
+    _eta_inv,
+    _fixed_points,
+    _luck,
+    _tau,
+    eta,
+    u_omega,
+)
 from catpark.engine import (
     gamma_poly_brute,
     h_decompose,
@@ -43,7 +50,6 @@ from catpark.engine import (
     verify_tensor_symmetry,
     verify_thm_rec,
 )
-from catpark.errors import NonMembershipError
 from catpark.sequences import (
     canonical_family,
     count_for_bounds,
@@ -193,6 +199,7 @@ def check_involution(m, max_n):
     """One tau table per m: enumeration runs by increasing length, so every
     component of p is already in it and each tau recomposes one level.
     Images of the top length are never stored, which keeps the table small.
+    q needs no bound check for _luck: _recompose has checked it.
     """
     fam = canonical_family(m)
     images = {(): ()}
@@ -201,7 +208,7 @@ def check_involution(m, max_n):
             q = _tau(p, m, images)
             if _tau(q, m, images) != p:
                 return "fail", {"n": n, "p": p, "tau": q}
-            if u_luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != u_luck(q, m):
+            if _luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != _luck(q, m):
                 return "fail", {"n": n, "p": p, "tau": q,
                                 "reason": "statistic exchange"}
             if n < max_n:
@@ -253,15 +260,16 @@ def check_hbasis(entries, opts):
 
 @_per_m("component-rebuild-bijection", (1, 2, 3), "max_n", 5)
 def check_eta(m, max_n):
+    """eta checks p and its own image, so the rest runs on the core."""
     fam = canonical_family(m)
     for n in range(1, max_n + 1):
         seen = set()
         for p in enumerate_u_pk(n, fam):
             image = eta(p, m)
-            if eta_inv(image, m) != p:
+            if _eta_inv(image, m) != p:
                 return "fail", {"n": n, "p": p, "eta": image}
             seen.add(image)
-            comps = decompose(p, m).components
+            comps = _cut(p, _fixed_points(p, m))
             if u_omega(image, 1) != 1 + u_omega(comps[0], 1):
                 return "fail", {"n": n, "p": p, "reason": "omega_1"}
             for j in range(2, m + 2):
@@ -274,31 +282,35 @@ def check_eta(m, max_n):
 
 @_per_m("tree-iso-transport", (1, 2, 3), "max_n", 6)
 def check_theta(m, max_n):
+    """theta checks p; one is_tree_pk per image is the distribution check,
+    after which the inverse and the parking run on the core."""
     fam = canonical_family(m)
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
+        leaves = non_backbone_labels(m, n)
         total = 0
         for p in enumerate_u_pk(n, fam):
             image = theta(p, m, n)
             total += 1
-            try:  # theta_inv's own boundary check tests the distribution
-                back = theta_inv(image, m, n)
-            except (ValueError, NonMembershipError):
+            try:
+                parks = is_tree_pk(tree, image)
+            except ValueError:
+                parks = False
+            if not parks:
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "image not a distribution"}
-            if back != p:
+            if _theta_inv(image, leaves) != p:
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "roundtrip"}
-            outcome = simulate(tree, image)
-            if len(outcome.lucky_set) != u_luck(p, m):
+            if len(_park(tree, image).lucky_set) != _luck(p, m):
                 return "fail", {"n": n, "p": p, "reason": "luck transport"}
-            if omega_tree(tree, image, 1) != u_omega(p, 1):
+            if u_omega(image, 1) != u_omega(p, 1):
                 return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
             # the +1 applies to the leaf labels the tree actually has;
             # for n = 1 there are none and frequencies carry over as-is
             for j in range(2, m + 1):
                 bump = 1 if j <= tree.node_count else 0
-                if omega_tree(tree, image, j) != u_omega(p, j) + bump:
+                if u_omega(image, j) != u_omega(p, j) + bump:
                     return "fail", {"n": n, "p": p,
                                     "reason": f"omega_{j} transport"}
         if total != fuss_catalan(m, n):
@@ -325,14 +337,14 @@ def check_parking(entries, opts):
             size = tree.node_count
             for cand in combinations_with_replacement(range(1, size + 1), size):
                 cond = is_tree_pk(tree, cand)
-                parked = simulate(tree, cand).all_parked
+                parked = _park(tree, cand).all_parked
                 if cond != parked:
                     return "fail", {"m": m, "n": n, "seq": cand,
                                     "condition": cond, "parked": parked}
         for m, n in larger:
             tree = build_caterpillar(m, n)
             for seq in enumerate_caterpillar_pk(m, n):
-                if not (is_tree_pk(tree, seq) and simulate(tree, seq).all_parked):
+                if not (is_tree_pk(tree, seq) and _park(tree, seq).all_parked):
                     return "fail", {"m": m, "n": n, "seq": seq}
         return "pass", None
 

@@ -1,5 +1,6 @@
 """Caterpillar trees, the parking process, theta, and the path codec."""
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catpark.caterpillar import (
+    _park,
+    _theta_inv,
     build_caterpillar,
     enumerate_caterpillar_pk,
     from_lattice_path,
     is_tree_pk,
-    luck_tree,
     non_backbone_labels,
     omega_tree,
     simulate,
@@ -21,6 +23,7 @@ from catpark.caterpillar import (
 )
 from catpark.decomposition import u_luck, u_omega
 from catpark.errors import NonMembershipError
+from catpark.harness import PARKING_SMALL
 from catpark.sequences import canonical_family, count_u_pk, enumerate_u_pk, fuss_catalan
 
 TABLE_2 = [
@@ -121,13 +124,14 @@ def test_simulate_identity_and_overflow():
 
 def test_luck_and_omega():
     tree = build_caterpillar(2, 3)
-    assert luck_tree(tree, (1, 1, 2, 3, 4)) == 1
+    assert len(simulate(tree, (1, 1, 2, 3, 4)).lucky_set) == 1
     assert omega_tree(tree, (1, 1, 2, 3, 4), 1) == 2
     assert omega_tree(tree, (1, 1, 2, 3, 4), 2) == 1
-    assert luck_tree(tree, (1, 2, 3, 4, 5)) == 3
-    assert luck_tree(tree, (1, 2, 2, 4, 5)) == 2
+    assert len(simulate(tree, (1, 2, 3, 4, 5)).lucky_set) == 3
+    assert len(simulate(tree, (1, 2, 2, 4, 5)).lucky_set) == 2
+    assert not is_tree_pk(tree, (1, 1, 1, 2, 3))  # not a parking distribution
     with pytest.raises(ValueError):
-        luck_tree(tree, (1, 1, 1, 2, 3))  # not a parking distribution
+        omega_tree(tree, (1, 1, 2, 3, 4), 0)
 
 
 def test_theta_table2():
@@ -157,6 +161,65 @@ def test_theta_inv_missing_leaf_label():
     # (1,1,1,3,5) is not a tree distribution (leaves unserved): ValueError
     with pytest.raises(ValueError):
         theta_inv((1, 1, 1, 3, 5), 2, 3)
+
+
+def reference_park(tree, seq):
+    """The parking process spelled out from the definition: each car walks
+    parent links from its preference to the first free node; it is lucky
+    when that node is its preference and a backbone node (label 1 mod m)."""
+    taken = set()
+    assignment = []
+    lucky = set()
+    for car, pref in enumerate(seq, start=1):
+        node = pref
+        while node != 0 and node in taken:
+            node = tree.parent[node]
+        assignment.append(node or None)
+        if node:
+            taken.add(node)
+            if node == pref and (pref - 1) % tree.m == 0:
+                lucky.add(car)
+    return tuple(assignment), frozenset(lucky)
+
+
+def counter_theta_inv(seq, leaves):
+    """Removal of one copy of each leaf label through a multiset count."""
+    counts = Counter(seq)
+    for label in leaves:
+        counts[label] -= 1
+    return tuple(label for label in sorted(counts) for _ in range(counts[label]))
+
+
+@pytest.mark.parametrize("m,n", PARKING_SMALL)
+def test_park_core_matches_definition_on_every_candidate(m, n):
+    tree = build_caterpillar(m, n)
+    for cand in all_candidates(tree):
+        out = _park(tree, cand)
+        assert out == simulate(tree, cand)
+        assert (out.assignment, out.lucky_set) == reference_park(tree, cand)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PARKING_SMALL), st.data())
+def test_park_core_matches_definition_on_shuffled_orders(shape, data):
+    tree = build_caterpillar(*shape)
+    size = tree.node_count
+    multiset = data.draw(st.lists(st.integers(1, size), min_size=size,
+                                  max_size=size))
+    seq = tuple(data.draw(st.permutations(multiset)))
+    out = _park(tree, seq)
+    assert out == simulate(tree, seq)
+    assert (out.assignment, out.lucky_set) == reference_park(tree, seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_theta_inv_core_matches_counter_definition(m, n, data):
+    dists = list(enumerate_caterpillar_pk(m, n))
+    seq = tuple(data.draw(st.permutations(data.draw(st.sampled_from(dists)))))
+    leaves = non_backbone_labels(m, n)
+    assert _theta_inv(seq, leaves) == counter_theta_inv(seq, leaves)
+    assert _theta_inv(seq, leaves) == theta_inv(seq, m, n)
 
 
 def test_theta_bijection_and_transport():

@@ -257,3 +257,42 @@ def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
         ("tree-iso-transport", "fail")]
     assert report.entries[0].counterexample["reason"] == "image not a distribution"
     assert report.entries[0].counterexample["n"] == 2
+
+
+def test_theta_checks_each_object_once(monkeypatch):
+    """One is_tree_pk and one entry check per tree distribution visited."""
+    from catpark import caterpillar
+    from catpark.sequences import fuss_catalan
+
+    calls = {"is_tree_pk": 0, "_validate_entries": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(harness, "is_tree_pk")
+    spy(caterpillar, "_validate_entries")
+    report = run_verification("theta", max_n=4)
+    assert report.ok and len(report.entries) == 3
+    objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 5))
+    assert calls == {"is_tree_pk": objects, "_validate_entries": objects}
+
+
+def test_eta_checks_each_object_once(monkeypatch):
+    """eta's boundary check is the only membership check per object."""
+    from catpark import decomposition
+    from catpark.sequences import fuss_catalan
+
+    calls = []
+    real = decomposition._require_member
+    monkeypatch.setattr(decomposition, "_require_member",
+                        lambda seq, m: calls.append(seq) or real(seq, m))
+    report = run_verification("eta", max_n=4)
+    assert report.ok and len(report.entries) == 3
+    assert len(calls) == sum(fuss_catalan(m, n)
+                             for m in (1, 2, 3) for n in range(1, 5))
