@@ -31,6 +31,7 @@ of 1 and transports every other entry upward by a component-dependent
 offset.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
@@ -294,7 +295,6 @@ def _eta_inv(seq, m):
     """
     if not seq:
         return ()
-    fam = canonical_family(m)
     counts = {}
     for v in seq:
         counts[v] = counts.get(v, 0) + 1
@@ -312,15 +312,18 @@ def _eta_inv(seq, m):
         for j, val in candidates:
             if val <= 0:
                 continue
+            # comp is in bounds, and inserting val in order keeps it
+            # nondecreasing; entries after val move one position up, to a
+            # looser ceiling, so only val's own ceiling m*pos+1 can fail.
             comp = comps[j - 1]
-            trial = sorted(comp + [val])
-            if is_u_pk(trial, fam):
-                comps[j - 1] = trial
+            pos = bisect_right(comp, val)
+            if val <= m * pos + 1:
+                comp.insert(pos, val)
                 placed = True
                 break
         if not placed:
             raise NonMembershipError(f"entry {e} of {seq} fits no component")
-    # each component is all 1s or passed is_u_pk when it was last extended
+    # each component is all 1s or stayed in bounds at every insertion
     try:
         return _recompose(tuple(tuple(c) for c in comps), m)
     except InvalidCompositionError as exc:

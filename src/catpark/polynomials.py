@@ -7,7 +7,20 @@ equal polynomials produce byte-identical output.
 
 Values are immutable: every operation returns a fresh polynomial and the
 term map is never exposed for mutation.
+
+Inputs are validated once, at the public boundary.  ``MultiPoly(variables,
+terms)`` and the named constructors check every term: exponent vectors are
+int tuples of the right width with no negative entry, and coefficients are
+ints.  Ring operations (``+``, ``-``, ``*``, ``**``, ``divide_by_monomial``
+and ``rename``) build their results with the trusted ``MultiPoly._raw``,
+which checks nothing.  Its invariant: ``variables`` is a tuple, and
+``terms`` is a fresh dict, owned by the new value, from exponent tuples of
+that width to nonzero ints.  Only this module and ``catpark.series`` may
+call ``_raw``, read ``_terms`` or use ``_mul_into``, and only with values
+that already hold the invariant.
 """
+
+from operator import add
 
 
 def _grlex_key(exps):
@@ -24,15 +37,28 @@ class MultiPoly:
         width = len(self.variables)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            if len(exps) != width:
+            if not isinstance(exps, tuple) or len(exps) != width:
                 raise ValueError(
-                    f"exponent vector {exps} does not match variables {self.variables}"
+                    f"exponent vector {exps!r} does not match variables {self.variables}"
                 )
+            if not all(isinstance(e, int) for e in exps):
+                raise ValueError(f"non-integer exponent in {exps!r}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficient {coeff!r} of {exps} is not an integer")
             if coeff:
-                clean[tuple(exps)] = coeff
+                clean[exps] = coeff
         self._terms = clean
+
+    @classmethod
+    def _raw(cls, variables, terms):
+        """Trusted constructor for ring operations; see the module docstring
+        for the invariant the caller must guarantee."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly._terms = terms
+        return poly
 
     # -- constructors ----------------------------------------------------
 
@@ -76,9 +102,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self._terms), default=0)
 
-    def is_zero(self):
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -119,13 +142,13 @@ class MultiPoly:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._raw(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables,
-                         {e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw(self.variables,
+                              {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,31 +163,18 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        return MultiPoly(self.variables, terms)
+        acc = {}
+        _mul_into(acc, self._terms, other._terms)
+        return MultiPoly._raw(self.variables, _nonzero(acc))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return MultiPoly.const(self.variables, 1)
+        return _power(self, exponent)
 
     # -- evaluation and substitution --------------------------------------
 
@@ -212,8 +222,10 @@ class MultiPoly:
             new_vars = tuple(mapping_or_vars.get(v, v) for v in self.variables)
             if len(set(new_vars)) != len(new_vars):
                 raise ValueError(f"renaming collapses variables: {new_vars}")
-            return MultiPoly(new_vars, dict(self._terms))
+            return MultiPoly._raw(new_vars, dict(self._terms))
         new_vars = tuple(mapping_or_vars)
+        if len(set(new_vars)) != len(new_vars):
+            raise ValueError(f"variable tuple repeats a name: {new_vars}")
         positions = [new_vars.index(v) for v in self.variables]
         terms = {}
         for exps, coeff in self._terms.items():
@@ -221,7 +233,7 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 key[pos] = e
             terms[tuple(key)] = coeff
-        return MultiPoly(new_vars, terms)
+        return MultiPoly._raw(new_vars, terms)
 
     def divide_by_monomial(self, powers):
         """Exact division by a monomial given as name -> exponent; raises if
@@ -229,6 +241,8 @@ class MultiPoly:
         variables = self.variables
         drop = [0] * len(variables)
         for name, e in powers.items():
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponent of {name} must be an integer >= 0, got {e!r}")
             drop[variables.index(name)] = e
         terms = {}
         for exps, coeff in self._terms.items():
@@ -237,7 +251,7 @@ class MultiPoly:
                     f"term {exps} is not divisible by {powers}"
                 )
             terms[tuple(e - d for e, d in zip(exps, drop))] = coeff
-        return MultiPoly(variables, terms)
+        return MultiPoly._raw(variables, terms)
 
     # -- rendering and serialization --------------------------------------
 
@@ -281,6 +295,35 @@ class MultiPoly:
     def from_dict(cls, data):
         return cls(tuple(data["variables"]),
                    {tuple(e): c for e, c in data["terms"]})
+
+
+def _mul_into(acc, t1, t2):
+    """Add the product of term maps t1 and t2 into the term map acc.
+
+    Summed coefficients may cancel, so acc can hold zeros; the caller drops
+    them once, after its last accumulation."""
+    get = acc.get
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            exps = tuple(map(add, e1, e2))
+            acc[exps] = get(exps, 0) + c1 * c2
+
+
+def _nonzero(acc):
+    return {e: c for e, c in acc.items() if c}
+
+
+def _power(base, exponent):
+    """base ** exponent for exponent >= 1 by repeated squaring, for any
+    value with an associative ``*``; squares only while bits remain."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
 
 
 def complete_homogeneous(variables, degree):

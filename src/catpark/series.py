@@ -2,9 +2,19 @@
 
 All arithmetic is exact modulo x^(N+1).  Coefficients are MultiPoly values
 over a shared variable tuple (possibly empty, for plain integer series).
+
+Inputs are validated once, at the public boundary: ``TruncatedSeries(
+variables, coeffs, order)`` checks the order and that every coefficient is
+an int or a MultiPoly over the series variables.  Ring operations build
+their results with the trusted ``TruncatedSeries._raw``, which checks
+nothing.  Its invariant: ``variables`` is a tuple, ``order`` an int >= 0,
+and ``coeffs`` a tuple of exactly order+1 MultiPoly values over
+``variables``.  Only this module may call it.  Products accumulate each
+output coefficient into one term map through ``polynomials._mul_into`` and
+wrap it with ``MultiPoly._raw`` once, under that module's invariant.
 """
 
-from catpark.polynomials import MultiPoly
+from catpark.polynomials import MultiPoly, _mul_into, _nonzero, _power
 
 
 class TruncatedSeries:
@@ -17,15 +27,21 @@ class TruncatedSeries:
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
+        if not isinstance(order, int):
+            raise ValueError(f"order must be an integer, got {order!r}")
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        zero = MultiPoly.zero(self.variables)
+        zero = MultiPoly._raw(self.variables, {})
         coeffs = coeffs[: order + 1]
         coeffs += [zero] * (order + 1 - len(coeffs))
         fixed = []
         for c in coeffs:
             if isinstance(c, int):
                 c = MultiPoly.const(self.variables, c)
+            elif not isinstance(c, MultiPoly):
+                raise ValueError(
+                    f"coefficient {c!r} is neither an integer nor a MultiPoly"
+                )
             if c.variables != self.variables:
                 raise ValueError(
                     f"coefficient variables {c.variables} != series variables "
@@ -34,6 +50,16 @@ class TruncatedSeries:
             fixed.append(c)
         self.order = order
         self.coeffs = tuple(fixed)
+
+    @classmethod
+    def _raw(cls, variables, coeffs, order):
+        """Trusted constructor for ring operations; see the module docstring
+        for the invariant the caller must guarantee."""
+        series = object.__new__(cls)
+        series.variables = variables
+        series.coeffs = coeffs
+        series.order = order
+        return series
 
     # -- constructors ----------------------------------------------------
 
@@ -69,8 +95,6 @@ class TruncatedSeries:
 
     def _coerce(self, other):
         if isinstance(other, (int, MultiPoly)):
-            if isinstance(other, int):
-                other = MultiPoly.const(self.variables, other)
             return TruncatedSeries(self.variables, [other], self.order)
         if isinstance(other, TruncatedSeries):
             if other.variables != self.variables:
@@ -88,17 +112,17 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return TruncatedSeries(
+        return TruncatedSeries._raw(
             self.variables,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
             self.order,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.variables, [-c for c in self.coeffs],
-                               self.order)
+        return TruncatedSeries._raw(self.variables,
+                                    tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -113,55 +137,55 @@ class TruncatedSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        zero = MultiPoly.zero(self.variables)
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.variables, out, self.order)
+        a = [c._terms for c in self.coeffs]
+        b = [c._terms for c in other.coeffs]
+        out = []
+        for n in range(self.order + 1):
+            acc = {}
+            for i in range(n + 1):
+                if a[i] and b[n - i]:
+                    _mul_into(acc, a[i], b[n - i])
+            out.append(MultiPoly._raw(self.variables, _nonzero(acc)))
+        return TruncatedSeries._raw(self.variables, tuple(out), self.order)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = TruncatedSeries.one(self.variables, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return TruncatedSeries.one(self.variables, self.order)
+        return _power(self, exponent)
 
     def reciprocal(self):
         """1/self; the constant term must be 1."""
-        one = MultiPoly.const(self.variables, 1)
-        if self.coeffs[0] != one:
+        one = {(0,) * len(self.variables): 1}
+        if self.coeffs[0]._terms != one:
             raise ValueError(
                 f"reciprocal requires constant term 1, got {self.coeffs[0].render()}"
             )
+        s = [c._terms for c in self.coeffs]
         inv = [one]
         for j in range(1, self.order + 1):
-            acc = MultiPoly.zero(self.variables)
+            acc = {}
             for k in range(1, j + 1):
-                acc = acc + self.coeffs[k] * inv[j - k]
-            inv.append(-acc)
-        return TruncatedSeries(self.variables, inv, self.order)
+                if s[k] and inv[j - k]:
+                    _mul_into(acc, s[k], inv[j - k])
+            inv.append({e: -c for e, c in acc.items() if c})
+        return TruncatedSeries._raw(
+            self.variables,
+            tuple(MultiPoly._raw(self.variables, t) for t in inv),
+            self.order,
+        )
 
     def shifted(self, k=1):
         """Multiply by x^k (coefficients above the order fall off)."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
-        zero = MultiPoly.zero(self.variables)
-        return TruncatedSeries(
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"shift must be an integer >= 0, got {k!r}")
+        zero = MultiPoly._raw(self.variables, {})
+        return TruncatedSeries._raw(
             self.variables,
-            [zero] * k + list(self.coeffs[: self.order + 1 - k]),
+            ((zero,) * min(k, self.order + 1) + self.coeffs)[: self.order + 1],
             self.order,
         )
 
@@ -170,6 +194,9 @@ class TruncatedSeries:
         the coefficient of x^j picks up factor^j."""
         if isinstance(factor, int):
             factor = MultiPoly.const(self.variables, factor)
+        elif not isinstance(factor, MultiPoly):
+            raise ValueError(f"argument factor {factor!r} is neither an integer "
+                             f"nor a MultiPoly")
         if factor.variables != self.variables:
             raise ValueError(
                 f"factor variables {factor.variables} != {self.variables}"
@@ -177,22 +204,9 @@ class TruncatedSeries:
         if len(factor) > 1:
             raise ValueError(f"argument factor must be a monomial, got "
                              f"{factor.render()}")
-        out = []
-        power = MultiPoly.const(self.variables, 1)
-        for c in self.coeffs:
+        out = [self.coeffs[0]]
+        power = factor
+        for c in self.coeffs[1:]:
             out.append(c * power)
             power = power * factor
-        return TruncatedSeries(self.variables, out, self.order)
-
-    def truncated(self, order):
-        """Copy at a lower (or equal) order."""
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.variables, self.coeffs[: order + 1], order)
-
-    def embed(self, variables):
-        """Re-express every coefficient over a wider variable tuple."""
-        return TruncatedSeries(
-            variables, [c.rename(tuple(variables)) for c in self.coeffs],
-            self.order,
-        )
+        return TruncatedSeries._raw(self.variables, tuple(out), self.order)

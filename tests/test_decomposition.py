@@ -280,6 +280,59 @@ def test_eta_inv_is_right_inverse():
         assert eta(eta_inv(q, 2), 2) == q
 
 
+def _old_eta_inv(seq, m):
+    """Oracle eta_inv: try each candidate by sorting a copy of its component
+    and re-running the full bounds check on it."""
+    if not seq:
+        return ()
+    fam = canonical_family(m)
+    counts = {}
+    for v in seq:
+        counts[v] = counts.get(v, 0) + 1
+    comps = [[1] * (counts[1] - 1)]
+    for j in range(2, m + 2):
+        comps.append([1] * counts.get(j, 0))
+    for e in sorted(v for v in seq if v > m + 1):
+        placed = False
+        suffix = 0
+        candidates = []
+        for j in range(m + 1, 0, -1):
+            candidates.append((j, e - m * (1 + suffix)))
+            suffix += len(comps[j - 1])
+        for j, val in candidates:
+            if val <= 0:
+                continue
+            trial = sorted(comps[j - 1] + [val])
+            if is_u_pk(trial, fam):
+                comps[j - 1] = trial
+                placed = True
+                break
+        if not placed:
+            raise NonMembershipError(f"entry {e} of {seq} fits no component")
+    try:
+        return decomposition._recompose(tuple(tuple(c) for c in comps), m)
+    except InvalidCompositionError as exc:
+        raise NonMembershipError(str(exc)) from exc
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonMembershipError as exc:
+        return ("raised", str(exc))
+
+
+def test_eta_inv_core_matches_full_recheck_oracle():
+    """Checking only the inserted entry's ceiling decides placement exactly
+    as sorting and re-checking the whole component did."""
+    for m in (1, 2, 3):
+        fam = canonical_family(m)
+        for n in range(7):
+            for seq in enumerate_u_pk(n, fam):
+                assert (_outcome(decomposition._eta_inv, seq, m)
+                        == _outcome(_old_eta_inv, seq, m)), (m, seq)
+
+
 def test_compatibility_luck_with_last_component():
     m = 2
     report = check_statistic_compatibility(lambda s: u_luck(s, m), m, m, 4)

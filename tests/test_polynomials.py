@@ -28,6 +28,26 @@ def test_exponent_width_checked():
         MultiPoly(("q",), {(-1,): 1})
 
 
+@pytest.mark.parametrize("terms", [
+    {(1,): 1.5},
+    {(1,): 2.0},
+    {(1,): "3"},
+    {(1.0,): 1},
+    {(0.5,): 1},
+    {1: 1},
+])
+def test_constructor_rejects_non_integer_terms(terms):
+    with pytest.raises(ValueError):
+        MultiPoly(("q",), terms)
+
+
+def test_divide_by_monomial_rejects_bad_exponents():
+    p = P({(2, 1): 3})
+    for bad in (-1, 0.5):
+        with pytest.raises(ValueError):
+            p.divide_by_monomial({"q": bad})
+
+
 def test_product_of_conjugates():
     q = MultiPoly.variable(QT, "q")
     t = MultiPoly.variable(QT, "t")
@@ -85,6 +105,8 @@ def test_rename_and_embed():
     assert wide.coefficient((2, 0, 0)) == 4
     with pytest.raises(ValueError):
         P({(1, 1): 1}).rename({"q": "t"})  # would collapse q and t
+    with pytest.raises(ValueError):
+        p.rename(("q", "q"))
 
 
 def test_divide_by_monomial():
@@ -138,3 +160,71 @@ def test_render_is_stable_under_term_insertion_order(seed):
     again = MultiPoly(QT, dict(items))
     assert again.render() == p.render()
     assert again.to_dict() == p.to_dict()
+
+
+# -- ring operations against a plain-dict oracle ------------------------------
+
+EXPONENTS = st.integers(0, 3)
+COEFFS = st.integers(-6, 6)
+
+
+def term_maps(width):
+    return st.dictionaries(st.tuples(*[EXPONENTS] * width), COEFFS, max_size=6)
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return nonzero(out)
+
+
+def oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return nonzero(out)
+
+
+def oracle_pow(a, k, width):
+    out = {(0,) * width: 1}
+    for _ in range(k):
+        out = oracle_mul(out, a)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_operations_match_dict_oracle(data):
+    width = data.draw(st.integers(0, 3))
+    variables = ("q", "t", "u")[:width]
+    ta = data.draw(term_maps(width))
+    tb = data.draw(term_maps(width))
+    k = data.draw(st.integers(0, 4))
+    a, b = MultiPoly(variables, ta), MultiPoly(variables, tb)
+    neg_b = {e: -c for e, c in tb.items()}
+    # dict(items()) also exposes any zero coefficient a result kept
+    assert dict((a + b).items()) == oracle_add(ta, tb)
+    assert dict((a - b).items()) == oracle_add(ta, neg_b)
+    assert dict((-b).items()) == nonzero(neg_b)
+    assert dict((a * b).items()) == oracle_mul(ta, tb)
+    assert dict((a**k).items()) == oracle_pow(ta, k, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cancellation_leaves_the_canonical_zero(data):
+    width = data.draw(st.integers(0, 3))
+    variables = ("q", "t", "u")[:width]
+    p = MultiPoly(variables, data.draw(term_maps(width)))
+    zero = MultiPoly.zero(variables)
+    for diff in (p - p, p + (-p), p * 0, (p - p) * p):
+        assert diff == zero
+        assert hash(diff) == hash(zero)
+        assert diff.render() == "0"

@@ -1,8 +1,10 @@
 """Truncated power series arithmetic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catpark.engine import fuss_catalan_series
+from catpark.engine import fuss_catalan_series, gamma_series_closed
 from catpark.polynomials import MultiPoly
 from catpark.series import TruncatedSeries
 
@@ -14,6 +16,13 @@ def ints(series):
 def test_geometric_reciprocal():
     geom = TruncatedSeries((), [1, -1], 4).reciprocal()
     assert ints(geom) == [1, 1, 1, 1, 1]
+
+
+def test_reciprocal_drops_cancelled_coefficients():
+    # 1/(1 + x + x^2) = (1 - x)/(1 - x^3); its x^2 coefficient cancels
+    inv = TruncatedSeries((), [1, 1, 1], 4).reciprocal()
+    assert ints(inv) == [1, -1, 0, 1, -1]
+    assert inv.coefficient(2) == MultiPoly.zero(())
 
 
 def test_reciprocal_requires_unit_constant_term():
@@ -44,8 +53,10 @@ def test_pow_matches_repeated_mul():
 def test_shifted():
     s = TruncatedSeries((), [1, 2, 3], 2).shifted(1)
     assert ints(s) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        s.shifted(-1)
+    assert ints(s.shifted(5)) == [0, 0, 0]
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            s.shifted(bad)
 
 
 def test_scale_arg():
@@ -57,6 +68,8 @@ def test_scale_arg():
     assert b.scale_arg(MultiPoly.const(V, 1)) == b
     with pytest.raises(ValueError):
         b.scale_arg(MultiPoly.variable(V, "q") + v)  # not a monomial
+    with pytest.raises(ValueError):
+        b.scale_arg(1.5)
 
 
 def test_scale_arg_distributes_over_products():
@@ -64,6 +77,14 @@ def test_scale_arg_distributes_over_products():
     b = fuss_catalan_series(2, 5, V)
     uv = MultiPoly.monomial(V, {"u": 1, "v": 1})
     assert (b * b).scale_arg(uv) == b.scale_arg(uv) * b.scale_arg(uv)
+
+
+def test_constructor_rejects_non_ring_coefficients():
+    for coeffs in ([1.5], [1, "2"], [None]):
+        with pytest.raises(ValueError):
+            TruncatedSeries((), coeffs)
+    with pytest.raises(ValueError):
+        TruncatedSeries((), [1], 2.0)
 
 
 def test_order_and_variable_mismatch():
@@ -74,15 +95,75 @@ def test_order_and_variable_mismatch():
         a * TruncatedSeries(("q",), [1], 3)
 
 
-def test_truncated_and_embed():
-    b = fuss_catalan_series(2, 6)
-    assert b.truncated(3) == fuss_catalan_series(2, 3)
-    wide = b.embed(("q", "t"))
-    assert wide.variables == ("q", "t")
-    assert wide.coefficient(3) == MultiPoly.const(("q", "t"), 12)
-
-
 def test_coefficient_bounds():
     b = fuss_catalan_series(2, 3)
     with pytest.raises(ValueError):
         b.coefficient(4)
+
+
+# -- products against the definition ------------------------------------------
+
+V = ("q", "t")
+
+
+def polys():
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.integers(-4, 4), max_size=3)
+    return terms.map(lambda t: MultiPoly(V, t))
+
+
+def series(order, unit=False):
+    coeffs = st.lists(polys(), min_size=order + 1, max_size=order + 1)
+    if unit:
+        coeffs = coeffs.map(lambda cs: [MultiPoly.const(V, 1)] + cs[1:])
+    return coeffs.map(lambda cs: TruncatedSeries(V, cs, order))
+
+
+def convolution(a, b):
+    """[x^n] of a*b by the definition: sum of a_i * b_(n-i)."""
+    out = []
+    for n in range(a.order + 1):
+        total = MultiPoly.zero(V)
+        for i in range(n + 1):
+            total = total + a.coefficient(i) * b.coefficient(n - i)
+        out.append(total)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(series(n), series(n))))
+def test_mul_matches_naive_convolution(pair):
+    a, b = pair
+    product = a * b
+    assert list(product.coeffs) == convolution(a, b)
+    for c in product.coeffs:
+        assert all(coeff for _, coeff in c.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: series(n, unit=True)))
+def test_reciprocal_inverts_unit_constant_series(s):
+    one = TruncatedSeries.one(V, s.order)
+    inv = s.reciprocal()
+    assert s * inv == one
+    for c in inv.coeffs:
+        assert all(coeff for _, coeff in c.items())
+    assert inv * s == one
+    assert s**3 == s * s * s
+
+
+def test_gamma_series_validates_only_its_builder_inputs(monkeypatch):
+    """Ring operations build through the trusted constructor; only the
+    values gamma_series_closed's builders make pass the validating one."""
+    real = MultiPoly.__init__
+    calls = []
+
+    def spy(self, variables, terms=None):
+        calls.append(terms)
+        real(self, variables, terms)
+
+    monkeypatch.setattr(MultiPoly, "__init__", spy)
+    gamma_series_closed(2, 6)
+    # three Fuss-Catalan series of 7 integer constants, three series ones,
+    # the variables q, t and v, and the monomials u*v and q*t*u^2*v^2
+    assert len(calls) == 3 * 7 + 3 + 3 + 2
