@@ -14,17 +14,13 @@ from catpark.caterpillar import (
     enumerate_caterpillar_pk,
     from_lattice_path,
     is_tree_pk,
-    omega_tree,
     simulate,
     theta,
     theta_inv,
     to_lattice_path,
 )
 from catpark.decomposition import (
-    CompatibilityReport,
     FirstReturnDecomposition,
-    FixedPointIndices,
-    check_statistic_compatibility,
     decompose,
     eta,
     eta_inv,
@@ -64,7 +60,6 @@ from catpark.kernels import BACKEND
 from catpark.polynomials import MultiPoly, complete_homogeneous
 from catpark.sequences import (
     BoundFamily,
-    CountTriple,
     canonical_family,
     count_u_pk,
     enumerate_u_pk,

@@ -24,7 +24,6 @@ calls the core directly.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from catpark.decomposition import u_omega
 from catpark.errors import NonMembershipError
 from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
 
@@ -153,13 +152,6 @@ def simulate(tree, seq):
     """Run the parking process for the given preferences, in index order."""
     _validate_entries(tree, seq)
     return _park(tree, seq)
-
-
-def omega_tree(tree, seq, j):
-    """Number of cars preferring node j; 0 for labels the tree lacks."""
-    if j < 1:
-        raise ValueError(f"node label must be >= 1, got {j}")
-    return u_omega(seq, j)
 
 
 def theta(seq, m, n):

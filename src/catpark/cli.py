@@ -30,7 +30,6 @@ from catpark.caterpillar import (
     build_caterpillar,
     enumerate_caterpillar_pk,
     from_lattice_path,
-    omega_tree,
     simulate,
     theta,
     theta_inv,
@@ -66,7 +65,6 @@ from catpark.sequences import (
 from catpark.tables import build_table
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
@@ -198,7 +196,7 @@ def cmd_stats(args, out):
             raise ValueError(f"--seq: {exc}")
         stats = {"luck": len(outcome.lucky_set), "parked": outcome.all_parked}
         for j in range(1, args.m + 1):
-            stats[f"omega{j}"] = omega_tree(tree, seq, j)
+            stats[f"omega{j}"] = u_omega(seq, j)
     _emit(out, args.format, stats, list(stats), [stats.values()],
           (f"{key} {value}" for key, value in stats.items()))
     return EXIT_OK
@@ -211,7 +209,7 @@ def cmd_decompose(args, out):
     except ValueError as exc:
         raise ValueError(f"--seq: {exc}")
     comps = result.components
-    fixed = result.fixed_points.indices
+    fixed = result.fixed_points
     rows = [[f"p{i}", seq_str(c)] for i, c in enumerate(comps, start=1)]
     rows.append(["fixed-points", seq_str(fixed)])
     _emit(out, args.format,
@@ -335,7 +333,7 @@ def cmd_verify(args, out):
           ([e.identity, e.status, json.dumps(e.params, sort_keys=True), e.millis]
            for e in report.entries),
           _verify_lines(report.entries))
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return report.exit_code
 
 
 # -- argument wiring ---------------------------------------------------------

@@ -35,27 +35,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
-from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
-
-
-@dataclass(frozen=True)
-class FixedPointIndices:
-    """First fixed-point index per type; index n+1 encodes absence."""
-
-    m: int
-    indices: tuple
-
-    def __post_init__(self):
-        if len(self.indices) != self.m:
-            raise ValueError(f"need {self.m} indices, got {len(self.indices)}")
-        if any(a > b for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"indices must be nondecreasing, got {self.indices}")
+from catpark.sequences import canonical_family, is_u_pk
 
 
 @dataclass(frozen=True)
 class FirstReturnDecomposition:
     components: tuple  # m+1 sequences, possibly empty
-    fixed_points: FixedPointIndices
+    fixed_points: tuple  # first index per type, n+1 when absent
 
 
 # -- core: no argument checks; every input is within the canonical bounds --
@@ -160,7 +146,7 @@ def decompose(seq, m):
     if not seq:
         raise ValueError("cannot decompose the empty sequence")
     cuts = _fixed_points(seq, m)
-    return FirstReturnDecomposition(_cut(seq, cuts), FixedPointIndices(m, cuts))
+    return FirstReturnDecomposition(_cut(seq, cuts), cuts)
 
 
 def recompose(components, m):
@@ -335,58 +321,3 @@ def eta_inv(seq, m):
     seq = tuple(seq)
     _require_member(seq, m)
     return _eta_inv(seq, m)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Outcome of probing a statistic against the decomposition structure."""
-
-    constant: int | None
-    constant_holds: bool
-    constant_counterexample: tuple | None
-    equidistributed: bool
-    equidistribution_counterexample: int | None  # offending length, if any
-
-
-def check_statistic_compatibility(stat, const_index, m, n_max,
-                                  max_objects=None):
-    """Probe whether stat(p) = stat(component const_index+1 of p) + C for a
-    single constant C over all lengths 1..n_max, and whether stat matches
-    the luck statistic's histogram at every length.
-
-    stat is a callable on sequences (it must also accept the empty one).
-    """
-    if not 0 <= const_index <= m:
-        raise ValueError(f"const_index must be in [0, {m}], got {const_index}")
-    fam = canonical_family(m)
-    kwargs = {} if max_objects is None else {"max_objects": max_objects}
-    constant = None
-    constant_holds = True
-    constant_example = None
-    equid = True
-    equid_example = None
-    for n in range(1, n_max + 1):
-        stat_hist = {}
-        luck_hist = {}
-        for p in enumerate_u_pk(n, fam, **kwargs):
-            comp = _cut(p, _fixed_points(p, m))[const_index]
-            diff = stat(p) - stat(comp)
-            if constant is None:
-                constant = diff
-            elif constant_holds and diff != constant:
-                constant_holds = False
-                constant_example = p
-            s = stat(p)
-            stat_hist[s] = stat_hist.get(s, 0) + 1
-            lk = _luck(p, m)
-            luck_hist[lk] = luck_hist.get(lk, 0) + 1
-        if equid and stat_hist != luck_hist:
-            equid = False
-            equid_example = n
-    return CompatibilityReport(
-        constant=constant if constant_holds else None,
-        constant_holds=constant_holds,
-        constant_counterexample=constant_example,
-        equidistributed=equid,
-        equidistribution_counterexample=equid_example,
-    )

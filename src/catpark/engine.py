@@ -318,18 +318,19 @@ def verify_convolution_identity(m, n_max, t_max=None):
             [p.rename({"q": f"q{i}"}).rename(variables) for p in r_polys]
             for i in range(t)
         ]
+        h = [complete_homogeneous(variables, k) for k in range(n_max + 1)]
         for n in range(n_max + 1):
             lhs = MultiPoly.zero(variables)
             for comp in _weak_compositions(n, t):
-                term = MultiPoly.const(variables, 1)
-                for i, part in enumerate(comp):
-                    term = term * per_var[i][part]
+                term = per_var[0][comp[0]]
+                for i in range(1, t):
+                    term = term * per_var[i][comp[i]]
                 lhs = lhs + term
             rhs = MultiPoly.zero(variables)
             for k in range(n + 1):
                 c = luck_counts[n].get(k, 0)
                 if c:
-                    rhs = rhs + complete_homogeneous(variables, k) * c
+                    rhs = rhs + h[k] * c
             if lhs != rhs:
                 check.mismatches.append(
                     ((t, n), lhs.render(), rhs.render())

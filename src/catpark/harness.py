@@ -101,6 +101,7 @@ class VerificationReport:
 
     @property
     def exit_code(self):
+        """The exit status of ``catpark verify``: 1 when a check fails."""
         return 0 if self.ok else 1
 
     def to_dict(self):
@@ -260,7 +261,14 @@ def check_hbasis(entries, opts):
 
 @_per_m("component-rebuild-bijection", (1, 2, 3), "max_n", 5)
 def check_eta(m, max_n):
-    """eta checks p and its own image, so the rest runs on the core."""
+    """eta checks p and its own image, so the rest runs on the core.
+
+    Besides the bijection, each p is checked against the criterion behind
+    the paper's m-statistic extension: a statistic is its value on one
+    first-return block plus a constant.  luck is 1 + luck of the last block
+    and the multiplicity of 1 is 1 + that of the first; their exchange,
+    which makes them equidistributed, is luck-ones-involution's check.
+    """
     fam = canonical_family(m)
     for n in range(1, max_n + 1):
         seen = set()
@@ -270,6 +278,11 @@ def check_eta(m, max_n):
                 return "fail", {"n": n, "p": p, "eta": image}
             seen.add(image)
             comps = _cut(p, _fixed_points(p, m))
+            if _luck(p, m) != 1 + _luck(comps[m], m):
+                return "fail", {"n": n, "p": p, "reason": "luck of last block"}
+            if u_omega(p, 1) != 1 + u_omega(comps[0], 1):
+                return "fail", {"n": n, "p": p,
+                                "reason": "omega_1 of first block"}
             if u_omega(image, 1) != 1 + u_omega(comps[0], 1):
                 return "fail", {"n": n, "p": p, "reason": "omega_1"}
             for j in range(2, m + 2):

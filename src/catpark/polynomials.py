@@ -176,22 +176,7 @@ class MultiPoly:
             return MultiPoly.const(self.variables, 1)
         return _power(self, exponent)
 
-    # -- evaluation and substitution --------------------------------------
-
-    def eval(self, assignment):
-        """Substitute integers for all variables; returns an integer."""
-        missing = [v for v in self.variables if v not in assignment]
-        if missing:
-            raise ValueError(f"no value for variables {missing}")
-        total = 0
-        values = [assignment[v] for v in self.variables]
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for val, e in zip(values, exps):
-                if e:
-                    term *= val**e
-            total += term
-        return total
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, assignment):
         """Substitute integers for a subset of variables; the result lives
@@ -290,11 +275,6 @@ class MultiPoly:
             "variables": list(self.variables),
             "terms": [[list(e), c] for e, c in self.items()],
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(tuple(data["variables"]),
-                   {tuple(e): c for e, c in data["terms"]})
 
 
 def _mul_into(acc, t1, t2):

@@ -50,15 +50,6 @@ def canonical_family(m):
     return BoundFamily(m, 1, m - 1)
 
 
-@dataclass(frozen=True)
-class CountTriple:
-    """A length, the bound family used, and the exact count at that length."""
-
-    n: int
-    family: BoundFamily
-    count: int
-
-
 def is_u_pk(seq, family):
     """True iff seq is positive, nondecreasing, and within the family bounds.
 
@@ -111,10 +102,6 @@ def count_u_pk(n, family):
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     return count_for_bounds(family.bounds(n))
-
-
-def count_u_pk_triple(n, family):
-    return CountTriple(n, family, count_u_pk(n, family))
 
 
 def _raney_count(n, family):

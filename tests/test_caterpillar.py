@@ -15,7 +15,6 @@ from catpark.caterpillar import (
     from_lattice_path,
     is_tree_pk,
     non_backbone_labels,
-    omega_tree,
     simulate,
     theta,
     theta_inv,
@@ -125,13 +124,11 @@ def test_simulate_identity_and_overflow():
 def test_luck_and_omega():
     tree = build_caterpillar(2, 3)
     assert len(simulate(tree, (1, 1, 2, 3, 4)).lucky_set) == 1
-    assert omega_tree(tree, (1, 1, 2, 3, 4), 1) == 2
-    assert omega_tree(tree, (1, 1, 2, 3, 4), 2) == 1
+    assert u_omega((1, 1, 2, 3, 4), 1) == 2
+    assert u_omega((1, 1, 2, 3, 4), 2) == 1
     assert len(simulate(tree, (1, 2, 3, 4, 5)).lucky_set) == 3
     assert len(simulate(tree, (1, 2, 2, 4, 5)).lucky_set) == 2
     assert not is_tree_pk(tree, (1, 1, 1, 2, 3))  # not a parking distribution
-    with pytest.raises(ValueError):
-        omega_tree(tree, (1, 1, 2, 3, 4), 0)
 
 
 def test_theta_table2():
@@ -235,10 +232,10 @@ def test_theta_bijection_and_transport():
                 images.add(image)
                 out = simulate(tree, image)
                 assert len(out.lucky_set) == u_luck(p, m)
-                assert omega_tree(tree, image, 1) == u_omega(p, 1)
+                assert u_omega(image, 1) == u_omega(p, 1)
                 for j in range(2, m + 1):
                     bump = 1 if j <= tree.node_count else 0
-                    assert omega_tree(tree, image, j) == u_omega(p, j) + bump
+                    assert u_omega(image, j) == u_omega(p, j) + bump
             assert len(images) == count_u_pk(n, fam)
 
 

@@ -127,9 +127,11 @@ def test_poly_json_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "poly", "--name", "gamma", "--m", "2",
                            "--n", "2", "--format", "json")
     assert code == 0
-    poly = MultiPoly.from_dict(json.loads(out))
+    data = json.loads(out)
+    poly = MultiPoly(tuple(data["variables"]),
+                     {tuple(e): c for e, c in data["terms"]})
     assert poly.variables == ("q", "t", "u", "v")
-    assert poly.eval({"q": 1, "t": 1, "u": 1, "v": 1}) == 3
+    assert poly.substitute({"q": 1, "t": 1, "u": 1, "v": 1}) == 3
 
 
 def test_poly_b_series(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from catpark import decomposition
 from catpark.decomposition import (
-    check_statistic_compatibility,
     decompose,
     eta,
     eta_inv,
@@ -120,7 +119,7 @@ def test_first_fixed_point_validation():
 def test_decompose_worked_example():
     d = decompose((1, 2, 5, 10, 10, 16), 3)
     assert d.components == ((), (1, 4), (), (1, 1, 7))
-    assert d.fixed_points.indices == (2, 4, 4)
+    assert d.fixed_points == (2, 4, 4)
 
 
 def test_decompose_tables():
@@ -157,7 +156,7 @@ def test_decompose_recompose_roundtrip():
             for p in enumerate_u_pk(n, fam):
                 d = decompose(p, m)
                 assert recompose(d.components, m) == p
-                idx = d.fixed_points.indices
+                idx = d.fixed_points
                 assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
@@ -167,7 +166,7 @@ def test_recomposition_shift_lemmas():
         for n in range(1, 7):
             for p in enumerate_u_pk(n, canonical_family(m)):
                 d = decompose(p, m)
-                comps, idx = d.components, d.fixed_points.indices
+                comps, idx = d.components, d.fixed_points
                 if comps[0]:
                     assert p[1] == 1
                 if comps[m]:
@@ -331,27 +330,6 @@ def test_eta_inv_core_matches_full_recheck_oracle():
             for seq in enumerate_u_pk(n, fam):
                 assert (_outcome(decomposition._eta_inv, seq, m)
                         == _outcome(_old_eta_inv, seq, m)), (m, seq)
-
-
-def test_compatibility_luck_with_last_component():
-    m = 2
-    report = check_statistic_compatibility(lambda s: u_luck(s, m), m, m, 4)
-    assert report.constant_holds and report.constant == 1
-    assert report.equidistributed
-
-
-def test_compatibility_ones_with_first_component():
-    m = 2
-    report = check_statistic_compatibility(lambda s: u_omega(s, 1), 0, m, 4)
-    assert report.constant_holds and report.constant == 1
-    assert report.equidistributed
-
-
-def test_compatibility_constant_zero_fails_equidistribution():
-    report = check_statistic_compatibility(lambda s: 0, 1, 2, 3)
-    assert report.constant_holds and report.constant == 0
-    assert not report.equidistributed
-    assert report.equidistribution_counterexample == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -307,6 +307,24 @@ def test_convolution_identity_n0_convention():
     assert check.ok
 
 
+def test_convolution_identity_validates_only_its_inputs(monkeypatch):
+    """Composition products and the h-basis sums build through the trusted
+    constructor; each h_k is built once per width."""
+    real = MultiPoly.__init__
+    calls = []
+
+    def spy(self, variables, terms=None):
+        calls.append(terms)
+        real(self, variables, terms)
+
+    monkeypatch.setattr(MultiPoly, "__init__", spy)
+    assert verify_convolution_identity(3, 7).ok
+    # 8 luck polynomials; per width t = 2, 3, 4: h_0..h_7, a zero lhs and
+    # rhs per n = 0..7, and one integer scale per nonzero luck count
+    # (1 at n = 0, n at n >= 1: 29)
+    assert len(calls) == 8 + 3 * (8 + 2 * 8 + 29)
+
+
 def test_identity_check_renames_consistently():
     """Series identities survive variable renaming."""
     a = r_series_closed(2, 5, ("q",), "q")

@@ -165,8 +165,15 @@ def test_parking_honours_m(monkeypatch):
     assert report.ok and shapes == {(3, 2), (3, 3), (3, 4)}
     assert report.entries[0].params == {"small": [(3, 2), (3, 3)],
                                         "enumerated": [(3, 4)]}
-    with pytest.raises(ValueError, match="--m 4"):
-        run_verification("parking", m=4)
+
+
+@pytest.mark.parametrize("scope, m", [("hbasis", 1), ("multistat", 4),
+                                      ("tensor", 1), ("tensor", 4),
+                                      ("parking", 4)])
+def test_unsupported_m_is_refused(scope, m):
+    assert scope in harness.M_SUPPORT
+    with pytest.raises(ValueError, match=f"--m {m} .*'{scope}'"):
+        run_verification(scope, m=m)
 
 
 def test_parking_honours_max_n(monkeypatch):
@@ -281,6 +288,19 @@ def test_theta_checks_each_object_once(monkeypatch):
     assert report.ok and len(report.entries) == 3
     objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 5))
     assert calls == {"is_tree_pk": objects, "_validate_entries": objects}
+
+
+@pytest.mark.parametrize("name, broken, reason", [
+    ("_luck", lambda seq, m: 0, "luck of last block"),
+    ("u_omega", lambda seq, j: 2 * seq.count(j), "omega_1 of first block"),
+], ids=["luck", "omega_1"])
+def test_eta_reports_a_broken_block_relation(monkeypatch, name, broken, reason):
+    monkeypatch.setattr(harness, name, broken)
+    report = run_verification("eta", m=2, max_n=3)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("component-rebuild-bijection", "fail")]
+    assert report.entries[0].counterexample == {"n": 1, "p": (1,),
+                                                "reason": reason}
 
 
 def test_eta_checks_each_object_once(monkeypatch):

@@ -10,11 +10,9 @@ from catpark import sequences
 from catpark.errors import EnumerationCapError
 from catpark.sequences import (
     BoundFamily,
-    CountTriple,
     canonical_family,
     count_for_bounds,
     count_u_pk,
-    count_u_pk_triple,
     enumerate_u_pk,
     fuss_catalan,
     is_u_pk,
@@ -103,12 +101,6 @@ def test_counts():
     assert count_u_pk(3, canonical_family(2)) == 12
     assert count_u_pk(0, canonical_family(4)) == 1
     assert count_u_pk(2, BoundFamily(2, 2, 0)) == 18
-
-
-def test_count_triple():
-    fam = canonical_family(2)
-    triple = count_u_pk_triple(3, fam)
-    assert triple == CountTriple(3, fam, 12)
 
 
 def test_fuss_catalan_values():
