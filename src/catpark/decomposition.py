@@ -8,14 +8,14 @@ indices and shifting each block down to start at 1 yields m+1 shorter
 distributions; recomposition inverts this exactly.
 
 The module has two layers.  The private core (``_fixed_points``, ``_cut``,
-``_assemble``, ``_recompose``, ``_luck``, ``_eta_inv``) does no argument
-checks and assumes in-bounds input.  The public functions validate their
-input once, at the boundary, then run on the core.  The runtime checks
-inside the core guard recomposition.  The block lengths force the cut
-indices, and a result built from in-bounds blocks decomposes back into them
-exactly when its fixed points are those cut indices; so every recomposition
-checks that its result is in bounds and that its fixed points are the
-forced cuts.
+``_assemble``, ``_luck``, ``_tau``, ``_eta``, ``_eta_inv``) does no checks
+and assumes in-bounds input.  The public functions validate their input
+once, at the boundary, then run on the core without re-checking its output.
+``_assemble`` places in-bounds blocks so that the result is in bounds and
+its fixed points are the forced cuts, which is what makes it decompose back
+into them.  That is checked in public ``recompose``, the boundary for
+blocks from outside; in verify's sweeps, once per tau and eta image; and
+in the tests, over every small block tuple.
 
 The involution tau swaps the first and last components (recursing into
 each), exchanging the luck statistic with the multiplicity of 1.  Its core
@@ -24,7 +24,7 @@ each), exchanging the luck statistic with the multiplicity of 1.  Its core
 adds the image of every component it computes, never that of seq itself.
 Public ``tau`` passes a fresh table, so each call stands alone; a sweep
 that visits sequences by increasing length can keep one table and store
-each image it wants reused, so each tau costs one cut and one recompose.
+each image it wants reused, so each tau costs one cut and one assembly.
 
 The map eta rebuilds a distribution from the per-component multiplicities
 of 1 and transports every other entry upward by a component-dependent
@@ -101,18 +101,6 @@ def _assemble(components, m):
     return tuple(out), tuple(cuts)
 
 
-def _recompose(components, m):
-    """Assemble in-bounds blocks and check the result decomposes back."""
-    result, cuts = _assemble(components, m)
-    if not is_u_pk(result, canonical_family(m)):
-        raise InvalidCompositionError(f"recomposed {result} violates the bounds")
-    if _fixed_points(result, m) != cuts:
-        raise InvalidCompositionError(
-            f"recomposed {result} does not decompose back into {components}"
-        )
-    return result
-
-
 def _luck(seq, m):
     return sum(1 for i, v in enumerate(seq, start=1) if v == m * i - m + 1)
 
@@ -167,7 +155,14 @@ def recompose(components, m):
             raise InvalidCompositionError(
                 f"component {comp} is not within the canonical bounds for m={m}"
             )
-    return _recompose(components, m)
+    result, cuts = _assemble(components, m)
+    if not is_u_pk(result, fam):
+        raise InvalidCompositionError(f"recomposed {result} violates the bounds")
+    if _fixed_points(result, m) != cuts:
+        raise InvalidCompositionError(
+            f"recomposed {result} does not decompose back into {components}"
+        )
+    return result
 
 
 def _tau(seq, m, images):
@@ -194,7 +189,7 @@ def _tau(seq, m, images):
             comps = parts[s] = _cut(s, _fixed_points(s, m))
         first, last = comps[0], comps[m]
         if first in images and last in images:
-            image = _recompose((images[last],) + comps[1:m] + (images[first],), m)
+            image = _assemble((images[last],) + comps[1:m] + (images[first],), m)[0]
             if not stack:  # seq sits at the bottom of the stack
                 return image
             images[s] = image
@@ -238,20 +233,8 @@ def g_stat(seq, m):
     return first_fixed_point(seq, m, m)
 
 
-def eta(seq, m):
-    """Rebuild a distribution from component data; a bijection on each
-    length that sends the multiplicity of 1 inside component j to the
-    multiplicity of j overall.
-
-    Start from (1); add omega_1(component j) copies of j for every j; then,
-    walking components right to left, re-insert each non-1 entry e of
-    component j as e + m*(1 + total length of the components right of j).
-    """
-    seq = tuple(seq)
-    _require_member(seq, m)
-    if not seq:
-        return ()
-    comps = _cut(seq, _fixed_points(seq, m))
+def _eta(comps, m):
+    """eta of the sequence with first-return blocks comps."""
     out = [1]
     for j, comp in enumerate(comps, start=1):
         out.extend([j] * u_omega(comp, 1))
@@ -263,10 +246,24 @@ def eta(seq, m):
             if e != 1:
                 out.append(e + offset)
         suffix += len(comp)
-    result = tuple(sorted(out))
-    if not is_u_pk(result, canonical_family(m)):
-        raise NonMembershipError(f"eta image {result} violates the bounds")
-    return result
+    return tuple(sorted(out))
+
+
+def eta(seq, m):
+    """Rebuild a distribution from component data; a bijection on each
+    length that sends the multiplicity of 1 inside component j to the
+    multiplicity of j overall.
+
+    Start from (1); add omega_1(component j) copies of j for every j; then,
+    walking components right to left, re-insert each non-1 entry e of
+    component j as e + m*(1 + total length of the components right of j).
+    Only seq is checked; verify's eta sweep bound-checks every image.
+    """
+    seq = tuple(seq)
+    _require_member(seq, m)
+    if not seq:
+        return ()
+    return _eta(_cut(seq, _fixed_points(seq, m)), m)
 
 
 def _eta_inv(seq, m):
@@ -277,43 +274,32 @@ def _eta_inv(seq, m):
     entries are processed in increasing order -- entries belonging to
     further-right components are provably smaller -- and each is shifted
     down and placed in the largest component index that keeps the component
-    within bounds.
+    within bounds.  The blocks are assembled unchecked (eta is onto); only an
+    entry that fits no component raises.
     """
     if not seq:
         return ()
-    counts = {}
-    for v in seq:
-        counts[v] = counts.get(v, 0) + 1
-    comps = [[1] * (counts[1] - 1)]  # in bounds, so seq starts with 1
-    for j in range(2, m + 2):
-        comps.append([1] * counts.get(j, 0))
-    rest = sorted(v for v in seq if v > m + 1)
-    for e in rest:
-        placed = False
-        suffix = 0
-        candidates = []
+    # in bounds, so seq is nondecreasing and starts with 1
+    comps = [[1] * (seq.count(j) - (j == 1)) for j in range(1, m + 2)]
+    for e in seq:
+        if e <= m + 1:
+            continue
+        suffix = 0  # total length of components right of j
         for j in range(m + 1, 0, -1):
-            candidates.append((j, e - m * (1 + suffix)))
-            suffix += len(comps[j - 1])
-        for j, val in candidates:
-            if val <= 0:
-                continue
+            comp = comps[j - 1]
+            val = e - m * (1 + suffix)
             # comp is in bounds, and inserting val in order keeps it
             # nondecreasing; entries after val move one position up, to a
             # looser ceiling, so only val's own ceiling m*pos+1 can fail.
-            comp = comps[j - 1]
             pos = bisect_right(comp, val)
-            if val <= m * pos + 1:
+            if 0 < val <= m * pos + 1:
                 comp.insert(pos, val)
-                placed = True
                 break
-        if not placed:
+            suffix += len(comp)
+        else:
             raise NonMembershipError(f"entry {e} of {seq} fits no component")
     # each component is all 1s or stayed in bounds at every insertion
-    try:
-        return _recompose(tuple(tuple(c) for c in comps), m)
-    except InvalidCompositionError as exc:
-        raise NonMembershipError(str(exc)) from exc
+    return _assemble(tuple(tuple(c) for c in comps), m)[0]
 
 
 def eta_inv(seq, m):

@@ -29,11 +29,11 @@ from catpark.caterpillar import (
 )
 from catpark.decomposition import (
     _cut,
+    _eta,
     _eta_inv,
     _fixed_points,
     _luck,
     _tau,
-    eta,
     u_omega,
 )
 from catpark.engine import (
@@ -56,6 +56,7 @@ from catpark.sequences import (
     count_u_pk,
     enumerate_u_pk,
     fuss_catalan,
+    is_u_pk,
 )
 
 # expected h-basis coefficient vectors (degree n-1 down to 0) for n = 1..4
@@ -198,15 +199,17 @@ def check_recurrence(m, max_n):
 @_per_m("luck-ones-involution", (1, 2, 3), "max_n", 6)
 def check_involution(m, max_n):
     """One tau table per m: enumeration runs by increasing length, so every
-    component of p is already in it and each tau recomposes one level.
+    component of p is already in it and each tau assembles one level.
     Images of the top length are never stored, which keeps the table small.
-    q needs no bound check for _luck: _recompose has checked it.
+    The core assembles unchecked, so each q gets one is_u_pk bound check.
     """
     fam = canonical_family(m)
     images = {(): ()}
     for n in range(max_n + 1):
         for p in enumerate_u_pk(n, fam):
             q = _tau(p, m, images)
+            if not is_u_pk(q, fam):
+                return "fail", {"n": n, "p": p, "tau": q, "reason": "bounds"}
             if _tau(q, m, images) != p:
                 return "fail", {"n": n, "p": p, "tau": q}
             if _luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != _luck(q, m):
@@ -261,7 +264,8 @@ def check_hbasis(entries, opts):
 
 @_per_m("component-rebuild-bijection", (1, 2, 3), "max_n", 5)
 def check_eta(m, max_n):
-    """eta checks p and its own image, so the rest runs on the core.
+    """p is cut once, for eta's core and the block relations; each image
+    gets one is_u_pk bound check before it goes into _eta_inv.
 
     Besides the bijection, each p is checked against the criterion behind
     the paper's m-statistic extension: a statistic is its value on one
@@ -273,11 +277,13 @@ def check_eta(m, max_n):
     for n in range(1, max_n + 1):
         seen = set()
         for p in enumerate_u_pk(n, fam):
-            image = eta(p, m)
+            comps = _cut(p, _fixed_points(p, m))
+            image = _eta(comps, m)
+            if not is_u_pk(image, fam):
+                return "fail", {"n": n, "p": p, "eta": image, "reason": "bounds"}
             if _eta_inv(image, m) != p:
                 return "fail", {"n": n, "p": p, "eta": image}
             seen.add(image)
-            comps = _cut(p, _fixed_points(p, m))
             if _luck(p, m) != 1 + _luck(comps[m], m):
                 return "fail", {"n": n, "p": p, "reason": "luck of last block"}
             if u_omega(p, 1) != 1 + u_omega(comps[0], 1):

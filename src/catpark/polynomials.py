@@ -12,12 +12,13 @@ Inputs are validated once, at the public boundary.  ``MultiPoly(variables,
 terms)`` and the named constructors check every term: exponent vectors are
 int tuples of the right width with no negative entry, and coefficients are
 ints.  Ring operations (``+``, ``-``, ``*``, ``**``, ``divide_by_monomial``
-and ``rename``) build their results with the trusted ``MultiPoly._raw``,
-which checks nothing.  Its invariant: ``variables`` is a tuple, and
-``terms`` is a fresh dict, owned by the new value, from exponent tuples of
-that width to nonzero ints.  Only this module and ``catpark.series`` may
-call ``_raw``, read ``_terms`` or use ``_mul_into``, and only with values
-that already hold the invariant.
+and ``rename``) build their results, and turn int operands of ``+``, ``*``
+and ``==`` into constants, with the trusted ``MultiPoly._raw``, which
+checks nothing.  Its invariant: ``variables`` is a tuple, and ``terms`` is
+a fresh dict, owned by the new value, from exponent tuples of that width
+to nonzero ints.  Only this module and ``catpark.series`` may call
+``_raw``, read ``_terms`` or use ``_mul_into``, and only with values that
+already hold the invariant.
 """
 
 from operator import add
@@ -110,7 +111,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.const(self.variables, other)
+            other = self._coerce(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.variables == other.variables and self._terms == other._terms
@@ -121,8 +122,9 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return MultiPoly.const(self.variables, other)
+        if isinstance(other, int):  # a constant, built trusted
+            return MultiPoly._raw(self.variables,
+                                  {(0,) * len(self.variables): other} if other else {})
         if isinstance(other, MultiPoly):
             if other.variables != self.variables:
                 raise ValueError(

@@ -20,6 +20,7 @@ from catpark.decomposition import (
     u_omega,
 )
 from catpark.errors import InvalidCompositionError, NonMembershipError
+from catpark.harness import run_verification
 from catpark.sequences import canonical_family, count_u_pk, enumerate_u_pk, is_u_pk
 
 # decompositions printed for m=2, n=3 (bounds 1,3,5)
@@ -309,7 +310,7 @@ def _old_eta_inv(seq, m):
         if not placed:
             raise NonMembershipError(f"entry {e} of {seq} fits no component")
     try:
-        return decomposition._recompose(tuple(tuple(c) for c in comps), m)
+        return recompose(tuple(tuple(c) for c in comps), m)
     except InvalidCompositionError as exc:
         raise NonMembershipError(str(exc)) from exc
 
@@ -323,7 +324,9 @@ def _outcome(fn, *args):
 
 def test_eta_inv_core_matches_full_recheck_oracle():
     """Checking only the inserted entry's ceiling decides placement exactly
-    as sorting and re-checking the whole component did."""
+    as sorting and re-checking the whole component did, and the unchecked
+    assembly gives what the checking public recompose gives: the oracle
+    raises on no in-bounds sequence, so neither does the core."""
     for m in (1, 2, 3):
         fam = canonical_family(m)
         for n in range(7):
@@ -363,21 +366,40 @@ def _spy_membership(monkeypatch):
 
 
 def test_tau_and_eta_validate_once(monkeypatch):
+    """The input is the only sequence tau and eta check: the core assembles
+    their images unchecked."""
     checked = _spy_membership(monkeypatch)
     for m in (1, 2, 3):
         for n in range(1, 6):
             for p in enumerate_u_pk(n, canonical_family(m)):
                 checked.clear()
-                q = tau(p, m)
-                # the input once, then one post-check per recomposition; the
-                # last recomposition builds q, and every other one builds a
-                # shorter sequence, so no tuple is checked twice
-                assert checked[0] == p and checked[-1] == q
-                assert p not in checked[1:-1]
-                assert len(set(checked[1:])) == len(checked) - 1
+                tau(p, m)
+                assert checked == [p]
                 checked.clear()
-                image = eta(p, m)
-                assert checked == [p, image]
+                eta(p, m)
+                assert checked == [p]
+
+
+def test_assemble_builds_what_cut_takes_apart():
+    """The invariant the unchecked core relies on, over every in-bounds block
+    tuple of total length <= 6: the assembled sequence is in bounds, its
+    fixed points are the cuts _assemble returns, and cutting there gives the
+    blocks back."""
+    for m in (1, 2, 3):
+        fam = canonical_family(m)
+        by_length = [list(enumerate_u_pk(n, fam)) for n in range(7)]
+        tuples = [()]
+        for _ in range(m + 1):
+            tuples = [t + (block,) for t in tuples
+                      for n in range(7 - sum(map(len, t)))
+                      for block in by_length[n]]
+        for blocks in tuples:
+            result, cuts = decomposition._assemble(blocks, m)
+            assert is_u_pk(result, fam), (m, blocks)
+            assert decomposition._fixed_points(result, m) == cuts, (m, blocks)
+            assert decomposition._cut(result, cuts) == blocks, (m, blocks)
+        # block tuples of total length n are the sequences of length n + 1
+        assert len(tuples) == sum(count_u_pk(n, fam) for n in range(1, 8))
 
 
 def _old_decompose(seq, m):
@@ -434,6 +456,9 @@ def test_cut_point_check_matches_decompose_and_compare(monkeypatch):
 
 
 def test_recompose_check_catches_a_wrong_shift(monkeypatch):
+    """An off-by-one _assemble fails public recompose's output check, and
+    verify's per-image bound and roundtrip checks fail every default
+    involution and eta entry."""
     real = decomposition._assemble
 
     def off_by_one(components, m):
@@ -446,8 +471,9 @@ def test_recompose_check_catches_a_wrong_shift(monkeypatch):
         recompose(((), (1,), (1,)), 2)  # (1, 2, 6) is out of bounds
     with pytest.raises(InvalidCompositionError):
         recompose(((1,), (), ()), 2)  # (1, 2) has its type-1 point at 2
-    with pytest.raises(NonMembershipError):
-        eta_inv((1, 2, 5), 2)
+    for scope in ("involution", "eta"):
+        entries = run_verification(scope).entries
+        assert len(entries) == 3 and all(e.status == "fail" for e in entries)
 
 
 def test_public_entry_points_reject_out_of_bounds():

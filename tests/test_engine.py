@@ -308,8 +308,9 @@ def test_convolution_identity_n0_convention():
 
 
 def test_convolution_identity_validates_only_its_inputs(monkeypatch):
-    """Composition products and the h-basis sums build through the trusted
-    constructor; each h_k is built once per width."""
+    """Composition products, the h-basis sums and their integer scalings
+    build through the trusted constructor; each h_k is built once per
+    width."""
     real = MultiPoly.__init__
     calls = []
 
@@ -319,10 +320,9 @@ def test_convolution_identity_validates_only_its_inputs(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__init__", spy)
     assert verify_convolution_identity(3, 7).ok
-    # 8 luck polynomials; per width t = 2, 3, 4: h_0..h_7, a zero lhs and
-    # rhs per n = 0..7, and one integer scale per nonzero luck count
-    # (1 at n = 0, n at n >= 1: 29)
-    assert len(calls) == 8 + 3 * (8 + 2 * 8 + 29)
+    # 8 luck polynomials; per width t = 2, 3, 4: h_0..h_7 and a zero lhs
+    # and rhs per n = 0..7
+    assert len(calls) == 8 + 3 * (8 + 2 * 8)
 
 
 def test_identity_check_renames_consistently():

@@ -4,8 +4,21 @@ from types import SimpleNamespace
 
 import pytest
 
-from catpark import harness
+from catpark import decomposition, harness
 from catpark.harness import CHECKS, run_verification
+from catpark.sequences import fuss_catalan
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count calls to module.name under calls["<module>.<name>"]."""
+    real = getattr(module, name)
+    key = f"{module.__name__.rpartition('.')[2]}.{name}"
+
+    def counted(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_full_run_is_green():
@@ -269,25 +282,47 @@ def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
 def test_theta_checks_each_object_once(monkeypatch):
     """One is_tree_pk and one entry check per tree distribution visited."""
     from catpark import caterpillar
-    from catpark.sequences import fuss_catalan
 
-    calls = {"is_tree_pk": 0, "_validate_entries": 0}
-
-    def spy(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    spy(harness, "is_tree_pk")
-    spy(caterpillar, "_validate_entries")
+    calls = {}
+    _count_calls(monkeypatch, calls, harness, "is_tree_pk")
+    _count_calls(monkeypatch, calls, caterpillar, "_validate_entries")
     report = run_verification("theta", max_n=4)
     assert report.ok and len(report.entries) == 3
     objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 5))
-    assert calls == {"is_tree_pk": objects, "_validate_entries": objects}
+    assert calls == {"harness.is_tree_pk": objects,
+                     "caterpillar._validate_entries": objects}
+
+
+def test_involution_checks_each_image_once(monkeypatch):
+    """One is_u_pk per tau image; the core checks nothing it assembles."""
+    calls = {}
+    _count_calls(monkeypatch, calls, harness, "is_u_pk")
+    _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
+    report = run_verification("involution", max_n=5)
+    assert report.ok and len(report.entries) == 3
+    objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(6))
+    assert calls == {"harness.is_u_pk": objects}
+
+
+def test_involution_reports_an_image_out_of_bounds(monkeypatch):
+    real = harness._tau
+
+    def broken(seq, m, images):
+        return (1, 4) if seq == (1, 2) else real(seq, m, images)
+
+    monkeypatch.setattr(harness, "_tau", broken)
+    report = run_verification("involution", m=2, max_n=3)
+    assert report.entries[0].status == "fail"
+    assert report.entries[0].counterexample == {
+        "n": 2, "p": (1, 2), "tau": (1, 4), "reason": "bounds"}
+
+
+def test_eta_reports_an_image_out_of_bounds(monkeypatch):
+    monkeypatch.setattr(harness, "_eta", lambda comps, m: (2,))
+    report = run_verification("eta", m=2, max_n=3)
+    assert report.entries[0].status == "fail"
+    assert report.entries[0].counterexample == {
+        "n": 1, "p": (1,), "eta": (2,), "reason": "bounds"}
 
 
 @pytest.mark.parametrize("name, broken, reason", [
@@ -304,15 +339,16 @@ def test_eta_reports_a_broken_block_relation(monkeypatch, name, broken, reason):
 
 
 def test_eta_checks_each_object_once(monkeypatch):
-    """eta's boundary check is the only membership check per object."""
-    from catpark import decomposition
-    from catpark.sequences import fuss_catalan
-
-    calls = []
-    real = decomposition._require_member
-    monkeypatch.setattr(decomposition, "_require_member",
-                        lambda seq, m: calls.append(seq) or real(seq, m))
-    report = run_verification("eta", max_n=4)
+    """Each enumerated p is cut once, and its image gets the one membership
+    check: one is_u_pk per object, none at the public boundary."""
+    calls = {}
+    _count_calls(monkeypatch, calls, harness, "is_u_pk")
+    _count_calls(monkeypatch, calls, harness, "_cut")
+    _count_calls(monkeypatch, calls, decomposition, "_cut")
+    _count_calls(monkeypatch, calls, decomposition, "_require_member")
+    _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
+    report = run_verification("eta")
     assert report.ok and len(report.entries) == 3
-    assert len(calls) == sum(fuss_catalan(m, n)
-                             for m in (1, 2, 3) for n in range(1, 5))
+    objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 6))
+    assert objects == 1544
+    assert calls == {"harness.is_u_pk": objects, "harness._cut": objects}
