@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from catpark.errors import NonMembershipError
-from catpark.sequences import canonical_family, enumerate_u_pk, is_u_pk
+from catpark.sequences import (
+    DEFAULT_MAX_OBJECTS,
+    canonical_family,
+    enumerate_u_pk,
+    is_u_pk,
+)
 
 
 @dataclass(frozen=True)
@@ -183,16 +188,16 @@ def theta_inv(seq, m, n):
     return _theta_inv(seq, non_backbone_labels(m, n))
 
 
-def enumerate_caterpillar_pk(m, n, max_objects=None):
+def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS):
     """Iterate over all parking distributions on the (m, n) tree, as theta
     images of the bounded sequences, in the induced lexicographic order.
-    An n < 1 raises ValueError at the call, before any row."""
+    An n < 1, or a count past max_objects, raises at the call, before any
+    row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    kwargs = {} if max_objects is None else {"max_objects": max_objects}
     leaves = non_backbone_labels(m, n)
     return (tuple(sorted(seq + leaves))
-            for seq in enumerate_u_pk(n, canonical_family(m), **kwargs))
+            for seq in enumerate_u_pk(n, canonical_family(m), max_objects))
 
 
 def to_lattice_path(seq, m):

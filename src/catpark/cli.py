@@ -61,6 +61,7 @@ from catpark.sequences import (
     canonical_family,
     count_u_pk,
     enumerate_u_pk,
+    fuss_catalan,
 )
 from catpark.tables import build_table
 
@@ -108,6 +109,14 @@ def _check_order(order, max_order):
         raise ResourceError(
             f"order {order} exceeds --max-order {max_order}"
         )
+
+
+def _check_tree_count(args):
+    """Refuse the (--m, --n) tree when its distributions outnumber
+    --max-objects, as enumerating them would."""
+    count = fuss_catalan(args.m, args.n)
+    if count > args.max_objects:
+        raise EnumerationCapError(count, args.max_objects)
 
 
 def _emit(out, fmt, payload, header, rows, text):
@@ -166,8 +175,11 @@ def cmd_enumerate(args, out):
 
 def cmd_count(args, out):
     fam = _family(args)
-    if args.kind == "cat" and args.k is not None:
-        raise ValueError("--k/--r only apply to --kind u")
+    if args.kind == "cat":
+        if args.k is not None:
+            raise ValueError("--k/--r only apply to --kind u")
+        if args.n < 1:
+            raise ValueError("--n must be >= 1 for --kind cat")
     count = count_u_pk(args.n, fam)
     payload = {"m": args.m, "k": fam.k, "r": fam.r, "n": args.n,
                "kind": args.kind, "count": count}
@@ -274,8 +286,8 @@ def _poly_for(args):
         return gamma_poly_brute(args.m, args.n)
     if args.n < 1:
         raise ValueError("--n must be >= 1 for --name multi")
-    return multi_stat_poly_brute(args.m, args.n,
-                                 max_objects=args.max_objects)
+    _check_tree_count(args)
+    return multi_stat_poly_brute(args.m, args.n)
 
 
 def cmd_poly(args, out):
@@ -288,7 +300,8 @@ def cmd_poly(args, out):
 def cmd_tensor(args, out):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    tensor = joint_count_tensor(args.m, args.n, max_objects=args.max_objects)
+    _check_tree_count(args)
+    tensor = joint_count_tensor(args.m, args.n)
     entries = sorted(tensor.entries.items())
     _emit(out, args.format,
           {"m": args.m, "n": args.n,

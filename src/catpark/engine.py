@@ -1,10 +1,11 @@
 """Generating functions, statistic polynomials, and identity checks.
 
-Brute-force polynomials are the ground truth.  The q-luck and joint
-four-statistic ones are exact DP counts from ``catpark.kernels``, whose
-oracle in the tests is plain enumeration; the tree multi-statistic one sums
-over enumerated distributions.  Closed forms are built from truncated series
-and must match the brute values coefficient by coefficient.
+Brute-force polynomials are the ground truth.  The q-luck, joint
+four-statistic and tree multi-statistic ones are exact DP counts from
+``catpark.kernels``, whose oracle in the tests is plain enumeration; the
+tree one is carried to the trees by the ``theta`` transport.  Closed forms
+are built from truncated series and must match the brute values
+coefficient by coefficient.
 
 Two published closed forms disagree with enumeration and are implemented in
 both variants: the q-luck series (the stated reciprocal omits an exponent m)
@@ -18,11 +19,9 @@ node the smallest tree does not have (see verify_multi_stat_product).
 
 from dataclasses import dataclass, field
 
-from catpark.caterpillar import _park, build_caterpillar, enumerate_caterpillar_pk
-from catpark.decomposition import u_omega
 from catpark.errors import HBasisError
 from catpark.polynomials import MultiPoly, complete_homogeneous
-from catpark.sequences import canonical_family, count_u_pk, fuss_catalan, BoundFamily
+from catpark.sequences import count_u_pk, fuss_catalan, BoundFamily
 from catpark.series import TruncatedSeries
 from catpark import kernels
 
@@ -205,28 +204,28 @@ def multi_stat_variables(m):
     return tuple(f"q{i}" for i in range(m + 1))
 
 
-def multi_stat_poly_brute(m, n, max_objects=None):
+def multi_stat_poly_brute(m, n):
     """Sum of q0^luck * prod_j qj^(freq of node j) over all parking
-    distributions on the (m, n) tree, with luck read off the simulation.
-    The enumerated rows are in range, so they park on the core."""
+    distributions on the (m, n) tree, luck being the number of lucky cars.
+
+    Counted on the bounded sequences by ``kernels.multi_stat_histogram``
+    and carried over by ``theta``: it keeps luck and the frequency of 1,
+    and for n >= 2 adds one copy of each leaf label, so of each of 2..m.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    variables = multi_stat_variables(m)
-    tree = build_caterpillar(m, n)
-    terms = {}
-    for seq in enumerate_caterpillar_pk(m, n, max_objects=max_objects):
-        key = (len(_park(tree, seq).lucky_set),) + tuple(
-            u_omega(seq, j) for j in range(1, m + 1)
-        )
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(variables, terms)
+    leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
+    terms = {(luck, ones) + tuple(w + leaf for w in rest): count
+             for (luck, ones, *rest), count
+             in kernels.multi_stat_histogram(m, n).items()}
+    return MultiPoly(multi_stat_variables(m), terms)
 
 
-def verify_multi_stat_product(m, order, max_objects=None):
+def verify_multi_stat_product(m, order):
     """Compare the multi-statistic series with 1 + x * prod q_i B(x;q_i).
 
     The product formula is exact at every order except x^1 when m >= 2: the
-    single-node tree has no node j >= 2, so the enumerated coefficient is
+    single-node tree has no node j >= 2, so the tree coefficient is
     q0*q1 while the product yields q0*...*qm.  That known gap is returned
     separately in ``order_one_gap`` instead of being counted as a mismatch.
     """
@@ -244,7 +243,7 @@ def verify_multi_stat_product(m, order, max_objects=None):
     gap = None
     for n in range(order + 1):
         lhs = (MultiPoly.const(variables, 1) if n == 0
-               else multi_stat_poly_brute(m, n, max_objects=max_objects))
+               else multi_stat_poly_brute(m, n))
         if lhs == rhs.coefficient(n):
             continue
         if n == 1 and m >= 2:
@@ -273,15 +272,15 @@ class JointCountTensor:
         return sum(self.entries.values())
 
 
-def joint_count_tensor(m, n, max_objects=None):
-    poly = multi_stat_poly_brute(m, n, max_objects=max_objects)
+def joint_count_tensor(m, n):
+    poly = multi_stat_poly_brute(m, n)
     return JointCountTensor(m, n, {e: c for e, c in poly.items()})
 
 
-def verify_tensor_symmetry(m, n, max_objects=None):
+def verify_tensor_symmetry(m, n):
     """Entries with equal coordinate sums must be equal."""
     check = IdentityCheck("tensor-symmetry", {"m": m, "n": n})
-    tensor = joint_count_tensor(m, n, max_objects=max_objects)
+    tensor = joint_count_tensor(m, n)
     by_sum = {}
     for key, count in sorted(tensor.entries.items()):
         by_sum.setdefault(sum(key), []).append((key, count))

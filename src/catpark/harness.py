@@ -40,7 +40,6 @@ from catpark.engine import (
     gamma_poly_brute,
     h_decompose,
     joint_count_tensor,
-    multi_stat_poly_brute,
     r_poly_brute,
     verify_convolution_identity,
     verify_functional_equation,

@@ -275,6 +275,7 @@ def test_verify_rejects_unsupported_options(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--m", "2", "--n", "-1"],
     ["count", "--m", "2", "--n", "-1"],
+    ["count", "--kind", "cat", "--m", "2", "--n", "0"],
     ["tensor", "--m", "0", "--n", "3"],
     ["poly", "--name", "B", "--m", "2", "--n", "-3"],
     ["map", "--name", "theta-inv", "--m", "0", "--seq", "1"],

@@ -261,6 +261,14 @@ def test_multi_stat_product_formula():
     assert check.params["order_one_gap"] is None
 
 
+@pytest.mark.parametrize("m,order", [(2, 10), (3, 8)])
+def test_multi_stat_product_past_enumeration(m, order):
+    check = verify_multi_stat_product(m, order)
+    assert check.ok, check.mismatches[:1]
+    assert check.params["order_one_gap"] == (
+        "q0*q1", "*".join(f"q{i}" for i in range(m + 1)))
+
+
 def test_tensor_table_values():
     tensor = joint_count_tensor(2, 4)
     expected = {
@@ -282,6 +290,12 @@ def test_tensor_symmetry():
         assert verify_tensor_symmetry(2, n).ok
     for n in range(1, 5):
         assert verify_tensor_symmetry(3, n).ok
+
+
+@pytest.mark.parametrize("m,n", [(2, 12), (3, 9)])
+def test_tensor_symmetry_past_enumeration(m, n):
+    check = verify_tensor_symmetry(m, n)
+    assert check.ok, check.mismatches[:1]
 
 
 def test_convolution_identity_examples():

@@ -2,13 +2,21 @@
 
 The histograms are exact DP counts.  Their oracle is written here: plain
 enumeration plus literal restatements of the statistics, with none of the
-bookkeeping the kernels use.
+bookkeeping the kernels use.  The tree multi-statistic polynomial, counted
+by the DP and carried to the trees by the theta transport, is checked
+against enumerating and simulating every tree distribution.  Past
+enumeration's reach, the luck DP meets its Lagrange-inversion closed form.
 """
+
+from math import comb
 
 import pytest
 
 from catpark import kernels
+from catpark.caterpillar import build_caterpillar, enumerate_caterpillar_pk, simulate
 from catpark.decomposition import f_stat, g_stat
+from catpark.engine import multi_stat_poly_brute, multi_stat_variables
+from catpark.polynomials import MultiPoly
 
 GRID = [(1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (4, 3),
         (1, 10), (2, 8), (3, 7), (4, 6)]
@@ -55,6 +63,51 @@ def test_quad_histogram_against_oracle(m, n):
     assert kernels.stat_quad_histogram(m, n) == expected
 
 
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 6), (3, 5), (4, 3), (5, 3), (3, 1)])
+def test_multi_stat_histogram_against_oracle(m, n):
+    expected = {}
+    for seq in kernels.iter_bounded(canonical_bounds(m, n)):
+        key = (oracle_stats(seq, m)[0],) + tuple(
+            sum(1 for v in seq if v == j) for j in range(1, m + 1))
+        expected[key] = expected.get(key, 0) + 1
+    assert kernels.multi_stat_histogram(m, n) == expected
+
+
+def tree_multi_stat_poly(m, n):
+    """Sum of q0^luck * prod_j qj^(freq of node j) over every parking
+    distribution on the (m, n) tree, with luck read off the simulation."""
+    tree = build_caterpillar(m, n)
+    terms = {}
+    for seq in enumerate_caterpillar_pk(m, n):
+        key = (len(simulate(tree, seq).lucky_set),) + tuple(
+            seq.count(j) for j in range(1, m + 1))
+        terms[key] = terms.get(key, 0) + 1
+    return MultiPoly(multi_stat_variables(m), terms)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 8), (2, 1), (2, 2), (2, 7),
+                                 (3, 1), (3, 6), (4, 4), (5, 3)])
+def test_multi_stat_poly_against_tree_enumeration(m, n):
+    assert multi_stat_poly_brute(m, n) == tree_multi_stat_poly(m, n)
+
+
+def lagrange_luck_count(m, n, k):
+    """[x^n q^k] of 1/(1 - q*x*B^m) for 1 <= k <= n, as the exact fraction
+    (numerator, denominator) = (mk * C((m+1)n-k, n-k), (m+1)n-k)."""
+    total = (m + 1) * n - k
+    return m * k * comb(total, n - k), total
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 16)]
+                         + [(2, 60), (3, 40)])
+def test_luck_histogram_against_lagrange_closed_form(m, n):
+    hist = kernels.luck_histogram(m, n)
+    assert hist[0] == 0
+    for k in range(1, n + 1):
+        numerator, denominator = lagrange_luck_count(m, n, k)
+        assert hist[k] * denominator == numerator, (m, n, k)
+
+
 def test_iter_bounded_edge_cases():
     assert list(kernels.iter_bounded([])) == [()]
     assert list(kernels.iter_bounded([0, 3])) == []
@@ -64,6 +117,7 @@ def test_iter_bounded_edge_cases():
 def test_luck_histogram_empty_length():
     assert kernels.luck_histogram(3, 0) == [1]
     assert kernels.stat_quad_histogram(3, 0) == {}
+    assert kernels.multi_stat_histogram(3, 0) == {(0, 0, 0, 0): 1}
 
 
 def test_dispatch_exports():

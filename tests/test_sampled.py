@@ -2,14 +2,16 @@
 
 Deep first-return nesting is where tau's explicit stack and eta_inv's
 placement could break, and where the core assembles every level without a
-check; enumeration stops at n = 7.  Each sample goes through the public
-entry points only.
+check; enumeration stops at n = 7.  The tree multi-statistic DP rests on
+the theta transport at every size, so theta is sampled here too.  Each
+sample goes through the public entry points only.
 """
 
 import random
 
 import pytest
 
+from catpark.caterpillar import build_caterpillar, is_tree_pk, simulate, theta, theta_inv
 from catpark.decomposition import eta, eta_inv, tau, u_luck, u_omega
 from catpark.sequences import canonical_family, is_u_pk
 
@@ -51,3 +53,20 @@ def test_tau_and_eta_on_large_samples(m, n, count):
         assert u_luck(p, m) == u_omega(q, 1) and u_omega(p, 1) == u_luck(q, m), p
         image = eta(p, m)
         assert is_u_pk(image, fam) and eta_inv(image, m) == p, p
+
+
+@pytest.mark.parametrize("m, n, count", [(2, 50, 300), (3, 200, 200)])
+def test_theta_on_large_samples(m, n, count):
+    rng = random.Random(m * 1000 + n + 1)
+    tree = build_caterpillar(m, n)
+    for _ in range(count):
+        p = sample_u_pk(m, n, rng)
+        image = theta(p, m, n)
+        outcome = simulate(tree, image)
+        assert is_tree_pk(tree, image) and outcome.all_parked, p
+        assert theta_inv(image, m, n) == p, p
+        # luck and the frequency of 1 carry over; each of 2..m gains its leaf
+        assert len(outcome.lucky_set) == u_luck(p, m), p
+        assert u_omega(image, 1) == u_omega(p, 1), p
+        for j in range(2, m + 1):
+            assert u_omega(image, j) == u_omega(p, j) + 1, (p, j)
