@@ -188,16 +188,16 @@ def theta_inv(seq, m, n):
     return _theta_inv(seq, non_backbone_labels(m, n))
 
 
-def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS):
+def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS, sep=None):
     """Iterate over all parking distributions on the (m, n) tree, as theta
     images of the bounded sequences, in the induced lexicographic order.
-    An n < 1, or a count past max_objects, raises at the call, before any
-    row."""
+    The walker merges the leaf labels into each row, so no row is sorted;
+    given sep, rows are text joined by it.  An n < 1, or a count past
+    max_objects, raises at the call, before any row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    leaves = non_backbone_labels(m, n)
-    return (tuple(sorted(seq + leaves))
-            for seq in enumerate_u_pk(n, canonical_family(m), max_objects))
+    return enumerate_u_pk(n, canonical_family(m), max_objects,
+                          non_backbone_labels(m, n), sep)
 
 
 def to_lattice_path(seq, m):

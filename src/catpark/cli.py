@@ -10,10 +10,12 @@ cap exceeded.  ``main`` checks --m >= 1, --n >= 0, --max-objects >= 0 and
 an argument provokes to exit 2 with a one-line message, so no argv ends in
 a traceback.
 
-Every verb writes its result through ``_emit``, which holds the three
-formats: one JSON payload, one CSV table, or lines of text.  ``enumerate``
-streams: its CSV rows and text lines are written as the enumeration yields
-them, and its JSON is written row by row, so no list of rows is held.
+Every verb but ``enumerate`` writes its result through ``_emit``, which
+holds the three formats: one JSON payload, one CSV table, or lines of text.
+``enumerate`` streams: it asks the enumeration for rows as text already
+joined -- by "," for csv and text, by the indented JSON separator for json
+-- and writes each row as it comes, so no row is converted or joined again
+and no list of rows is held.
 
 ``main`` parses with one parser per process, built on its first call;
 ``build_parser()`` returns a fresh parser on every call.
@@ -143,33 +145,34 @@ def seq_str(seq):
 
 def cmd_enumerate(args, out):
     fam = _family(args)
+    # rows come as text already joined: JSON's indent=2 layout, else commas
+    sep = ",\n      " if args.format == "json" else ","
     if args.kind == "u":
-        stream = enumerate_u_pk(args.n, fam, max_objects=args.max_objects)
+        rows = enumerate_u_pk(args.n, fam, max_objects=args.max_objects,
+                              sep=sep)
         length = args.n
     else:
         if args.k is not None:
             raise ValueError("--k/--r only apply to --kind u")
         if args.n < 1:
             raise ValueError("--n must be >= 1 for --kind cat")
-        stream = enumerate_caterpillar_pk(args.m, args.n,
-                                          max_objects=args.max_objects)
+        rows = enumerate_caterpillar_pk(args.m, args.n,
+                                        max_objects=args.max_objects, sep=sep)
         length = args.m * args.n - args.m + 1
     if args.format == "json":
         # json.dumps(payload, indent=2), written one row at a time.  The
-        # stream is never empty: every family and tree has a distribution.
+        # stream is never empty; the one row at n = 0 is empty and prints []
         head, tail = json.dumps({"m": args.m, "n": args.n, "kind": args.kind,
                                  "sequences": []}, indent=2).rsplit("[]", 1)
-        out.write(head)
-        sep = "[\n"
-        for s in stream:
-            out.write(sep)
-            out.write("    [\n      " + ",\n      ".join(map(str, s)) + "\n    ]"
-                      if s else "    []")
-            sep = ",\n"
+        first = next(rows)
+        out.write(f"{head}[\n    [\n      {first}\n    ]" if first
+                  else f"{head}[\n    []")
+        out.writelines(map(",\n    [\n      {}\n    ]".format, rows))
         out.write("\n  ]" + tail + "\n")
-    else:  # csv rows and text lines are written as the stream yields them
-        _emit(out, args.format, None, [f"p{i}" for i in range(1, length + 1)],
-              stream, map(seq_str, stream))
+        return EXIT_OK
+    if args.format == "csv":
+        out.write(",".join(f"p{i}" for i in range(1, length + 1)) + "\n")
+    out.writelines(map("{}\n".format, rows))
     return EXIT_OK
 
 

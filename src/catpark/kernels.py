@@ -1,43 +1,107 @@
-"""Counting kernels over nondecreasing bounded sequences.
+"""Enumeration and counting kernels over nondecreasing bounded sequences.
 
-``iter_bounded`` walks every sequence under a bound list.  The three
-histogram kernels -- luck, the four statistics (luck, freq of 1, first
-window hit, first top hit), and (luck, freq of 1, ..., freq of m) -- never
-walk: they count the canonically bounded sequences (1, m+1, 2m+1, ...) by
-an exact transfer-matrix DP over (last value, statistic state).  All three
-run one transfer step, ``_extend``, with the same prefix sums as
+``iter_bounded`` is the one walker behind every enumeration.  It goes depth
+first with an explicit stack and builds each row as its parent prefix plus
+one precomputed piece; the rows that differ only in the last position come
+out as one batch per parent.  Each row may carry merge labels, which the
+tree enumeration uses for its leaf labels: a piece is the labels in
+[prev, v) followed by v, and a last-position piece also holds the labels
+>= v, so every row is the sorted merge without a sort.  Pieces are tuples,
+or text already joined by the caller's separator, so a text row is never
+converted or joined again.
+
+The three histogram kernels -- luck, the four statistics (luck, freq of 1,
+first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
+never walk: they count the canonically bounded sequences (1, m+1, 2m+1, ...)
+by an exact transfer-matrix DP over (last value, statistic state).  All
+three run one transfer step, ``_extend``, with the same prefix sums as
 ``sequences.count_for_bounds``.  Plain enumeration with the statistics
 restated from their definitions is their oracle in tests/test_kernels.py.
 
 Callers validate their inputs: m >= 1 and n >= 0.
 """
 
+from bisect import bisect_left
+from itertools import accumulate, count
+
 BACKEND = "pure"
 
 
-def iter_bounded(bounds):
-    """Yield every nondecreasing tuple p with 1 <= p[i] <= bounds[i].
+def _pieces(prevs, cap, leaves, last, piece):
+    """where[prev] = (pieces, offset) for prev in 1..prevs, where
+    pieces[offset:] are the pieces for the next values v = prev..cap.
 
-    Output is in strictly increasing lexicographic order.  The empty bound
-    list yields the empty tuple once.
+    A piece is piece(labels in [prev, v) + [v]), plus the labels >= v when
+    v is the last position.  The prevs with no label between them share
+    one list, so a walk without labels keeps one list per position.
     """
+    where = [None]
+    group = None
+    for prev in range(1, prevs + 1):
+        start = bisect_left(leaves, prev)
+        if start != group:
+            group, low, pieces = start, prev, []
+            for v in range(prev, cap + 1):
+                stop = bisect_left(leaves, v)
+                pieces.append(piece(leaves[start:stop] + [v]
+                                    + (leaves[stop:] if last else [])))
+        where.append((pieces, prev - low))
+    return where
+
+
+def iter_bounded(bounds, leaves=(), sep=None):
+    """Yield every nondecreasing p with 1 <= p[i] <= bounds[i], merged with
+    the labels in leaves.
+
+    Rows come in strictly increasing lexicographic order of p.  A row is
+    the tuple sorted(p + leaves), or, given sep, the text
+    sep.join(map(str, sorted(p + leaves))).  The empty bound list yields
+    the row of the labels alone once.
+
+    The walk runs under the suffix minima of bounds, so every prefix it
+    visits completes.  Its piece tables keep, per position, one list for
+    each run of previous values with no label between them: at most
+    len(bounds) * max(bounds) pieces when leaves is empty.
+    """
+    leaves = sorted(leaves)
+    # a row's first piece has no separator ahead of it
+    if sep is None:
+        first = rest = tuple
+    else:
+        def first(items):
+            return sep.join(map(str, items))
+
+        def rest(items):
+            return sep + first(items)
     n = len(bounds)
     if n == 0:
-        yield ()
+        yield first(leaves)
         return
-    if min(bounds) < 1:
+    caps = list(accumulate(reversed(bounds), min))[::-1]
+    top = n - 1
+    tables = [_pieces(caps[d - 1] if d else 1, cap, leaves, d == top,
+                      rest if d else first)
+              for d, cap in enumerate(caps)]
+    pieces, _ = tables[0][1]
+    if top == 0:
+        yield from pieces
         return
-    p = [1] * n
-    while True:
-        yield tuple(p)
-        j = n - 1
-        while j >= 0 and p[j] >= bounds[j]:
-            j -= 1
-        if j < 0:
-            return
-        v = p[j] + 1
-        for k in range(j, n):
-            p[k] = v
+    # stack[d] yields the (prefix, last value) pairs still to visit at depth
+    # d + 1; a pushed level runs to its end before its parent resumes
+    stack = [zip(pieces, count(1))]
+    while stack:
+        depth = len(stack)
+        where = tables[depth]
+        for prefix, prev in stack[-1]:
+            pieces, offset = where[prev]
+            if depth == top:
+                yield from map(prefix.__add__, pieces[offset:])
+            else:
+                stack.append(zip(map(prefix.__add__, pieces[offset:]),
+                                 count(prev)))
+                break
+        else:
+            stack.pop()
 
 
 def _extend(rows, k, m, moves):

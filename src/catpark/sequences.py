@@ -115,12 +115,15 @@ def _raney_count(n, family):
     return s * comb(total, n) // total
 
 
-def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS):
+def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
+                   sep=None):
     """Yield every family-bounded distribution of length n, lexicographically.
 
     The count projected by the closed form is checked against max_objects
     before the first yield; EnumerationCapError is raised when it would be
-    exceeded.
+    exceeded.  Rows are tuples, merged in sorted position with the labels
+    in leaves; given sep, each row is that tuple's entries as text joined
+    by sep (see ``kernels.iter_bounded``).
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
@@ -129,7 +132,7 @@ def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS):
         projected = _raney_count(n, family)
         if projected > max_objects:
             raise EnumerationCapError(projected, max_objects)
-    return kernels.iter_bounded(bounds)
+    return kernels.iter_bounded(bounds, leaves, sep)
 
 
 def fuss_catalan(m, n):

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -9,15 +10,15 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catpark import cli, harness
 from catpark.caterpillar import enumerate_caterpillar_pk
-from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main
+from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main, seq_str
 from catpark.harness import CHECKS
 from catpark.polynomials import MultiPoly
-from catpark.sequences import canonical_family, enumerate_u_pk
+from catpark.sequences import BoundFamily, canonical_family, enumerate_u_pk
 
 
 def run_cli(capsys, *argv):
@@ -429,20 +430,43 @@ def test_shared_parser_matches_fresh_parser(monkeypatch):
     assert build_parser() is not build_parser()
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 6), st.sampled_from(("u", "cat")))
-def test_enumerate_json_bytes(m, n, kind):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.sampled_from(("u", "cat")),
+       st.sampled_from(("text", "csv", "json")), st.sampled_from((None, (2, 1))))
+@example(2, 0, "u", "text", None)
+@example(2, 0, "u", "csv", None)
+@example(2, 0, "u", "json", None)
+@example(3, 4, "u", "csv", (2, 1))
+def test_enumerate_json_bytes(m, n, kind, fmt, kr):
+    """Every enumerate format, byte for byte, against the tuple enumeration
+    written by json.dumps, csv.writer or seq_str.  kr is a (--k, --r) family."""
+    assume(kr is None or (kind == "u" and 2 <= m <= 3))
     assume(kind == "u" or n >= 1)
-    if kind == "u":
-        sequences = enumerate_u_pk(n, canonical_family(m))
+    argv = ["enumerate", "--m", str(m), "--n", str(n), "--kind", kind,
+            "--format", fmt]
+    if kind == "cat":
+        sequences = list(enumerate_caterpillar_pk(m, n))
+        length = m * n - m + 1
+    elif kr is None:
+        sequences = list(enumerate_u_pk(n, canonical_family(m)))
+        length = n
     else:
-        sequences = enumerate_caterpillar_pk(m, n)
-    payload = {"m": m, "n": n, "kind": kind,
-               "sequences": [list(s) for s in sequences]}
-    code, out, _ = _call(["enumerate", "--m", str(m), "--n", str(n),
-                          "--kind", kind, "--format", "json"])
-    assert code == 0
-    assert out == json.dumps(payload, indent=2) + "\n"
+        sequences = list(enumerate_u_pk(n, BoundFamily(m, *kr)))
+        length = n
+        argv += ["--k", str(kr[0]), "--r", str(kr[1])]
+    if fmt == "json":
+        expected = json.dumps({"m": m, "n": n, "kind": kind,
+                               "sequences": [list(s) for s in sequences]},
+                              indent=2) + "\n"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow([f"p{i}" for i in range(1, length + 1)])
+        writer.writerows(sequences)
+        expected = buffer.getvalue()
+    else:
+        expected = "".join(seq_str(s) + "\n" for s in sequences)
+    assert _call(argv) == (0, expected, "")
 
 
 TABLE_1 = ["(1,1,1,2,4)", "(1,1,2,2,4)", "(1,1,2,3,4)", "(1,1,2,4,4)",

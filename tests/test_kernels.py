@@ -8,6 +8,7 @@ against enumerating and simulating every tree distribution.  Past
 enumeration's reach, the luck DP meets its Lagrange-inversion closed form.
 """
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -108,10 +109,57 @@ def test_luck_histogram_against_lagrange_closed_form(m, n):
         assert hist[k] * denominator == numerator, (m, n, k)
 
 
+def odometer(bounds):
+    """The walker's oracle: bump the rightmost entry below its bound and
+    reset every entry after it to the new value."""
+    n = len(bounds)
+    if n == 0:
+        yield ()
+        return
+    if min(bounds) < 1:
+        return
+    p = [1] * n
+    while True:
+        yield tuple(p)
+        j = n - 1
+        while j >= 0 and p[j] >= bounds[j]:
+            j -= 1
+        if j < 0:
+            return
+        p[j:] = [p[j] + 1] * (n - j)
+
+
+# (m, k, r): every canonical family (r = m - 1) and a few others
+FAMILIES = [(1, 1, 0), (2, 1, 1), (3, 1, 2), (4, 1, 3), (2, 1, 0), (3, 1, 0),
+            (3, 1, 1), (1, 2, 0), (2, 2, 0), (2, 2, 1), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("bounds", [[], [0, 3]] + [
+    [m * (i + k - 1) - r for i in range(1, n + 1)]
+    for m, k, r in FAMILIES for n in range(1, 7)], ids=str)
+def test_iter_bounded_against_odometer(bounds):
+    rows = list(odometer(bounds))
+    assert list(kernels.iter_bounded(bounds)) == rows
+    for sep in (",", ",\n      "):
+        assert (list(kernels.iter_bounded(bounds, sep=sep))
+                == [sep.join(map(str, row)) for row in rows])
+
+
+def test_quad_histogram_luck_ones_symmetry():
+    """The paper's (luck, omega_1) symmetry, at sizes past enumeration."""
+    for m, n in ((2, 12), (3, 9)):
+        marginal = Counter()
+        for (luck, ones, _, _), count in kernels.stat_quad_histogram(m, n).items():
+            marginal[luck, ones] += count
+        assert all(marginal[a, b] == marginal[b, a] for a, b in marginal)
+
+
 def test_iter_bounded_edge_cases():
     assert list(kernels.iter_bounded([])) == [()]
     assert list(kernels.iter_bounded([0, 3])) == []
     assert list(kernels.iter_bounded([2])) == [(1,), (2,)]
+    # a later bound caps the earlier entries too
+    assert list(kernels.iter_bounded([3, 2])) == [(1, 1), (1, 2), (2, 2)]
 
 
 def test_luck_histogram_empty_length():
