@@ -10,12 +10,14 @@ cap exceeded.  ``main`` checks --m >= 1, --n >= 0, --max-objects >= 0 and
 an argument provokes to exit 2 with a one-line message, so no argv ends in
 a traceback.
 
-Every verb but ``enumerate`` writes its result through ``_emit``, which
-holds the three formats: one JSON payload, one CSV table, or lines of text.
-``enumerate`` streams: it asks the enumeration for rows as text already
-joined -- by "," for csv and text, by the indented JSON separator for json
--- and writes each row as it comes, so no row is converted or joined again
-and no list of rows is held.
+Verbs write their output directly to the stdout ``main`` passes them, and
+every error comes before the first write, so a failed call prints nothing
+on stdout.  Every verb but ``enumerate`` writes its result through
+``_emit``, which holds the three formats: one JSON payload, one CSV table,
+or lines of text.  ``enumerate`` streams: it asks the enumeration for rows
+as text already joined -- by "," for csv and text, by the indented JSON
+separator for json -- and writes them in batches of 512 as they come, so no
+row is converted or joined again and no list of all rows is held.
 
 ``main`` parses with one parser per process, built on its first call;
 ``build_parser()`` returns a fresh parser on every call.
@@ -24,9 +26,9 @@ and no list of rows is held.
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
+from itertools import islice
 
 from catpark.caterpillar import (
     build_caterpillar,
@@ -160,19 +162,25 @@ def cmd_enumerate(args, out):
                                         max_objects=args.max_objects, sep=sep)
         length = args.m * args.n - args.m + 1
     if args.format == "json":
-        # json.dumps(payload, indent=2), written one row at a time.  The
+        # json.dumps(payload, indent=2), written as the rows come.  The
         # stream is never empty; the one row at n = 0 is empty and prints []
         head, tail = json.dumps({"m": args.m, "n": args.n, "kind": args.kind,
                                  "sequences": []}, indent=2).rsplit("[]", 1)
         first = next(rows)
-        out.write(f"{head}[\n    [\n      {first}\n    ]" if first
-                  else f"{head}[\n    []")
-        out.writelines(map(",\n    [\n      {}\n    ]".format, rows))
-        out.write("\n  ]" + tail + "\n")
-        return EXIT_OK
-    if args.format == "csv":
-        out.write(",".join(f"p{i}" for i in range(1, length + 1)) + "\n")
-    out.writelines(map("{}\n".format, rows))
+        start = (f"{head}[\n    [\n      {first}\n    ]" if first
+                 else f"{head}[\n    []")
+        row, end = ",\n    [\n      {}\n    ]", "\n  ]" + tail + "\n"
+    else:
+        start = (",".join(f"p{i}" for i in range(1, length + 1)) + "\n"
+                 if args.format == "csv" else "")
+        row, end = "{}\n", ""
+    out.write(start)
+    # one write per batch: a write per row is slow on a real stdout, and a
+    # join of every row would hold them all
+    rows = map(row.format, rows)
+    while batch := "".join(islice(rows, 512)):
+        out.write(batch)
+    out.write(end)
     return EXIT_OK
 
 
@@ -450,7 +458,6 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    out = io.StringIO()
     try:
         for name, least in (("m", 1), ("n", 0), ("max_objects", 0),
                             ("max_order", 0)):
@@ -458,14 +465,13 @@ def main(argv=None):
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= "
                                  f"{least}, got {value}")
-        code = args.fn(args, out)
+        code = args.fn(args, sys.stdout)
     except (EnumerationCapError, ResourceError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_RESOURCE
     except (CatparkError, ValueError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_USAGE
-    sys.stdout.write(out.getvalue())
     return code
 
 

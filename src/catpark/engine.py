@@ -27,8 +27,6 @@ from catpark import kernels
 
 QT_UV = ("q", "t", "u", "v")
 
-DEFAULT_ORDER = 12
-
 
 @dataclass
 class IdentityCheck:
@@ -57,14 +55,14 @@ def _compare(name, params, order, lhs, rhs):
 # -- series builders -----------------------------------------------------
 
 
-def fuss_catalan_series(m, order=DEFAULT_ORDER, variables=()):
+def fuss_catalan_series(m, order, variables=()):
     """Series whose x^n coefficient is the n-th count for regularity m."""
     return TruncatedSeries.from_function(
         variables, order, lambda j: fuss_catalan(m, j)
     )
 
 
-def verify_functional_equation(m, order=DEFAULT_ORDER):
+def verify_functional_equation(m, order):
     """Check B = 1 + x*B^(m+1) coefficient-wise."""
     b = fuss_catalan_series(m, order)
     rhs = TruncatedSeries.one((), order) + (b ** (m + 1)).shifted(1)
@@ -84,8 +82,7 @@ def r_poly_brute(m, n):
     return MultiPoly(("q",), {(k,): c for k, c in enumerate(hist) if c})
 
 
-def r_series_closed(m, order=DEFAULT_ORDER, variables=("q",), qvar="q",
-                    literal=False):
+def r_series_closed(m, order, variables=("q",), qvar="q", literal=False):
     """The q-luck generating series 1/(1 - q*x*B^m).
 
     literal=True evaluates the uncorrected exponent variant 1/(1 - q*x*B),
@@ -111,12 +108,10 @@ def gamma_poly_brute(m, n):
     _require_length(n)
     if n == 0:
         return MultiPoly.const(QT_UV, 1)
-    hist = kernels.stat_quad_histogram(m, n)
-    terms = {(lk, w1, f, g): c for (lk, w1, f, g), c in hist.items()}
-    return MultiPoly(QT_UV, terms)
+    return MultiPoly(QT_UV, kernels.stat_quad_histogram(m, n))
 
 
-def gamma_series_closed(m, order=DEFAULT_ORDER, literal=False):
+def gamma_series_closed(m, order, literal=False):
     """Four-variable functional equation for the joint statistics.
 
     Corrected form: 1 + x*q*t*(uv)^2 * B(x;q) * B(vx)^(m-1) * B(uvx;t).
@@ -144,7 +139,7 @@ def verify_gamma_series(m, order, literal=False):
                     lambda n: gamma_poly_brute(m, n), closed.coefficient)
 
 
-def h_series(m, k, r, order=DEFAULT_ORDER):
+def h_series(m, k, r, order):
     """Series of exact counts for the bound family (m, k, r)."""
     fam = BoundFamily(m, k, r)
     return TruncatedSeries.from_function(
@@ -230,7 +225,6 @@ def verify_multi_stat_product(m, order):
     separately in ``order_one_gap`` instead of being counted as a mismatch.
     """
     variables = multi_stat_variables(m)
-    check = IdentityCheck("multi-stat-product", {"m": m, "order": order})
     rhs = TruncatedSeries.one(variables, order)
     if order >= 1:
         product = TruncatedSeries.one(variables, order)
@@ -240,18 +234,14 @@ def verify_multi_stat_product(m, order):
                 qi * r_series_closed(m, order, variables, f"q{i}")
             )
         rhs = rhs + product.shifted(1)
+    check = _compare("multi-stat-product", {"m": m, "order": order}, order,
+                     lambda n: (MultiPoly.const(variables, 1) if n == 0
+                                else multi_stat_poly_brute(m, n)),
+                     rhs.coefficient)
+    # both sides are 1 at n = 0, so an x^1 mismatch comes first
     gap = None
-    for n in range(order + 1):
-        lhs = (MultiPoly.const(variables, 1) if n == 0
-               else multi_stat_poly_brute(m, n))
-        if lhs == rhs.coefficient(n):
-            continue
-        if n == 1 and m >= 2:
-            gap = (lhs.render(), rhs.coefficient(1).render())
-        else:
-            check.mismatches.append(
-                (n, lhs.render(), rhs.coefficient(n).render())
-            )
+    if m >= 2 and check.mismatches and check.mismatches[0][0] == 1:
+        gap = check.mismatches.pop(0)[1:]
     check.params["order_one_gap"] = gap
     return check
 
@@ -294,23 +284,21 @@ def verify_tensor_symmetry(m, n):
 # -- convolution identity ---------------------------------------------------
 
 
-def verify_convolution_identity(m, n_max, t_max=None):
+def verify_convolution_identity(m, n_max):
     """Check that summing products of q-luck polynomials over weak
     compositions equals the count-weighted h-basis combination.
 
-    For every n <= n_max and every width 2 <= t <= m+1 (or t_max):
+    For every n <= n_max and every width 2 <= t <= m+1:
         sum over t-compositions a of n of prod_i R_(a_i)(q_(i-1))
         == sum_k C_(n,k) * h_k(q_0, ..., q_(t-1)).
     """
-    if t_max is None:
-        t_max = m + 1
     check = IdentityCheck("luck-convolution", {"m": m, "n_max": n_max,
-                                               "t_max": t_max})
+                                               "t_max": m + 1})
     r_polys = [r_poly_brute(m, n) for n in range(n_max + 1)]
     luck_counts = [
         {e[0]: c for e, c in poly.items()} for poly in r_polys
     ]
-    for t in range(2, t_max + 1):
+    for t in range(2, m + 2):
         variables = tuple(f"q{i}" for i in range(t))
         # per-variable copies of every R_n
         per_var = [

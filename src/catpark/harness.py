@@ -9,8 +9,15 @@ stops reproducing.
 
 Every entry is made by ``_report``, which times one callable returning
 (status, counterexample); an entry's millis covers that call alone.
-``_verdict`` turns an engine IdentityCheck into that pair, and ``_per_m``
-builds the checks that report one body per m under {"m": m, option: value}.
+``_verdict`` turns an engine IdentityCheck into that pair.
+
+``DEFAULTS`` is the one table of what each per-m check runs: for each scope,
+the option it reads (order or max_n) and its default value per m.  The keys
+are the m values a check runs at without --m.  ``_settings`` resolves it
+into [(m, value)]: --m alone or every key, and the explicit option value
+(0 included) or the m's default; an m outside the table gets the scope's
+smallest default.  ``_per_m(scope, identity)`` builds the checks that
+report one body per m under {"m": m, option: value}.
 """
 
 import time
@@ -64,8 +71,23 @@ GAMMA_H_VECTORS = {
     3: [(1,), (1, 2), (1, 5, 9), (1, 8, 30, 52)],
     4: [(1,), (1, 3), (1, 7, 18), (1, 11, 56, 136)],
 }
-MULTISTAT_ORDERS = {1: 5, 2: 4, 3: 3}  # default series order per m
-TENSOR_SYMMETRY_SIZES = {2: 5, 3: 4}  # largest backbone size checked per m
+# scope -> (option, {m: default}); see the module docstring
+DEFAULTS = {
+    "counting": ("max_n", dict.fromkeys((1, 2, 3, 4), 6)),
+    "funceq": ("order", dict.fromkeys((1, 2, 3, 4), 12)),
+    "hseries": ("order", {2: 6, 3: 6}),
+    "recurrence": ("max_n", dict.fromkeys((1, 2, 3), 7)),
+    "involution": ("max_n", dict.fromkeys((1, 2, 3), 6)),
+    "gamma": ("order", {2: 5, 3: 4}),
+    "qluck": ("order", dict.fromkeys((1, 2, 3), 6)),
+    "hbasis": ("max_n", dict.fromkeys(GAMMA_H_VECTORS, 4)),
+    "eta": ("max_n", dict.fromkeys((1, 2, 3), 5)),
+    "theta": ("max_n", dict.fromkeys((1, 2, 3), 6)),
+    "lattice": ("max_n", dict.fromkeys((1, 2, 3), 5)),
+    "multistat": ("order", {1: 5, 2: 4, 3: 3}),
+    "tensor": ("max_n", {2: 5, 3: 4}),
+    "convolution": ("max_n", dict.fromkeys((1, 2, 3), 5)),
+}
 # (m, n) trees checked over every multiset of labels, and by enumeration
 PARKING_SMALL = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
 PARKING_LARGER = ((2, 5), (3, 4))
@@ -123,19 +145,24 @@ def _verdict(check):
             check.mismatches[0] if check.mismatches else None)
 
 
-def _opt(opts, key, default):
-    """An explicit option value, 0 included, else the default."""
-    value = opts.get(key)
-    return default if value is None else value
+def _settings(scope, opts):
+    """[(m, value)] for scope; see the module docstring."""
+    option, defaults = DEFAULTS[scope]
+    m, value = opts.get("m"), opts.get(option)
+    fallback = min(defaults.values())
+    return [(k, defaults.get(k, fallback) if value is None else value)
+            for k in (defaults if m is None else (m,))]
 
 
-def _per_m(identity, ms, option, default):
+def _per_m(scope, identity):
     """Turn body(m, **{option: value}) -> (status, counterexample) into a
-    CHECKS callable that reports identity [m=m option=value] for each m."""
+    CHECKS callable that reports identity [m=m option=value] for each
+    (m, value) of _settings(scope)."""
+    option = DEFAULTS[scope][0]
+
     def make(body):
         def check(entries, opts):
-            value = _opt(opts, option, default)
-            for m in _m_range(opts, ms):
+            for m, value in _settings(scope, opts):
                 _report(entries, identity, {"m": m, option: value},
                         lambda: body(m, **{option: value}))
         return check
@@ -145,7 +172,7 @@ def _per_m(identity, ms, option, default):
 # -- individual checks -----------------------------------------------------
 
 
-@_per_m("counting", (1, 2, 3, 4), "max_n", 6)
+@_per_m("counting", "counting")
 def check_counting(m, max_n):
     for n in range(max_n + 1):
         fam = canonical_family(m)
@@ -158,12 +185,12 @@ def check_counting(m, max_n):
     return "pass", None
 
 
-@_per_m("functional-equation", (1, 2, 3, 4), "order", 12)
+@_per_m("funceq", "functional-equation")
 def check_funceq(m, order):
     return _verdict(verify_functional_equation(m, order))
 
 
-@_per_m("count-series-power", (2, 3), "order", 6)
+@_per_m("hseries", "count-series-power")
 def check_hseries(m, order):
     for k in (1, 2, 3):
         for r in range(m):
@@ -173,7 +200,7 @@ def check_hseries(m, order):
     return "pass", None
 
 
-@_per_m("count-recurrence", (1, 2, 3), "max_n", 7)
+@_per_m("recurrence", "count-recurrence")
 def check_recurrence(m, max_n):
     """The two convolution recurrences satisfied by the (m,k,r) counts."""
     def h(k, r, n):
@@ -195,7 +222,7 @@ def check_recurrence(m, max_n):
     return "pass", None
 
 
-@_per_m("luck-ones-involution", (1, 2, 3), "max_n", 6)
+@_per_m("involution", "luck-ones-involution")
 def check_involution(m, max_n):
     """One tau table per m: enumeration runs by increasing length, so every
     component of p is already in it and each tau assembles one level.
@@ -219,23 +246,21 @@ def check_involution(m, max_n):
     return "pass", None
 
 
-def check_gamma(entries, opts):
-    for m in _m_range(opts, (2, 3)):
-        order = _opt(opts, "order", 5 if m == 2 else 4)
-        _report(entries, "joint-series", {"m": m, "order": order},
-                lambda: _verdict(verify_gamma_series(m, order)))
+@_per_m("gamma", "joint-series")
+def check_gamma(m, order):
+    return _verdict(verify_gamma_series(m, order))
 
 
-@_per_m("q-luck-series", (1, 2, 3), "order", 6)
+@_per_m("qluck", "q-luck-series")
 def check_qluck(m, order):
     return _verdict(verify_r_series(m, order))
 
 
 def check_hbasis(entries, opts):
-    # GAMMA_H_VECTORS holds data for n = 1..4 only
-    n_max = min(_opt(opts, "max_n", 4), 4)
-    for m in _m_range(opts, tuple(GAMMA_H_VECTORS)):
-        def run(m=m):
+    for m, n_max in _settings("hbasis", opts):
+        n_max = min(n_max, 4)  # GAMMA_H_VECTORS holds data for n = 1..4 only
+
+        def run(m=m, n_max=n_max):
             fam_counts = [count_for_bounds(
                 [m * i - 1 for i in range(1, r + 1)]) for r in range(n_max + 1)]
             for n in range(1, n_max + 1):
@@ -261,7 +286,7 @@ def check_hbasis(entries, opts):
         _report(entries, "h-basis-decomposition", {"m": m, "max_n": n_max}, run)
 
 
-@_per_m("component-rebuild-bijection", (1, 2, 3), "max_n", 5)
+@_per_m("eta", "component-rebuild-bijection")
 def check_eta(m, max_n):
     """p is cut once, for eta's core and the block relations; each image
     gets one is_u_pk bound check before it goes into _eta_inv.
@@ -298,7 +323,7 @@ def check_eta(m, max_n):
     return "pass", None
 
 
-@_per_m("tree-iso-transport", (1, 2, 3), "max_n", 6)
+@_per_m("theta", "tree-iso-transport")
 def check_theta(m, max_n):
     """theta checks p; one is_tree_pk per image is the distribution check,
     after which the inverse and the parking run on the core."""
@@ -371,11 +396,10 @@ def check_parking(entries, opts):
 
 
 def check_lattice(entries, opts):
-    n_max = _opt(opts, "max_n", 5)
-    ms = _m_range(opts, (1, 2, 3))
+    settings = _settings("lattice", opts)
 
     def run():
-        for m in ms:
+        for m, n_max in settings:
             fam = canonical_family(m)
             for n in range(n_max + 1):
                 for p in enumerate_u_pk(n, fam):
@@ -393,15 +417,14 @@ def check_lattice(entries, opts):
                             x += 1
         return "pass", None
 
-    params = {"max_n": n_max}
+    params = {"max_n": settings[0][1]}
     if opts.get("m") is not None:
         params = {"m": opts["m"], **params}
     _report(entries, "lattice-codec", params, run)
 
 
 def check_multistat(entries, opts):
-    for m in _m_range(opts, tuple(MULTISTAT_ORDERS)):
-        order = _opt(opts, "order", MULTISTAT_ORDERS[m])
+    for m, order in _settings("multistat", opts):
         _report(entries, "multi-stat-product", {"m": m, "order": order},
                 lambda: _verdict(verify_multi_stat_product(m, order)))
         if m >= 2 and order >= 1:  # the gap sits in the x^1 coefficient
@@ -433,9 +456,7 @@ def check_tensor(entries, opts):
 
     if opts.get("m") in (None, 2):
         _report(entries, "tensor-table", {"m": 2, "n": 4}, run)
-    for m in _m_range(opts, tuple(TENSOR_SYMMETRY_SIZES)):
-        n_top = _opt(opts, "max_n", TENSOR_SYMMETRY_SIZES[m])
-
+    for m, n_top in _settings("tensor", opts):
         def run_sym(m=m, n_top=n_top):
             for n in range(1, n_top + 1):
                 check = verify_tensor_symmetry(m, n)
@@ -447,46 +468,37 @@ def check_tensor(entries, opts):
 
 
 def check_convolution(entries, opts):
-    n_max = _opt(opts, "max_n", 5)
-    for m in _m_range(opts, (1, 2, 3)):
+    for m, n_max in _settings("convolution", opts):
         _report(entries, "luck-convolution",
                 {"m": m, "n_max": n_max, "t_max": m + 1},
                 lambda: _verdict(verify_convolution_identity(m, n_max)))
 
 
-def check_errata(entries, opts):
-    def stated_count(m, n):
-        # the printed path-count claim: index n-1 at regularity m+1
-        return fuss_catalan(m + 1, n - 1)
+def _literal_erratum(verify, order):
+    """A printed m=2 series: its literal form first disagrees with
+    enumeration at n = 2, while the corrected form passes."""
+    literal = verify(2, order, literal=True)
+    corrected = verify(2, order)
+    if corrected.ok and not literal.ok and literal.mismatches[0][0] == 2:
+        idx, brute, stated = literal.mismatches[0]
+        return "erratum", {"n": idx, "enumerated": brute, "stated": stated}
+    return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
 
+
+def check_errata(entries, opts):
     def run_prop1():
         enumerated = sum(1 for _ in enumerate_u_pk(3, canonical_family(2)))
-        stated = stated_count(2, 3)
+        # the printed path-count claim: index n-1 at regularity m+1
+        stated = fuss_catalan(2 + 1, 3 - 1)
         if enumerated == 12 and stated == 4:
             return "erratum", {"enumerated": enumerated, "stated": stated}
         return "fail", {"enumerated": enumerated, "stated": stated}
 
     _report(entries, "stated-count-erratum", {"m": 2, "n": 3}, run_prop1)
-
-    def run_cor1():
-        literal = verify_r_series(2, 4, literal=True)
-        corrected = verify_r_series(2, 4)
-        if corrected.ok and not literal.ok and literal.mismatches[0][0] == 2:
-            idx, brute, stated = literal.mismatches[0]
-            return "erratum", {"n": idx, "enumerated": brute, "stated": stated}
-        return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
-
-    _report(entries, "q-luck-exponent-erratum", {"m": 2}, run_cor1)
-
-    def run_thm3():
-        literal = verify_gamma_series(2, 2, literal=True)
-        corrected = verify_gamma_series(2, 2)
-        if corrected.ok and not literal.ok and literal.mismatches[0][0] == 2:
-            idx, brute, stated = literal.mismatches[0]
-            return "erratum", {"n": idx, "enumerated": brute, "stated": stated}
-        return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
-
-    _report(entries, "joint-series-arguments-erratum", {"m": 2}, run_thm3)
+    _report(entries, "q-luck-exponent-erratum", {"m": 2},
+            lambda: _literal_erratum(verify_r_series, 4))
+    _report(entries, "joint-series-arguments-erratum", {"m": 2},
+            lambda: _literal_erratum(verify_gamma_series, 2))
 
 
 CHECKS = {
@@ -509,20 +521,10 @@ CHECKS = {
 }
 
 
-def _m_range(opts, default):
-    m = opts.get("m")
-    if m is None:
-        return default
-    return tuple(v for v in default if v == m) or (m,)
-
-
 # Checks that read per-m reference data run only at the m it covers.
-M_SUPPORT = {
-    "hbasis": GAMMA_H_VECTORS,
-    "multistat": MULTISTAT_ORDERS,
-    "tensor": TENSOR_SYMMETRY_SIZES,
-    "parking": dict.fromkeys(m for m, _ in PARKING_SMALL),
-}
+M_SUPPORT = {scope: DEFAULTS[scope][1]
+             for scope in ("hbasis", "multistat", "tensor")}
+M_SUPPORT["parking"] = dict.fromkeys(m for m, _ in PARKING_SMALL)
 
 
 def run_verification(scope="all", **opts):

@@ -82,13 +82,13 @@ class MultiPoly:
         return cls(variables, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, variables, powers, coeff=1):
+    def monomial(cls, variables, powers):
         """powers maps variable name -> exponent; omitted names get 0."""
         variables = tuple(variables)
         exps = [0] * len(variables)
         for name, e in powers.items():
             exps[variables.index(name)] = e
-        return cls(variables, {tuple(exps): coeff})
+        return cls(variables, {tuple(exps): 1})
 
     # -- inspection ------------------------------------------------------
 

@@ -382,6 +382,9 @@ def test_any_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    # every error comes before the first write to stdout
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
 
 
 def _call(argv):

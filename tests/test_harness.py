@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from catpark import decomposition, harness
+from catpark.engine import IdentityCheck
 from catpark.harness import CHECKS, run_verification
 from catpark.sequences import fuss_catalan
 
@@ -21,8 +22,71 @@ def _count_calls(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_full_run_is_green():
-    report = run_verification("all")
+# (identity, params, status) of every entry of the default report
+DEFAULT_REPORT = [
+    ("counting", {"m": 1, "max_n": 6}, "pass"),
+    ("counting", {"m": 2, "max_n": 6}, "pass"),
+    ("counting", {"m": 3, "max_n": 6}, "pass"),
+    ("counting", {"m": 4, "max_n": 6}, "pass"),
+    ("functional-equation", {"m": 1, "order": 12}, "pass"),
+    ("functional-equation", {"m": 2, "order": 12}, "pass"),
+    ("functional-equation", {"m": 3, "order": 12}, "pass"),
+    ("functional-equation", {"m": 4, "order": 12}, "pass"),
+    ("count-series-power", {"m": 2, "order": 6}, "pass"),
+    ("count-series-power", {"m": 3, "order": 6}, "pass"),
+    ("count-recurrence", {"m": 1, "max_n": 7}, "pass"),
+    ("count-recurrence", {"m": 2, "max_n": 7}, "pass"),
+    ("count-recurrence", {"m": 3, "max_n": 7}, "pass"),
+    ("luck-ones-involution", {"m": 1, "max_n": 6}, "pass"),
+    ("luck-ones-involution", {"m": 2, "max_n": 6}, "pass"),
+    ("luck-ones-involution", {"m": 3, "max_n": 6}, "pass"),
+    ("joint-series", {"m": 2, "order": 5}, "pass"),
+    ("joint-series", {"m": 3, "order": 4}, "pass"),
+    ("q-luck-series", {"m": 1, "order": 6}, "pass"),
+    ("q-luck-series", {"m": 2, "order": 6}, "pass"),
+    ("q-luck-series", {"m": 3, "order": 6}, "pass"),
+    ("h-basis-decomposition", {"m": 2, "max_n": 4}, "pass"),
+    ("h-basis-decomposition", {"m": 3, "max_n": 4}, "pass"),
+    ("h-basis-decomposition", {"m": 4, "max_n": 4}, "pass"),
+    ("component-rebuild-bijection", {"m": 1, "max_n": 5}, "pass"),
+    ("component-rebuild-bijection", {"m": 2, "max_n": 5}, "pass"),
+    ("component-rebuild-bijection", {"m": 3, "max_n": 5}, "pass"),
+    ("tree-iso-transport", {"m": 1, "max_n": 6}, "pass"),
+    ("tree-iso-transport", {"m": 2, "max_n": 6}, "pass"),
+    ("tree-iso-transport", {"m": 3, "max_n": 6}, "pass"),
+    ("condition-vs-process",
+     {"small": [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3)],
+      "enumerated": [(2, 5), (3, 4)]}, "pass"),
+    ("lattice-codec", {"max_n": 5}, "pass"),
+    ("multi-stat-product", {"m": 1, "order": 5}, "pass"),
+    ("multi-stat-product", {"m": 2, "order": 4}, "pass"),
+    ("multi-stat-product-order1", {"m": 2, "order": 1}, "erratum"),
+    ("multi-stat-product", {"m": 3, "order": 3}, "pass"),
+    ("multi-stat-product-order1", {"m": 3, "order": 1}, "erratum"),
+    ("tensor-table", {"m": 2, "n": 4}, "pass"),
+    ("tensor-symmetry", {"m": 2, "max_n": 5}, "pass"),
+    ("tensor-symmetry", {"m": 3, "max_n": 4}, "pass"),
+    ("luck-convolution", {"m": 1, "n_max": 5, "t_max": 2}, "pass"),
+    ("luck-convolution", {"m": 2, "n_max": 5, "t_max": 3}, "pass"),
+    ("luck-convolution", {"m": 3, "n_max": 5, "t_max": 4}, "pass"),
+    ("stated-count-erratum", {"m": 2, "n": 3}, "erratum"),
+    ("q-luck-exponent-erratum", {"m": 2}, "erratum"),
+    ("joint-series-arguments-erratum", {"m": 2}, "erratum"),
+]
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_verification("all")
+
+
+def test_default_report_is_pinned(default_report):
+    assert [(e.identity, e.params, e.status)
+            for e in default_report.entries] == DEFAULT_REPORT
+
+
+def test_full_run_is_green(default_report):
+    report = default_report
     assert report.ok
     assert report.exit_code == 0
     assert len(report.entries) == 46
@@ -184,9 +248,34 @@ def test_parking_honours_m(monkeypatch):
                                       ("tensor", 1), ("tensor", 4),
                                       ("parking", 4)])
 def test_unsupported_m_is_refused(scope, m):
-    assert scope in harness.M_SUPPORT
-    with pytest.raises(ValueError, match=f"--m {m} .*'{scope}'"):
+    """The refusal lists exactly the m the scope's table (for parking, its
+    tree shapes) has."""
+    listed = {"hbasis": "2, 3, 4", "multistat": "1, 2, 3", "tensor": "2, 3",
+              "parking": "1, 2, 3"}[scope]
+    supported = tuple(harness.M_SUPPORT[scope])
+    assert ", ".join(map(str, supported)) == listed
+    if scope != "parking":
+        assert supported == tuple(harness.DEFAULTS[scope][1])
+    with pytest.raises(ValueError) as info:
         run_verification(scope, m=m)
+    assert str(info.value) == (f"--m {m} is not supported by check "
+                               f"'{scope}' (m in {listed})")
+
+
+@pytest.mark.parametrize("m, order", [(1, 4), (2, 5), (4, 4)])
+def test_m_outside_the_table_gets_the_smallest_default(monkeypatch, m, order):
+    """gamma's table is {2: 5, 3: 4}; any other --m runs order 4."""
+    calls = []
+
+    def spy(m, order):
+        calls.append((m, order))
+        return IdentityCheck("joint-series", {})
+
+    monkeypatch.setattr(harness, "verify_gamma_series", spy)
+    report = run_verification("gamma", m=m)
+    assert calls == [(m, order)]
+    assert [(e.identity, e.params) for e in report.entries] == [
+        ("joint-series", {"m": m, "order": order})]
 
 
 def test_parking_honours_max_n(monkeypatch):
