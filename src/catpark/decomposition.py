@@ -22,9 +22,15 @@ each), exchanging the luck statistic with the multiplicity of 1.  Its core
 ``_tau(seq, m, images)`` reads and fills a caller-owned table of images
 (sequence -> tau image): it answers a sequence already in the table and
 adds the image of every component it computes, never that of seq itself.
-Public ``tau`` passes a fresh table, so each call stands alone; a sweep
-that visits sequences by increasing length can keep one table and store
-each image it wants reused, so each tau costs one cut and one assembly.
+When the images of both end blocks are already in the table, ``_tau``
+takes a direct path: one cut, two lookups, one assembly.  Only otherwise
+does it fall back to an explicit stack, seeded with the components it
+has cut.  Public ``tau`` passes a fresh table, so each call stands alone;
+a sweep that visits sequences by increasing length can keep one table
+and store each image it wants reused, so every tau it asks for takes the
+direct path.  Because tau is an involution, such a sweep computes each
+image once: tau(p) and tau(tau(p)) cover the orbit {p, tau(p)}, so the
+orbit's later member needs no visit of its own.
 
 The map eta rebuilds a distribution from the per-component multiplicities
 of 1 and transports every other entry upward by a component-dependent
@@ -33,6 +39,7 @@ offset.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import eq
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
 from catpark.sequences import canonical_family, is_u_pk
@@ -80,7 +87,7 @@ def _cut(seq, cuts):
             blocks.append(())
         else:
             shift = seq[start - 1] - 1
-            blocks.append(tuple(v - shift for v in seq[start - 1:stop - 1]))
+            blocks.append(tuple([v - shift for v in seq[start - 1:stop - 1]]))
     return tuple(blocks)
 
 
@@ -97,12 +104,12 @@ def _assemble(components, m):
         start = len(out) + 1
         cuts.append(start)
         shift = m * (start - 2) + j
-        out.extend(v + shift for v in components[j])
+        out.extend([v + shift for v in components[j]])
     return tuple(out), tuple(cuts)
 
 
 def _luck(seq, m):
-    return sum(1 for i, v in enumerate(seq, start=1) if v == m * i - m + 1)
+    return sum(map(eq, seq, range(1, m * len(seq) + 1, m)))
 
 
 # -- public entry points: validate once, then run on the core --------------
@@ -169,16 +176,21 @@ def _tau(seq, m, images):
     """tau of an in-bounds seq, reading and filling the table images.
 
     images maps sequences to their tau images and holds at least {(): ()}.
-    A seq already in the table is answered from it.  Otherwise the image of
-    every component computed on the way is added to images, but not the
-    image of seq itself: the caller decides whether the table keeps it.
-    Evaluated with an explicit stack so deep inputs cannot hit the
-    recursion limit.
+    A seq already in the table is answered from it.  When the images of
+    both end blocks are in the table too, seq is cut and assembled once.
+    Otherwise the image of every component computed on the way is added to
+    images, but not the image of seq itself: the caller decides whether the
+    table keeps it.  That fallback runs on an explicit stack so deep inputs
+    cannot hit the recursion limit.
     """
     image = images.get(seq)
     if image is not None:
         return image
-    parts = {}
+    comps = _cut(seq, _fixed_points(seq, m))
+    first, last = images.get(comps[0]), images.get(comps[m])
+    if first is not None and last is not None:
+        return _assemble((last,) + comps[1:m] + (first,), m)[0]
+    parts = {seq: comps}
     stack = [seq]
     while stack:
         s = stack.pop()

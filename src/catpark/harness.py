@@ -56,7 +56,10 @@ from catpark.engine import (
     verify_tensor_symmetry,
     verify_thm_rec,
 )
+from catpark.errors import EnumerationCapError
 from catpark.sequences import (
+    DEFAULT_MAX_OBJECTS,
+    _raney_count,
     canonical_family,
     count_for_bounds,
     count_u_pk,
@@ -225,24 +228,42 @@ def check_recurrence(m, max_n):
 @_per_m("involution", "luck-ones-involution")
 def check_involution(m, max_n):
     """One tau table per m: enumeration runs by increasing length, so every
-    component of p is already in it and each tau assembles one level.
-    Images of the top length are never stored, which keeps the table small.
-    The core assembles unchecked, so each q gets one is_u_pk bound check.
+    component of p is already in it and each tau takes _tau's direct path,
+    one cut and one assembly.
+
+    Each orbit {p, q = tau(p)} is computed once, from its first member p:
+    q gets the one is_u_pk bound check, tau(q) is computed only when q != p
+    and must give back p, and luck and the multiplicity of 1 must swap.
+    That settles q too, so a q after p in the walk is held in a pending set
+    and skipped when the walk reaches it; one still pending when its length
+    is done was never enumerated and fails.  Below max_n the table keeps
+    both images of the orbit; images of the top length are never stored,
+    which keeps the table small.
     """
     fam = canonical_family(m)
     images = {(): ()}
     for n in range(max_n + 1):
+        pending = set()
         for p in enumerate_u_pk(n, fam):
+            if p in pending:
+                pending.remove(p)
+                continue
             q = _tau(p, m, images)
             if not is_u_pk(q, fam):
                 return "fail", {"n": n, "p": p, "tau": q, "reason": "bounds"}
-            if _tau(q, m, images) != p:
+            if q != p and _tau(q, m, images) != p:
                 return "fail", {"n": n, "p": p, "tau": q}
             if _luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != _luck(q, m):
                 return "fail", {"n": n, "p": p, "tau": q,
                                 "reason": "statistic exchange"}
+            if q > p:
+                pending.add(q)
             if n < max_n:
                 images[p] = q
+                images[q] = p
+        if pending:
+            q = min(pending)
+            return "fail", {"n": n, "p": _tau(q, m, images), "tau": q}
     return "pass", None
 
 
@@ -521,6 +542,25 @@ CHECKS = {
 }
 
 
+# Checks that enumerate every length up to their max_n with enumerate_u_pk.
+ENUMERATED = ("counting", "involution", "eta", "theta", "lattice")
+
+
+def _check_caps(names, opts):
+    """Raise, before any check runs, the EnumerationCapError that
+    enumerate_u_pk would raise first in this run: the first n, in check
+    order, whose closed-form count exceeds DEFAULT_MAX_OBJECTS."""
+    for name in names:
+        if name not in ENUMERATED:
+            continue
+        for m, max_n in _settings(name, opts):
+            fam = canonical_family(m)
+            for n in range(max_n + 1):  # counts grow with n, so this stops
+                projected = _raney_count(n, fam)
+                if projected > DEFAULT_MAX_OBJECTS:
+                    raise EnumerationCapError(projected, DEFAULT_MAX_OBJECTS)
+
+
 # Checks that read per-m reference data run only at the m it covers.
 M_SUPPORT = {scope: DEFAULTS[scope][1]
              for scope in ("hbasis", "multistat", "tensor")}
@@ -536,7 +576,9 @@ def run_verification(scope="all", **opts):
     ``tensor-table`` are fixed demonstrations that take no order or max_n.
     Values out of range, an m that a selected check has no data for, or
     --scope errata with an m other than 2 raise ValueError before any check
-    runs; messages name the matching CLI options.
+    runs; messages name the matching CLI options.  A max_n at which an
+    enumeration would exceed DEFAULT_MAX_OBJECTS raises EnumerationCapError,
+    also before any check runs.
     """
     if scope == "all":
         names = list(CHECKS)
@@ -562,6 +604,7 @@ def run_verification(scope="all", **opts):
             if scope == "errata":
                 raise ValueError(f"--scope errata runs at m=2 only, got --m {m}")
             names = [name for name in names if name != "errata"]
+    _check_caps(names, opts)
     report = VerificationReport()
     for name in names:
         CHECKS[name](report.entries, opts)

@@ -258,6 +258,17 @@ def test_byte_determinism(capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_refuses_an_enumeration_over_the_cap(capsys, monkeypatch):
+    import catpark.harness as harness
+
+    monkeypatch.setattr(harness, "enumerate_u_pk", None)  # no check may run
+    code, out, err = run_cli(capsys, "verify", "--scope", "counting",
+                             "--m", "5", "--max-n", "9")
+    assert code == 3 and out == ""
+    assert err == ("catpark verify: enumeration would yield 115607310 "
+                   "objects, exceeding the cap of 100000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-n", "-1"],
     ["--order", "-1"],

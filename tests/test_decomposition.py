@@ -213,6 +213,32 @@ def test_tau_core_on_one_table_matches_tau():
                 assert decomposition._tau(p, m, images) is q
 
 
+def test_tau_direct_path_matches_stack_path():
+    """_tau with every shorter image in the table (the direct path: one cut,
+    two lookups, one assembly, the table untouched) equals _tau on a fresh
+    {(): ()} table, which runs the explicit stack."""
+    for m in (1, 2, 3):
+        full = {(): ()}
+        for n in range(7):
+            level = {}
+            for p in enumerate_u_pk(n, canonical_family(m)):
+                q = decomposition._tau(p, m, {(): ()})
+                size = len(full)
+                assert decomposition._tau(p, m, full) == q
+                assert len(full) == size
+                level[p] = q
+            full.update(level)
+
+
+def test_luck_matches_its_definition():
+    """_luck counts the positions i with seq[i] = m*i - m + 1."""
+    for m in (1, 2, 3, 4):
+        for n in range(7):
+            for p in enumerate_u_pk(n, canonical_family(m)):
+                assert decomposition._luck(p, m) == sum(
+                    1 for i in range(1, n + 1) if p[i - 1] == m * i - m + 1)
+
+
 def test_tau_deep_input_stays_off_the_call_stack():
     # m=1 all-ones nests first components 1500 deep, past the default
     # recursion limit; tau swaps luck 1 and omega_1 = n

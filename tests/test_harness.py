@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from catpark import decomposition, harness
+from catpark.decomposition import tau
 from catpark.engine import IdentityCheck
+from catpark.errors import EnumerationCapError
 from catpark.harness import CHECKS, run_verification
-from catpark.sequences import fuss_catalan
+from catpark.sequences import canonical_family, enumerate_u_pk, fuss_catalan
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -383,14 +385,89 @@ def test_theta_checks_each_object_once(monkeypatch):
 
 
 def test_involution_checks_each_image_once(monkeypatch):
-    """One is_u_pk per tau image; the core checks nothing it assembles."""
+    """One is_u_pk per computed tau image, that is one per tau orbit; the
+    core checks nothing it assembles."""
+    orbits = sum(1 for m in (1, 2, 3) for n in range(6)
+                 for p in enumerate_u_pk(n, canonical_family(m))
+                 if tau(p, m) <= p)
     calls = {}
     _count_calls(monkeypatch, calls, harness, "is_u_pk")
     _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
     report = run_verification("involution", max_n=5)
     assert report.ok and len(report.entries) == 3
-    objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(6))
-    assert calls == {"harness.is_u_pk": objects}
+    assert calls == {"harness.is_u_pk": orbits}
+
+
+def test_involution_skips_the_second_tau_exactly_at_fixed_points(monkeypatch):
+    """Each visited p costs _tau(p) and, only when q = tau(p) differs from
+    p, _tau(q); a fixed point is not recomputed."""
+    calls = []
+    real = harness._tau
+
+    def spy(seq, m, images):
+        image = real(seq, m, images)
+        calls.append((seq, image))
+        return image
+
+    monkeypatch.setattr(harness, "_tau", spy)
+    assert run_verification("involution", max_n=5).ok
+    fixed = pairs = i = 0
+    while i < len(calls):
+        p, q = calls[i]
+        if q == p:
+            assert i + 1 == len(calls) or calls[i + 1][0] != p
+            fixed, i = fixed + 1, i + 1
+        else:
+            assert calls[i + 1] == (q, p)
+            pairs, i = pairs + 1, i + 2
+    assert fixed and pairs
+
+
+def test_involution_catches_a_broken_skipped_partner(monkeypatch):
+    """The later member q of a pair at the top length is never visited, so
+    breaking tau on q must fail at the earlier member p."""
+    p, q = (1, 1, 1), (1, 3, 5)
+    assert tau(p, 2) == q and p < q
+    real = harness._tau
+
+    def broken(seq, m, images):
+        return (1, 1, 2) if seq == q else real(seq, m, images)
+
+    monkeypatch.setattr(harness, "_tau", broken)
+    report = run_verification("involution", m=2, max_n=3)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("luck-ones-involution", "fail")]
+    assert report.entries[0].counterexample == {"n": 3, "p": p, "tau": q}
+
+
+def test_involution_reports_a_partner_never_enumerated(monkeypatch):
+    """An in-bounds image of another length that passes every check of its
+    orbit is never reached by the walk of p's length, and fails."""
+    swap = {(1,): (1, 2), (1, 2): (1,)}
+    real = harness._tau
+    monkeypatch.setattr(harness, "_tau", lambda seq, m, images:
+                        swap.get(seq) or real(seq, m, images))
+    report = run_verification("involution", m=2, max_n=1)
+    assert report.entries[0].status == "fail"
+    assert report.entries[0].counterexample == {"n": 1, "p": (1,),
+                                                "tau": (1, 2)}
+
+
+@pytest.mark.parametrize("scope", harness.ENUMERATED)
+def test_enumeration_cap_is_checked_before_any_check(monkeypatch, scope):
+    """The cap refusal comes before the first check body, with the message
+    enumerate_u_pk gives at the first n over the cap."""
+    ran = []
+    for name in CHECKS:
+        monkeypatch.setitem(CHECKS, name,
+                            lambda entries, opts, name=name: ran.append(name))
+    with pytest.raises(EnumerationCapError) as caught:
+        run_verification(scope, m=5, max_n=9)
+    assert str(caught.value) == ("enumeration would yield 115607310 objects, "
+                                 "exceeding the cap of 100000000")
+    assert ran == []
+    run_verification(scope, m=5, max_n=8)
+    assert ran == [scope]
 
 
 def test_involution_reports_an_image_out_of_bounds(monkeypatch):
