@@ -27,9 +27,9 @@ from functools import lru_cache
 from catpark.errors import NonMembershipError
 from catpark.sequences import (
     DEFAULT_MAX_OBJECTS,
+    _require_canonical,
     canonical_family,
     enumerate_u_pk,
-    is_u_pk,
 )
 
 
@@ -166,8 +166,7 @@ def theta(seq, m, n):
         raise ValueError(f"n must be >= 1, got {n}")
     if len(seq) != n:
         raise ValueError(f"expected length {n}, got {len(seq)}")
-    if not is_u_pk(seq, canonical_family(m)):
-        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
+    _require_canonical(seq, m)
     return tuple(sorted(tuple(seq) + non_backbone_labels(m, n)))
 
 
@@ -206,8 +205,7 @@ def to_lattice_path(seq, m):
     The word is E^(p1-1) N E^(p2-p1) N ... N E^(m(n-1)+1-pn); it runs from
     (0,0) to (m(n-1), n) and satisfies x <= m*y just before every N step.
     """
-    if not is_u_pk(seq, canonical_family(m)):
-        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
+    _require_canonical(seq, m)
     n = len(seq)
     if n == 0:
         return ""

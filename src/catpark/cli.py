@@ -91,11 +91,20 @@ def _parse_seq(text):
 
 
 def _family(args):
+    """The bound family of --m, --k and --r for enumerate and count; --kind
+    cat takes no --k/--r and needs --n >= 1."""
     if (args.k is None) != (args.r is None):
         raise ValueError("--k and --r must be given together")
     if args.k is None:
-        return canonical_family(args.m)
-    return BoundFamily(args.m, args.k, args.r)
+        fam = canonical_family(args.m)
+    else:
+        fam = BoundFamily(args.m, args.k, args.r)
+    if args.kind == "cat":
+        if args.k is not None:
+            raise ValueError("--k/--r only apply to --kind u")
+        if args.n < 1:
+            raise ValueError("--n must be >= 1 for --kind cat")
+    return fam
 
 
 def _backbone_length(seq, m):
@@ -154,10 +163,6 @@ def cmd_enumerate(args, out):
                               sep=sep)
         length = args.n
     else:
-        if args.k is not None:
-            raise ValueError("--k/--r only apply to --kind u")
-        if args.n < 1:
-            raise ValueError("--n must be >= 1 for --kind cat")
         rows = enumerate_caterpillar_pk(args.m, args.n,
                                         max_objects=args.max_objects, sep=sep)
         length = args.m * args.n - args.m + 1
@@ -186,11 +191,6 @@ def cmd_enumerate(args, out):
 
 def cmd_count(args, out):
     fam = _family(args)
-    if args.kind == "cat":
-        if args.k is not None:
-            raise ValueError("--k/--r only apply to --kind u")
-        if args.n < 1:
-            raise ValueError("--n must be >= 1 for --kind cat")
     count = count_u_pk(args.n, fam)
     payload = {"m": args.m, "k": fam.k, "r": fam.r, "n": args.n,
                "kind": args.kind, "count": count}

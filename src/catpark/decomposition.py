@@ -22,15 +22,15 @@ each), exchanging the luck statistic with the multiplicity of 1.  Its core
 ``_tau(seq, m, images)`` reads and fills a caller-owned table of images
 (sequence -> tau image): it answers a sequence already in the table and
 adds the image of every component it computes, never that of seq itself.
-When the images of both end blocks are already in the table, ``_tau``
-takes a direct path: one cut, two lookups, one assembly.  Only otherwise
-does it fall back to an explicit stack, seeded with the components it
-has cut.  Public ``tau`` passes a fresh table, so each call stands alone;
-a sweep that visits sequences by increasing length can keep one table
-and store each image it wants reused, so every tau it asks for takes the
-direct path.  Because tau is an involution, such a sweep computes each
-image once: tau(p) and tau(tau(p)) cover the orbit {p, tau(p)}, so the
-orbit's later member needs no visit of its own.
+It runs one loop on an explicit stack: a popped sequence is cut, and when
+the images of both end blocks are in the table it is assembled; otherwise
+it goes back on the stack, with its cut, under the missing end blocks.
+Public ``tau`` passes a fresh table, so each call stands alone; a sweep
+that visits sequences by increasing length can keep one table and store
+each image it wants reused, so every tau it asks for is one cut and one
+assembly.  Because tau is an involution, such a sweep computes each image
+once: tau(p) and tau(tau(p)) cover the orbit {p, tau(p)}, so the orbit's
+later member needs no visit of its own.
 
 The map eta rebuilds a distribution from the per-component multiplicities
 of 1 and transports every other entry upward by a component-dependent
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from operator import eq
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
-from catpark.sequences import canonical_family, is_u_pk
+from catpark.sequences import _require_canonical, canonical_family, is_u_pk
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,9 @@ def _luck(seq, m):
 # -- public entry points: validate once, then run on the core --------------
 
 
-def _require_member(seq, m):
-    if not is_u_pk(seq, canonical_family(m)):
-        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
-
-
 def first_fixed_point(seq, m, l):
     """Smallest k > 1 with m(k-2)+1+l <= seq[k] <= m(k-1)+1, else n+1."""
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     if not seq:
         raise ValueError("sequence must be nonempty")
     if not 1 <= l <= m:
@@ -137,7 +132,7 @@ def decompose(seq, m):
     position 2, the last runs to the end); empty ranges give empty
     components.  The leading 1 at position 1 is implicit and dropped.
     """
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     if not seq:
         raise ValueError("cannot decompose the empty sequence")
     cuts = _fixed_points(seq, m)
@@ -176,41 +171,35 @@ def _tau(seq, m, images):
     """tau of an in-bounds seq, reading and filling the table images.
 
     images maps sequences to their tau images and holds at least {(): ()}.
-    A seq already in the table is answered from it.  When the images of
-    both end blocks are in the table too, seq is cut and assembled once.
-    Otherwise the image of every component computed on the way is added to
-    images, but not the image of seq itself: the caller decides whether the
-    table keeps it.  That fallback runs on an explicit stack so deep inputs
-    cannot hit the recursion limit.
+    Each stack entry is a sequence and its cut, None until it is first cut.
+    A popped sequence already in the table is answered from it; one whose
+    end blocks both have images is assembled; any other goes back on the
+    stack under its missing end blocks.  The image of every component
+    computed on the way is added to images, but not the image of seq itself,
+    which sits at the bottom of the stack: the caller decides whether the
+    table keeps it.  The explicit stack keeps deep inputs off the recursion
+    limit.
     """
-    image = images.get(seq)
-    if image is not None:
-        return image
-    comps = _cut(seq, _fixed_points(seq, m))
-    first, last = images.get(comps[0]), images.get(comps[m])
-    if first is not None and last is not None:
-        return _assemble((last,) + comps[1:m] + (first,), m)[0]
-    parts = {seq: comps}
-    stack = [seq]
+    stack = [(seq, None)]
     while stack:
-        s = stack.pop()
-        if s in images:
+        s, comps = stack.pop()
+        image = images.get(s)
+        if image is not None:
             continue
-        comps = parts.get(s)
         if comps is None:
-            comps = parts[s] = _cut(s, _fixed_points(s, m))
-        first, last = comps[0], comps[m]
-        if first in images and last in images:
-            image = _assemble((images[last],) + comps[1:m] + (images[first],), m)[0]
-            if not stack:  # seq sits at the bottom of the stack
-                return image
+            comps = _cut(s, _fixed_points(s, m))
+        first, last = images.get(comps[0]), images.get(comps[m])
+        if first is None or last is None:
+            stack.append((s, comps))
+            if last is None:
+                stack.append((comps[m], None))
+            if first is None:
+                stack.append((comps[0], None))
+            continue
+        image = _assemble((last,) + comps[1:m] + (first,), m)[0]
+        if stack:
             images[s] = image
-        else:
-            stack.append(s)
-            if last not in images:
-                stack.append(last)
-            if first not in images:
-                stack.append(first)
+    return image
 
 
 def tau(seq, m):
@@ -220,13 +209,13 @@ def tau(seq, m):
     components are swapped, with tau applied inside each.
     """
     seq = tuple(seq)
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     return _tau(seq, m, {(): ()})
 
 
 def u_luck(seq, m):
     """Number of positions i with seq[i] = m*i - m + 1."""
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     return _luck(seq, m)
 
 
@@ -272,7 +261,7 @@ def eta(seq, m):
     Only seq is checked; verify's eta sweep bound-checks every image.
     """
     seq = tuple(seq)
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     if not seq:
         return ()
     return _eta(_cut(seq, _fixed_points(seq, m)), m)
@@ -317,5 +306,5 @@ def _eta_inv(seq, m):
 def eta_inv(seq, m):
     """Invert eta by reconstructing the components."""
     seq = tuple(seq)
-    _require_member(seq, m)
+    _require_canonical(seq, m)
     return _eta_inv(seq, m)

@@ -18,6 +18,8 @@ node the smallest tree does not have (see verify_multi_stat_product).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 
 from catpark.errors import HBasisError
 from catpark.polynomials import MultiPoly, complete_homogeneous
@@ -291,44 +293,23 @@ def verify_convolution_identity(m, n_max):
     For every n <= n_max and every width 2 <= t <= m+1:
         sum over t-compositions a of n of prod_i R_(a_i)(q_(i-1))
         == sum_k C_(n,k) * h_k(q_0, ..., q_(t-1)).
+    The left side is the x^n coefficient of the product of the t series
+    sum_n R_n(q_i) x^n.
     """
     check = IdentityCheck("luck-convolution", {"m": m, "n_max": n_max,
                                                "t_max": m + 1})
     r_polys = [r_poly_brute(m, n) for n in range(n_max + 1)]
-    luck_counts = [
-        {e[0]: c for e, c in poly.items()} for poly in r_polys
-    ]
     for t in range(2, m + 2):
         variables = tuple(f"q{i}" for i in range(t))
-        # per-variable copies of every R_n
-        per_var = [
-            [p.rename({"q": f"q{i}"}).rename(variables) for p in r_polys]
-            for i in range(t)
-        ]
+        lhs = reduce(mul, (
+            TruncatedSeries(variables, [p.rename({"q": f"q{i}"}).rename(variables)
+                                        for p in r_polys])
+            for i in range(t)))
         h = [complete_homogeneous(variables, k) for k in range(n_max + 1)]
-        for n in range(n_max + 1):
-            lhs = MultiPoly.zero(variables)
-            for comp in _weak_compositions(n, t):
-                term = per_var[0][comp[0]]
-                for i in range(1, t):
-                    term = term * per_var[i][comp[i]]
-                lhs = lhs + term
-            rhs = MultiPoly.zero(variables)
-            for k in range(n + 1):
-                c = luck_counts[n].get(k, 0)
-                if c:
-                    rhs = rhs + h[k] * c
-            if lhs != rhs:
-                check.mismatches.append(
-                    ((t, n), lhs.render(), rhs.render())
-                )
+        zero = MultiPoly.zero(variables)
+        for n, poly in enumerate(r_polys):  # poly's q^k coefficient is C_(n,k)
+            left = lhs.coefficient(n)
+            right = sum((h[k] * c for (k,), c in poly.items()), zero)
+            if left != right:
+                check.mismatches.append(((t, n), left.render(), right.render()))
     return check
-
-
-def _weak_compositions(n, t):
-    if t == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _weak_compositions(n - head, t - 1):
-            yield (head,) + rest

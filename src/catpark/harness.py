@@ -8,7 +8,8 @@ the CLI) only when a corrected-form identity breaks or an expected erratum
 stops reproducing.
 
 Every entry is made by ``_report``, which times one callable returning
-(status, counterexample); an entry's millis covers that call alone.
+(status, counterexample); an entry's millis covers that call alone, and a
+callable that raises makes a fail entry naming the exception.
 ``_verdict`` turns an engine IdentityCheck into that pair.
 
 ``DEFAULTS`` is the one table of what each per-m check runs: for each scope,
@@ -135,9 +136,14 @@ class VerificationReport:
 
 def _report(entries, identity, params, fn):
     """Time fn, which returns (status, counterexample), and append its entry.
-    Every report entry's millis comes from here."""
+    Every report entry's millis comes from here.  An exception from fn makes
+    a fail entry whose counterexample names its type and message."""
     start = time.perf_counter()
-    status, counterexample = fn()
+    try:
+        status, counterexample = fn()
+    except Exception as exc:
+        status, counterexample = "fail", {"exception": type(exc).__name__,
+                                          "message": str(exc)}
     millis = int((time.perf_counter() - start) * 1000)
     entries.append(ReportEntry(identity, status, params, counterexample, millis))
 
@@ -228,8 +234,8 @@ def check_recurrence(m, max_n):
 @_per_m("involution", "luck-ones-involution")
 def check_involution(m, max_n):
     """One tau table per m: enumeration runs by increasing length, so every
-    component of p is already in it and each tau takes _tau's direct path,
-    one cut and one assembly.
+    component of p is already in it and each tau is one pass of _tau's
+    loop, one cut and one assembly.
 
     Each orbit {p, q = tau(p)} is computed once, from its first member p:
     q gets the one is_u_pk bound check, tau(q) is computed only when q != p
@@ -284,6 +290,9 @@ def check_hbasis(entries, opts):
         def run(m=m, n_max=n_max):
             fam_counts = [count_for_bounds(
                 [m * i - 1 for i in range(1, r + 1)]) for r in range(n_max + 1)]
+            # luck histograms C_(j, k) of the lengths j < n_max
+            hists = [{k: c for (k,), c in r_poly_brute(m, j).items()}
+                     for j in range(n_max)]
             for n in range(1, n_max + 1):
                 flat = gamma_poly_brute(m, n).substitute({"u": 1, "v": 1})
                 coeffs = h_decompose(flat)
@@ -294,11 +303,8 @@ def check_hbasis(entries, opts):
                                     "expected": GAMMA_H_VECTORS[m][n - 1]}
                 # cross-check: c_k = sum_r h_(r,1,1) * C_(n-r-1, k)
                 for k, c in coeffs.items():
-                    other = 0
-                    for r in range(n):
-                        hist = {e[0]: cc for e, cc in
-                                r_poly_brute(m, n - r - 1).items()}
-                        other += fam_counts[r] * hist.get(k, 0)
+                    other = sum(fam_counts[r] * hists[n - r - 1].get(k, 0)
+                                for r in range(n))
                     if other != c:
                         return "fail", {"n": n, "degree": k, "coeff": c,
                                         "convolution": other}
@@ -425,8 +431,6 @@ def check_lattice(entries, opts):
             for n in range(n_max + 1):
                 for p in enumerate_u_pk(n, fam):
                     word = to_lattice_path(p, m)
-                    if from_lattice_path(word, m) != p:
-                        return "fail", {"m": m, "p": p, "word": word}
                     x = y = 0
                     for ch in word:
                         if ch == "N":
@@ -436,6 +440,8 @@ def check_lattice(entries, opts):
                             y += 1
                         else:
                             x += 1
+                    if from_lattice_path(word, m) != p:
+                        return "fail", {"m": m, "p": p, "word": word}
         return "pass", None
 
     params = {"max_n": settings[0][1]}
@@ -462,6 +468,15 @@ def _order_one_gap(m):
              "stated": gap[1] if gap else None})
 
 
+@_per_m("tensor", "tensor-symmetry")
+def _check_tensor_symmetry(m, max_n):
+    for n in range(1, max_n + 1):
+        check = verify_tensor_symmetry(m, n)
+        if not check.ok:
+            return "fail", {"n": n, "first": check.mismatches[0]}
+    return "pass", None
+
+
 def check_tensor(entries, opts):
     def run():
         tensor = joint_count_tensor(2, 4)
@@ -477,15 +492,7 @@ def check_tensor(entries, opts):
 
     if opts.get("m") in (None, 2):
         _report(entries, "tensor-table", {"m": 2, "n": 4}, run)
-    for m, n_top in _settings("tensor", opts):
-        def run_sym(m=m, n_top=n_top):
-            for n in range(1, n_top + 1):
-                check = verify_tensor_symmetry(m, n)
-                if not check.ok:
-                    return "fail", {"n": n, "first": check.mismatches[0]}
-            return "pass", None
-
-        _report(entries, "tensor-symmetry", {"m": m, "max_n": n_top}, run_sym)
+    _check_tensor_symmetry(entries, opts)
 
 
 def check_convolution(entries, opts):

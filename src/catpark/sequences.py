@@ -67,6 +67,12 @@ def is_u_pk(seq, family):
     return True
 
 
+def _require_canonical(seq, m):
+    """The input guard of the public maps: seq within the canonical bounds."""
+    if not is_u_pk(seq, canonical_family(m)):
+        raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
+
+
 def count_for_bounds(bounds):
     """Exact number of nondecreasing sequences with 1 <= p[i] <= bounds[i].
 
@@ -127,12 +133,10 @@ def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    bounds = family.bounds(n)
-    if max_objects is not None:
-        projected = _raney_count(n, family)
-        if projected > max_objects:
-            raise EnumerationCapError(projected, max_objects)
-    return kernels.iter_bounded(bounds, leaves, sep)
+    projected = _raney_count(n, family)
+    if projected > max_objects:
+        raise EnumerationCapError(projected, max_objects)
+    return kernels.iter_bounded(family.bounds(n), leaves, sep)
 
 
 def fuss_catalan(m, n):

@@ -241,6 +241,19 @@ def test_verify_detects_seeded_mutation(capsys, monkeypatch):
     assert "fail" in out
 
 
+def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
+    """A check body that raises is a fail entry (exit 1), not a usage
+    error, and no traceback reaches stderr."""
+    monkeypatch.setattr(harness, "to_lattice_path",
+                        lambda seq, m: "E" * 10 + "N" * len(seq))
+    code, out, err = run_cli(capsys, "verify", "--scope", "lattice")
+    assert code == 1 and err == ""
+    assert out.splitlines()[1:] == [
+        "         counterexample: {'exception': 'NonMembershipError', "
+        "'message': 'word has 10 E steps; a length-0 path needs 0'}",
+        "summary: 0 passed, 0 errata demonstrated, 1 failed"]
+
+
 def test_byte_determinism(capsys):
     outputs = []
     for _ in range(2):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catpark import decomposition
+from catpark import decomposition, sequences
+from catpark.caterpillar import theta, to_lattice_path
 from catpark.decomposition import (
     decompose,
     eta,
@@ -213,10 +214,10 @@ def test_tau_core_on_one_table_matches_tau():
                 assert decomposition._tau(p, m, images) is q
 
 
-def test_tau_direct_path_matches_stack_path():
-    """_tau with every shorter image in the table (the direct path: one cut,
-    two lookups, one assembly, the table untouched) equals _tau on a fresh
-    {(): ()} table, which runs the explicit stack."""
+def test_tau_on_a_full_table_matches_a_fresh_table():
+    """_tau's one loop gives the same image whether the table holds every
+    shorter image (one cut, one assembly) or only {(): ()} (the stack walks
+    every component), and a full table comes back untouched."""
     for m in (1, 2, 3):
         full = {(): ()}
         for n in range(7):
@@ -228,6 +229,19 @@ def test_tau_direct_path_matches_stack_path():
                 assert len(full) == size
                 level[p] = q
             full.update(level)
+
+
+def test_out_of_bounds_input_gets_one_message():
+    """decompose, theta and to_lattice_path share one canonical-bounds
+    guard, so they refuse an out-of-bounds seq with the same message."""
+    seq = (1, 2, 6)
+    messages = set()
+    for call in (lambda: decompose(seq, 2), lambda: theta(seq, 2, 3),
+                 lambda: to_lattice_path(seq, 2)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"(1, 2, 6) is not within the canonical bounds for m=2"}
 
 
 def test_luck_matches_its_definition():
@@ -376,7 +390,8 @@ def test_tau_involution_sampled(m, n, data):
 
 
 def _spy_membership(monkeypatch):
-    """Record every sequence decomposition checks; forbid decompose calls."""
+    """Record every sequence decomposition checks, in its core or through
+    the input guard in sequences; forbid decompose calls."""
     checked = []
 
     def spy(seq, family):
@@ -387,6 +402,7 @@ def _spy_membership(monkeypatch):
         raise AssertionError(f"decompose({seq}, {m}) called inside a map")
 
     monkeypatch.setattr(decomposition, "is_u_pk", spy)
+    monkeypatch.setattr(sequences, "is_u_pk", spy)
     monkeypatch.setattr(decomposition, "decompose", forbidden)
     return checked
 

@@ -321,8 +321,33 @@ def test_convolution_identity_n0_convention():
     assert check.ok
 
 
+def test_convolution_identity_reports_a_broken_luck_polynomial(monkeypatch):
+    """One extra q in R_2 (m=2) cancels at n = 2, where R_2 enters both
+    sides once, and first shows at (t, n) = (2, 3): the lhs picks up
+    2*q0*q1 from R_1(q0)R_2(q1) + R_2(q0)R_1(q1)."""
+    import catpark.engine as engine
+
+    real = engine.r_poly_brute
+
+    def broken(m, n):
+        poly = real(m, n)
+        return poly + MultiPoly.variable(("q",), "q") if n == 2 else poly
+
+    monkeypatch.setattr(engine, "r_poly_brute", broken)
+    check = verify_convolution_identity(2, 4)
+    assert [index for index, _, _ in check.mismatches] == [
+        (2, 3), (2, 4), (3, 3), (3, 4)]
+    assert check.mismatches[0] == (
+        (2, 3),
+        "q0^3 + q0^2*q1 + q0*q1^2 + q1^3 + 4*q0^2 + 6*q0*q1 + 4*q1^2"
+        " + 7*q0 + 7*q1",
+        "q0^3 + q0^2*q1 + q0*q1^2 + q1^3 + 4*q0^2 + 4*q0*q1 + 4*q1^2"
+        " + 7*q0 + 7*q1",
+    )
+
+
 def test_convolution_identity_validates_only_its_inputs(monkeypatch):
-    """Composition products, the h-basis sums and their integer scalings
+    """The series products, the h-basis sums and their integer scalings
     build through the trusted constructor; each h_k is built once per
     width."""
     real = MultiPoly.__init__
@@ -334,9 +359,9 @@ def test_convolution_identity_validates_only_its_inputs(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__init__", spy)
     assert verify_convolution_identity(3, 7).ok
-    # 8 luck polynomials; per width t = 2, 3, 4: h_0..h_7 and a zero lhs
-    # and rhs per n = 0..7
-    assert len(calls) == 8 + 3 * (8 + 2 * 8)
+    # 8 luck polynomials; per width t = 2, 3, 4: h_0..h_7 and the one zero
+    # that starts each rhs sum
+    assert len(calls) == 8 + 3 * (8 + 1)
 
 
 def test_identity_check_renames_consistently():

@@ -231,6 +231,53 @@ def test_lattice_honours_m(monkeypatch):
     assert report.entries[0].params == {"max_n": 3}
 
 
+def _word_with_ten_extra_e_steps(seq, m):
+    return "E" * 10 + "N" * len(seq)
+
+
+def test_a_check_that_raises_is_a_fail_entry(monkeypatch):
+    """The decoder raises on the empty sequence's broken word; _report
+    turns the exception into the check's fail entry."""
+    monkeypatch.setattr(harness, "to_lattice_path", _word_with_ten_extra_e_steps)
+    report = run_verification("lattice")
+    assert not report.ok and report.exit_code == 1
+    assert [e.to_dict() for e in report.entries] == [{
+        "identity": "lattice-codec", "status": "fail", "params": {"max_n": 5},
+        "counterexample": {
+            "exception": "NonMembershipError",
+            "message": "word has 10 E steps; a length-0 path needs 0"},
+        "millis": report.entries[0].millis}]
+
+
+def test_lattice_walk_reports_the_constraint(monkeypatch):
+    """The x <= m*y walk runs before the decoder, so a word that breaks it
+    is reported as a constraint failure rather than a decoder error."""
+    real = harness.to_lattice_path
+    monkeypatch.setattr(
+        harness, "to_lattice_path",
+        lambda seq, m: _word_with_ten_extra_e_steps(seq, m) if seq else real(seq, m))
+    report = run_verification("lattice", m=2, max_n=3)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("lattice-codec", "fail")]
+    assert report.entries[0].counterexample == {"m": 2, "p": (1,),
+                                                "reason": "constraint"}
+
+
+def test_hbasis_reads_each_luck_histogram_once(monkeypatch):
+    """One r_poly_brute per (m, length) pair: lengths 0..3 at m = 2, 3, 4."""
+    calls = []
+    real = harness.r_poly_brute
+
+    def spy(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(harness, "r_poly_brute", spy)
+    report = run_verification("hbasis")
+    assert report.ok and len(report.entries) == 3
+    assert sorted(calls) == [(m, n) for m in (2, 3, 4) for n in range(4)]
+
+
 def test_parking_honours_m(monkeypatch):
     shapes = set()
     real = harness.build_caterpillar
@@ -511,7 +558,7 @@ def test_eta_checks_each_object_once(monkeypatch):
     _count_calls(monkeypatch, calls, harness, "is_u_pk")
     _count_calls(monkeypatch, calls, harness, "_cut")
     _count_calls(monkeypatch, calls, decomposition, "_cut")
-    _count_calls(monkeypatch, calls, decomposition, "_require_member")
+    _count_calls(monkeypatch, calls, decomposition, "_require_canonical")
     _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
     report = run_verification("eta")
     assert report.ok and len(report.entries) == 3
