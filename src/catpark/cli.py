@@ -8,7 +8,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded.  ``main`` checks --m >= 1, --n >= 0, --max-objects >= 0 and
 --max-order >= 0 for every verb, and maps every ValueError or CatparkError
 an argument provokes to exit 2 with a one-line message, so no argv ends in
-a traceback.
+a traceback.  Each option is declared once: the shared ones by
+``_add_common``, the rest in their verb's block.  The cap refusals of
+``enumerate``, ``poly --name multi`` and ``tensor`` all come from
+``sequences._require_under_cap``, and ``poly --name B`` reads
+``fuss_catalan`` term by term.
 
 Verbs write their output directly to the stdout ``main`` passes them, and
 every error comes before the first write, so a failed call prints nothing
@@ -50,7 +54,6 @@ from catpark.decomposition import (
     u_omega,
 )
 from catpark.engine import (
-    fuss_catalan_series,
     gamma_poly_brute,
     joint_count_tensor,
     multi_stat_poly_brute,
@@ -62,6 +65,7 @@ from catpark.polynomials import MultiPoly
 from catpark.sequences import (
     BoundFamily,
     DEFAULT_MAX_OBJECTS,
+    _require_under_cap,
     canonical_family,
     count_u_pk,
     enumerate_u_pk,
@@ -127,9 +131,7 @@ def _check_order(order, max_order):
 def _check_tree_count(args):
     """Refuse the (--m, --n) tree when its distributions outnumber
     --max-objects, as enumerating them would."""
-    count = fuss_catalan(args.m, args.n)
-    if count > args.max_objects:
-        raise EnumerationCapError(count, args.max_objects)
+    _require_under_cap(args.n, canonical_family(args.m), args.max_objects)
 
 
 def _emit(out, fmt, payload, header, rows, text):
@@ -283,14 +285,8 @@ POLY_NAMES = ("R", "gamma", "multi", "B")
 def _poly_for(args):
     _check_order(args.n, args.max_order)
     if args.name == "B":
-        order = args.n
-        series = fuss_catalan_series(args.m, order)
-        terms = {}
-        for j in range(order + 1):
-            c = series.coefficient(j).coefficient(())
-            if c:
-                terms[(j,)] = c
-        return MultiPoly(("x",), terms)
+        return MultiPoly(("x",), {(j,): fuss_catalan(args.m, j)
+                                  for j in range(args.n + 1)})
     if args.name == "R":
         return r_poly_brute(args.m, args.n)
     if args.name == "gamma":
@@ -446,9 +442,7 @@ def build_parser():
                    help="length bound override")
     p.add_argument("--m", type=int, default=None,
                    help="restrict checks to one regularity")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--format", choices=("text", "csv", "json"),
-                   default="text")
+    _add_common(p, m=False, max_order=True)
     p.set_defaults(fn=cmd_verify)
     return parser
 

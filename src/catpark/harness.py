@@ -57,10 +57,9 @@ from catpark.engine import (
     verify_tensor_symmetry,
     verify_thm_rec,
 )
-from catpark.errors import EnumerationCapError
 from catpark.sequences import (
     DEFAULT_MAX_OBJECTS,
-    _raney_count,
+    _require_under_cap,
     canonical_family,
     count_for_bounds,
     count_u_pk,
@@ -358,6 +357,7 @@ def check_theta(m, max_n):
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
+        leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
         total = 0
         for p in enumerate_u_pk(n, fam):
             image = theta(p, m, n)
@@ -376,11 +376,8 @@ def check_theta(m, max_n):
                 return "fail", {"n": n, "p": p, "reason": "luck transport"}
             if u_omega(image, 1) != u_omega(p, 1):
                 return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
-            # the +1 applies to the leaf labels the tree actually has;
-            # for n = 1 there are none and frequencies carry over as-is
             for j in range(2, m + 1):
-                bump = 1 if j <= tree.node_count else 0
-                if u_omega(image, j) != u_omega(p, j) + bump:
+                if u_omega(image, j) != u_omega(p, j) + leaf:
                     return "fail", {"n": n, "p": p,
                                     "reason": f"omega_{j} transport"}
         if total != fuss_catalan(m, n):
@@ -562,10 +559,8 @@ def _check_caps(names, opts):
             continue
         for m, max_n in _settings(name, opts):
             fam = canonical_family(m)
-            for n in range(max_n + 1):  # counts grow with n, so this stops
-                projected = _raney_count(n, fam)
-                if projected > DEFAULT_MAX_OBJECTS:
-                    raise EnumerationCapError(projected, DEFAULT_MAX_OBJECTS)
+            for n in range(max_n + 1):
+                _require_under_cap(n, fam, DEFAULT_MAX_OBJECTS)
 
 
 # Checks that read per-m reference data run only at the m it covers.

@@ -76,10 +76,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, variables, name):
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): 1})
+        return cls.monomial(variables, {name: 1})
 
     @classmethod
     def monomial(cls, variables, powers):

@@ -5,6 +5,10 @@ A bound family (m, k, r) assigns position i the ceiling m*(i+k-1) - r; the
 canonical family (m, 1, m-1) gives the ceilings (1, m+1, 2m+1, ...) that
 drive everything else in the package.  Counting is exact (Python integers),
 enumeration is lexicographic and guarded by a configurable object cap.
+
+``_raney_count`` is the one closed form of the counts: ``fuss_catalan`` is
+its canonical case, and ``_require_under_cap``, the one cap guard of
+``enumerate_u_pk``, the harness and the CLI, reads it.
 """
 
 from dataclasses import dataclass
@@ -121,6 +125,14 @@ def _raney_count(n, family):
     return s * comb(total, n) // total
 
 
+def _require_under_cap(n, family, max_objects):
+    """The one enumeration-cap guard: raise EnumerationCapError when the
+    family has more than max_objects distributions of length n."""
+    projected = _raney_count(n, family)
+    if projected > max_objects:
+        raise EnumerationCapError(projected, max_objects)
+
+
 def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
                    sep=None):
     """Yield every family-bounded distribution of length n, lexicographically.
@@ -133,16 +145,15 @@ def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    projected = _raney_count(n, family)
-    if projected > max_objects:
-        raise EnumerationCapError(projected, max_objects)
+    _require_under_cap(n, family, max_objects)
     return kernels.iter_bounded(family.bounds(n), leaves, sep)
 
 
 def fuss_catalan(m, n):
-    """binom(m*n + n, n) // (m*n + 1); the division is always exact."""
+    """binom(m*n + n, n) / (m*n + 1): the Raney count at s = 1, which the
+    canonical family has."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return comb(m * n + n, n) // (m * n + 1)
+    return _raney_count(n, canonical_family(m))

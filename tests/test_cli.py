@@ -141,6 +141,22 @@ def test_poly_b_series(capsys):
     assert code == 0 and out == "55*x^4 + 12*x^3 + 3*x^2 + x + 1\n"
 
 
+B_M3 = [1, 1, 4, 22, 140, 969, 7084]  # Fuss-Catalan numbers, m = 3
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "7084*x^6 + 969*x^5 + 140*x^4 + 22*x^3 + 4*x^2 + x + 1\n"),
+    ("csv", "x,coeff\n6,7084\n5,969\n4,140\n3,22\n2,4\n1,1\n0,1\n"),
+    ("json", json.dumps({"variables": ["x"],
+                         "terms": [[[j], B_M3[j]] for j in range(6, -1, -1)]},
+                        indent=2) + "\n"),
+])
+def test_poly_b_reads_the_fuss_catalan_numbers(capsys, fmt, expected):
+    code, out, _ = run_cli(capsys, "poly", "--name", "B", "--m", "3",
+                           "--n", "6", "--format", fmt)
+    assert code == 0 and out == expected
+
+
 def test_poly_order_cap(capsys):
     code, out, err = run_cli(capsys, "poly", "--name", "R", "--m", "2",
                              "--n", "30")
@@ -186,6 +202,18 @@ def test_resource_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--n", "9",
                            "--max-objects", "1000")
     assert code == 3 and "exceeding" in err
+
+
+@pytest.mark.parametrize("verb", [
+    ["tensor"], ["poly", "--name", "multi"], ["enumerate", "--kind", "cat"],
+    ["enumerate"],
+])
+def test_every_cap_refusal_has_one_text(capsys, verb):
+    code, out, err = run_cli(capsys, *verb, "--m", "2", "--n", "3",
+                             "--max-objects", "11")
+    assert code == 3 and out == ""
+    assert err == (f"catpark {verb[0]}: enumeration would yield 12 objects, "
+                   "exceeding the cap of 11\n")
 
 
 def test_cap_refusal_at_large_m_is_fast(capsys):

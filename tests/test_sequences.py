@@ -1,6 +1,7 @@
 """Bounded-sequence enumeration and counting."""
 
 from itertools import accumulate, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,12 @@ def test_fuss_catalan_values():
     assert fuss_catalan(7, 0) == 1
     assert fuss_catalan(3, 4) == 140
     assert [fuss_catalan(1, n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+
+
+def test_fuss_catalan_matches_the_binomial_formula():
+    for m in range(1, 31):
+        for n in range(41):
+            assert fuss_catalan(m, n) * (m * n + 1) == comb(m * n + n, n)
 
 
 def test_fuss_catalan_validation():

@@ -100,3 +100,11 @@ def test_table_10_grid():
 def test_unknown_table_id():
     with pytest.raises(ValueError):
         build_table("11")
+
+
+@pytest.mark.parametrize("table_id", range(1, 11))
+def test_table_record_carries_its_key_first(table_id):
+    for given in (table_id, str(table_id)):
+        table = build_table(given)
+        assert table["id"] == str(table_id)
+        assert list(table) == ["id", "title", "header", "rows", "annotations"]
