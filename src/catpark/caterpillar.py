@@ -56,14 +56,10 @@ def build_caterpillar(m, n):
     backbone = tuple(m * (j - 1) + 1 for j in range(1, n + 1))
     backbone_set = frozenset(backbone)
     parent = [0] * (count + 1)
-    for label in range(1, count + 1):
-        if label == count:
-            continue  # sink
-        if label in backbone_set:
-            parent[label] = label + m  # next backbone node up
-        else:
-            # nearest backbone label above: round up to the next 1 mod m
-            parent[label] = ((label - 1) // m + 1) * m + 1
+    for label in range(1, count):  # the sink, label count, has no parent
+        # the least backbone label (1 mod m) above label: a leaf's own
+        # backbone node, or a backbone node's next one up
+        parent[label] = ((label - 1) // m + 1) * m + 1
     sizes = [1] * (count + 1)
     sizes[0] = 0
     for label in range(1, count):
@@ -83,8 +79,8 @@ def build_caterpillar(m, n):
 def non_backbone_labels(m, n):
     """Leaf labels of the (m, n) tree, ascending."""
     count = m * n - m + 1
-    backbone = frozenset(m * (j - 1) + 1 for j in range(1, n + 1))
-    return tuple(j for j in range(1, count + 1) if j not in backbone)
+    # the backbone labels are the ones that are 1 mod m
+    return tuple(j for j in range(1, count + 1) if (j - 1) % m)
 
 
 def _validate_entries(tree, seq):

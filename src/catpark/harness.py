@@ -23,6 +23,8 @@ report one body per m under {"m": m, option: value}.
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations_with_replacement
 
 from catpark.caterpillar import (
     _park,
@@ -210,7 +212,9 @@ def check_hseries(m, order):
 
 @_per_m("recurrence", "count-recurrence")
 def check_recurrence(m, max_n):
-    """The two convolution recurrences satisfied by the (m,k,r) counts."""
+    """The two convolution recurrences satisfied by the (m,k,r) counts;
+    each count is made once."""
+    @cache
     def h(k, r, n):
         return count_for_bounds([m * (i + k - 1) - r for i in range(1, n + 1)])
 
@@ -397,8 +401,6 @@ def check_parking(entries, opts):
     small, larger = keep(PARKING_SMALL), keep(PARKING_LARGER)
 
     def run():
-        from itertools import combinations_with_replacement
-
         for m, n in small:
             tree = build_caterpillar(m, n)
             size = tree.node_count

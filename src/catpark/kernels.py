@@ -1,22 +1,24 @@
 """Enumeration and counting kernels over nondecreasing bounded sequences.
 
-``iter_bounded`` is the one walker behind every enumeration.  It goes depth
-first with an explicit stack and builds each row as its parent prefix plus
-one precomputed piece; the rows that differ only in the last position come
-out as one batch per parent.  Each row may carry merge labels, which the
-tree enumeration uses for its leaf labels: a piece is the labels in
-[prev, v) followed by v, and a last-position piece also holds the labels
->= v, so every row is the sorted merge without a sort.  Pieces are tuples,
-or text already joined by the caller's separator, so a text row is never
-converted or joined again.
+``iter_bounded`` is the one walker behind every enumeration and
+``count_for_bounds`` the one counter.  Both run under the suffix minima of
+the bounds, ``_caps``, as no entry can exceed a later bound.  The walker
+goes depth first with an explicit stack and builds each row as its parent
+prefix plus one precomputed piece; the rows that differ only in the last
+position come out as one batch per parent.  Each row may carry merge
+labels, which the tree enumeration uses for its leaf labels: a piece is the
+labels in [prev, v) followed by v, and a last-position piece also holds the
+labels >= v, so every row is the sorted merge without a sort.  Pieces are
+tuples, or text already joined by the caller's separator, so a text row is
+never converted or joined again.
 
 The three histogram kernels -- luck, the four statistics (luck, freq of 1,
 first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
 never walk: they count the canonically bounded sequences (1, m+1, 2m+1, ...)
 by an exact transfer-matrix DP over (last value, statistic state).  All
 three run one transfer step, ``_extend``, with the same prefix sums as
-``sequences.count_for_bounds``.  Plain enumeration with the statistics
-restated from their definitions is their oracle in tests/test_kernels.py.
+``count_for_bounds``.  Plain enumeration with the statistics restated from
+their definitions is their oracle in tests/test_kernels.py.
 
 Callers validate their inputs: m >= 1 and n >= 0.
 """
@@ -49,6 +51,31 @@ def _pieces(prevs, cap, leaves, last, piece):
     return where
 
 
+def _caps(bounds):
+    """The suffix minima of bounds, the largest value each position can
+    hold in a nondecreasing sequence under them."""
+    return list(accumulate(reversed(bounds), min))[::-1]
+
+
+def count_for_bounds(bounds):
+    """Exact number of nondecreasing p with 1 <= p[i] <= bounds[i], the
+    rows of iter_bounded(bounds), by prefix sums in O(max cap) memory:
+    ending[v-1] counts the prefixes that end at v, and the next position's
+    are the running sums of ending padded with zeros up to its cap.
+    """
+    caps = _caps(bounds)
+    if not caps:
+        return 1
+    if caps[0] < 1:
+        return 0
+    # the empty prefix ends at 1, the least first value
+    ending = [1]
+    for cap in caps[:-1]:
+        ending = list(accumulate(ending + [0] * (cap - len(ending))))
+    # the last position's counts are only summed
+    return sum(accumulate(ending)) + (caps[-1] - len(ending)) * sum(ending)
+
+
 def iter_bounded(bounds, leaves=(), sep=None):
     """Yield every nondecreasing p with 1 <= p[i] <= bounds[i], merged with
     the labels in leaves.
@@ -58,10 +85,10 @@ def iter_bounded(bounds, leaves=(), sep=None):
     sep.join(map(str, sorted(p + leaves))).  The empty bound list yields
     the row of the labels alone once.
 
-    The walk runs under the suffix minima of bounds, so every prefix it
-    visits completes.  Its piece tables keep, per position, one list for
-    each run of previous values with no label between them: at most
-    len(bounds) * max(bounds) pieces when leaves is empty.
+    The walk runs under the caps, so every prefix it visits completes.  Its
+    piece tables keep, per position, one list for each run of previous
+    values with no label between them: at most len(bounds) * max(bounds)
+    pieces when leaves is empty.
     """
     leaves = sorted(leaves)
     # a row's first piece has no separator ahead of it
@@ -77,7 +104,7 @@ def iter_bounded(bounds, leaves=(), sep=None):
     if n == 0:
         yield first(leaves)
         return
-    caps = list(accumulate(reversed(bounds), min))[::-1]
+    caps = _caps(bounds)
     top = n - 1
     tables = [_pieces(caps[d - 1] if d else 1, cap, leaves, d == top,
                       rest if d else first)

@@ -4,7 +4,10 @@ A parking distribution here is a nondecreasing tuple of positive integers.
 A bound family (m, k, r) assigns position i the ceiling m*(i+k-1) - r; the
 canonical family (m, 1, m-1) gives the ceilings (1, m+1, 2m+1, ...) that
 drive everything else in the package.  Counting is exact (Python integers),
-enumeration is lexicographic and guarded by a configurable object cap.
+enumeration is lexicographic and guarded by a configurable object cap.  Both
+run on ``kernels``, which owns the rule for bounded sequences: its counter
+``count_for_bounds`` is imported here and its walker ``iter_bounded``
+enumerates.
 
 ``_raney_count`` is the one closed form of the counts: ``fuss_catalan`` is
 its canonical case, and ``_require_under_cap``, the one cap guard of
@@ -17,6 +20,7 @@ from math import comb
 
 from catpark.errors import EnumerationCapError
 from catpark import kernels
+from catpark.kernels import count_for_bounds
 
 DEFAULT_MAX_OBJECTS = 10**8
 
@@ -75,36 +79,6 @@ def _require_canonical(seq, m):
     """The input guard of the public maps: seq within the canonical bounds."""
     if not is_u_pk(seq, canonical_family(m)):
         raise ValueError(f"{seq} is not within the canonical bounds for m={m}")
-
-
-def count_for_bounds(bounds):
-    """Exact number of nondecreasing sequences with 1 <= p[i] <= bounds[i].
-
-    Rolling DP over (position, last value) with prefix sums; O(max bound)
-    memory.  Tolerates arbitrary bounds, returning 0 when nothing fits.
-    """
-    n = len(bounds)
-    if n == 0:
-        return 1
-    b0 = bounds[0]
-    if b0 < 1:
-        return 0
-    # ending[v] = number of valid prefixes whose last entry is exactly v
-    ending = [0] + [1] * b0
-    for i in range(1, n):
-        bi = bounds[i]
-        if bi < 1:
-            return 0
-        prefix = [0] * len(ending)
-        run = 0
-        for v in range(1, len(ending)):
-            run += ending[v]
-            prefix[v] = run
-        top = len(ending) - 1
-        ending = [0] * (bi + 1)
-        for v in range(1, bi + 1):
-            ending[v] = prefix[min(v, top)]
-    return sum(ending)
 
 
 def count_u_pk(n, family):

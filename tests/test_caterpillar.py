@@ -79,6 +79,26 @@ def test_build_node_count_invariant():
             assert len(leaves) == tree.node_count - n
 
 
+def test_build_matches_the_two_case_definition():
+    """A backbone node points to the next backbone node, label + m, and a
+    leaf to the least backbone label above it; the sink has no parent."""
+    for m in range(1, 6):
+        for n in range(1, 7):
+            tree = build_caterpillar(m, n)
+            count = m * n - m + 1
+            backbone = [m * (j - 1) + 1 for j in range(1, n + 1)]
+            parent = [0] * (count + 1)
+            for label in range(1, count):
+                if label in backbone:
+                    parent[label] = label + m
+                else:
+                    parent[label] = min(b for b in backbone if b > label)
+            assert tree.backbone_labels == tuple(backbone)
+            assert tree.parent == tuple(parent), (m, n)
+            assert non_backbone_labels(m, n) == tuple(
+                label for label in range(1, count + 1) if label not in backbone)
+
+
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         build_caterpillar(0, 3)

@@ -12,6 +12,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catpark import kernels
 from catpark.caterpillar import build_caterpillar, enumerate_caterpillar_pk, simulate
@@ -110,19 +112,20 @@ def test_luck_histogram_against_lagrange_closed_form(m, n):
 
 
 def odometer(bounds):
-    """The walker's oracle: bump the rightmost entry below its bound and
-    reset every entry after it to the new value."""
+    """The walker's oracle: every nondecreasing p over 1..max(bounds), in
+    odometer order (bump the rightmost entry below the top and reset every
+    entry after it to the new value), kept when p[i] <= bounds[i]."""
     n = len(bounds)
     if n == 0:
         yield ()
         return
-    if min(bounds) < 1:
-        return
+    top = max(bounds)
     p = [1] * n
-    while True:
-        yield tuple(p)
+    while top >= 1:
+        if all(v <= b for v, b in zip(p, bounds)):
+            yield tuple(p)
         j = n - 1
-        while j >= 0 and p[j] >= bounds[j]:
+        while j >= 0 and p[j] >= top:
             j -= 1
         if j < 0:
             return
@@ -143,6 +146,20 @@ def test_iter_bounded_against_odometer(bounds):
     for sep in (",", ",\n      "):
         assert (list(kernels.iter_bounded(bounds, sep=sep))
                 == [sep.join(map(str, row)) for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 9), max_size=6))
+# empty, a zero bound, a later bound that caps the first, equal caps, and
+# negative bounds first and last
+@example([])
+@example([0, 3])
+@example([3, 2])
+@example([3, 3])
+@example([-1, 4])
+@example([4, -1])
+def test_count_for_bounds_against_odometer(bounds):
+    assert kernels.count_for_bounds(bounds) == len(list(odometer(bounds)))
 
 
 def test_quad_histogram_luck_ones_symmetry():
