@@ -23,7 +23,7 @@ report one body per m under {"m": m, option: value}.
 
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement
 
 from catpark.caterpillar import (
@@ -34,7 +34,6 @@ from catpark.caterpillar import (
     from_lattice_path,
     is_tree_pk,
     non_backbone_labels,
-    theta,
     to_lattice_path,
 )
 from catpark.decomposition import (
@@ -59,6 +58,7 @@ from catpark.engine import (
     verify_tensor_symmetry,
     verify_thm_rec,
 )
+from catpark.kernels import fold_bounded
 from catpark.sequences import (
     DEFAULT_MAX_OBJECTS,
     _require_under_cap,
@@ -353,35 +353,73 @@ def check_eta(m, max_n):
     return "pass", None
 
 
+def _theta_step(tree, state, v, piece):
+    """check_theta's fold step: append v to p and park the cars of its
+    piece in order, as _park does.
+
+    state is (p, occupied nodes as a bitmask, lucky cars, every car parked,
+    counts of the labels 1..m in the image).  A car is lucky when it parks
+    at its preference and that is a backbone node.  Only the labels up to
+    m are counted; as the image is sorted, a piece starting above m holds
+    none.
+    """
+    p, occupied, luck, parked, counts = state
+    parent = tree.parent
+    for label in piece:
+        node = label
+        while node and occupied >> node & 1:
+            node = parent[node]
+        if not node:
+            parked = False
+            continue
+        occupied |= 1 << node
+        if node == label and label in tree.backbone_set:
+            luck += 1
+    if piece[0] <= tree.m:
+        counts = list(counts)
+        for label in piece:
+            if label > tree.m:
+                break
+            counts[label - 1] += 1
+        counts = tuple(counts)
+    return p + (v,), occupied, luck, parked, counts
+
+
 @_per_m("theta", "tree-iso-transport")
 def check_theta(m, max_n):
-    """theta checks p; one is_tree_pk per image is the distribution check,
-    after which the inverse and the parking run on the core."""
+    """The walk merges the leaf labels into each p, so its row is theta(p),
+    and it folds _theta_step along the way: each image comes with p, its
+    parking run and its counts of the labels 1..m, every prefix parked
+    once.  Per image, one is_tree_pk is the distribution check, with the
+    parking run's all-parked flag; _theta_inv must give back p; the run's
+    luck must equal p's, and the counts p's plus one leaf for 2..m.
+    """
     fam = canonical_family(m)
+    start = ((), 0, 0, True, (0,) * m)
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
         leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
         total = 0
-        for p in enumerate_u_pk(n, fam):
-            image = theta(p, m, n)
+        for image, (p, _, luck, parked, counts) in fold_bounded(
+                fam.bounds(n), leaves, partial(_theta_step, tree), start):
             total += 1
             try:
                 parks = is_tree_pk(tree, image)
             except ValueError:
                 parks = False
-            if not parks:
+            if not (parks and parked):
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "image not a distribution"}
             if _theta_inv(image, leaves) != p:
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "roundtrip"}
-            if len(_park(tree, image).lucky_set) != _luck(p, m):
+            if luck != _luck(p, m):
                 return "fail", {"n": n, "p": p, "reason": "luck transport"}
-            if u_omega(image, 1) != u_omega(p, 1):
+            if counts[0] != u_omega(p, 1):
                 return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
             for j in range(2, m + 1):
-                if u_omega(image, j) != u_omega(p, j) + leaf:
+                if counts[j - 1] != u_omega(p, j) + leaf:
                     return "fail", {"n": n, "p": p,
                                     "reason": f"omega_{j} transport"}
         if total != fuss_catalan(m, n):
@@ -548,7 +586,9 @@ CHECKS = {
 }
 
 
-# Checks that enumerate every length up to their max_n with enumerate_u_pk.
+# Checks that walk every canonically bounded sequence of each length up to
+# their max_n: with enumerate_u_pk, or for theta with fold_bounded, which
+# has no cap of its own, so _check_caps is its guard.
 ENUMERATED = ("counting", "involution", "eta", "theta", "lattice")
 
 

@@ -1,16 +1,19 @@
 """Enumeration and counting kernels over nondecreasing bounded sequences.
 
-``iter_bounded`` is the one walker behind every enumeration and
-``count_for_bounds`` the one counter.  Both run under the suffix minima of
-the bounds, ``_caps``, as no entry can exceed a later bound.  The walker
-goes depth first with an explicit stack and builds each row as its parent
-prefix plus one precomputed piece; the rows that differ only in the last
-position come out as one batch per parent.  Each row may carry merge
+``count_for_bounds`` is the one counter, and the walk has two forms: plain,
+``iter_bounded``, behind every enumeration, and folded, ``fold_bounded``,
+which also carries a caller's state along each row.  All run under the
+suffix minima of the bounds, ``_caps``, as no entry can exceed a later
+bound.  Both walkers go depth first with an explicit stack and build each
+row as its parent prefix plus one precomputed piece from ``_pieces``, the
+one piece rule; the plain walker yields the rows that differ only in the
+last position as one batch per parent, and the folded one steps each
+prefix's state once, for every row below it.  Each row may carry merge
 labels, which the tree enumeration uses for its leaf labels: a piece is the
 labels in [prev, v) followed by v, and a last-position piece also holds the
 labels >= v, so every row is the sorted merge without a sort.  Pieces are
-tuples, or text already joined by the caller's separator, so a text row is
-never converted or joined again.
+tuples, or, in the plain walk, text already joined by the caller's
+separator, so a text row is never converted or joined again.
 
 The three histogram kernels -- luck, the four statistics (luck, freq of 1,
 first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
@@ -24,7 +27,7 @@ Callers validate their inputs: m >= 1 and n >= 0.
 """
 
 from bisect import bisect_left
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
 
 BACKEND = "pure"
 
@@ -126,6 +129,44 @@ def iter_bounded(bounds, leaves=(), sep=None):
             else:
                 stack.append(zip(map(prefix.__add__, pieces[offset:]),
                                  count(prev)))
+                break
+        else:
+            stack.pop()
+
+
+def fold_bounded(bounds, leaves, step, start):
+    """Yield (row, state) for every tuple row of iter_bounded(bounds, leaves),
+    in its order, where state folds step over the row's positions: start
+    before the first, then step(state, v, piece) after each value v, whose
+    piece is the tuple of labels that the row adds with v (see
+    ``_pieces``).  A state is computed once per prefix and shared by every
+    row below it, so step must not mutate it.  The empty bound list yields
+    the labels alone once, with state start.
+    """
+    leaves = sorted(leaves)
+    n = len(bounds)
+    if n == 0:
+        yield tuple(leaves), start
+        return
+    caps = _caps(bounds)
+    top = n - 1
+    tables = [_pieces(caps[d - 1] if d else 1, cap, leaves, d == top, tuple)
+              for d, cap in enumerate(caps)]
+    # stack[d] yields the (prefix, state, last value) triples still to visit
+    # at depth d, from the empty prefix, whose next value starts at 1
+    stack = [iter([((), start, 1)])]
+    while stack:
+        depth = len(stack) - 1
+        where = tables[depth]
+        for prefix, state, prev in stack[-1]:
+            pieces, offset = where[prev]
+            pieces = pieces[offset:]
+            rows = map(prefix.__add__, pieces)
+            states = map(step, repeat(state), count(prev), pieces)
+            if depth == top:
+                yield from zip(rows, states)
+            else:
+                stack.append(zip(rows, states, count(prev)))
                 break
         else:
             stack.pop()

@@ -1,10 +1,12 @@
 """Verification harness: statuses, scoping, and report structure."""
 
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from catpark import decomposition, harness
+from catpark import decomposition, harness, kernels
+from catpark.caterpillar import _park, build_caterpillar, non_backbone_labels, theta
 from catpark.decomposition import tau
 from catpark.engine import IdentityCheck
 from catpark.errors import EnumerationCapError
@@ -401,15 +403,13 @@ def test_involution_reports_a_broken_image(monkeypatch):
 
 
 def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
-    real = harness.theta
+    """The walk merges one leaf too few into every image from n = 2 on."""
+    real = harness.non_backbone_labels
 
-    def drop_leaf(seq, m, n):
-        image = list(real(seq, m, n))
-        if n >= 2:
-            image.remove(harness.non_backbone_labels(m, n)[0])
-        return tuple(image)
+    def drop_leaf(m, n):
+        return real(m, n)[1:]
 
-    monkeypatch.setattr(harness, "theta", drop_leaf)
+    monkeypatch.setattr(harness, "non_backbone_labels", drop_leaf)
     report = run_verification("theta", m=2, max_n=3)
     assert [(e.identity, e.status) for e in report.entries] == [
         ("tree-iso-transport", "fail")]
@@ -429,6 +429,48 @@ def test_theta_checks_each_object_once(monkeypatch):
     objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 5))
     assert calls == {"harness.is_tree_pk": objects,
                      "caterpillar._validate_entries": objects}
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_theta_fold_against_theta_and_park(m):
+    """check_theta's folded state on every image, n <= 6, against the
+    definitions: enumerate_u_pk's p order, theta and the walker's rows,
+    _park's run, and the counts of the labels 1..m."""
+    fam = canonical_family(m)
+    start = ((), 0, 0, True, (0,) * m)
+    for n in range(1, 7):
+        tree = build_caterpillar(m, n)
+        leaves = non_backbone_labels(m, n)
+        folded = list(kernels.fold_bounded(
+            fam.bounds(n), leaves, partial(harness._theta_step, tree), start))
+        assert [state[0] for _, state in folded] == list(enumerate_u_pk(n, fam))
+        assert ([image for image, _ in folded]
+                == list(kernels.iter_bounded(fam.bounds(n), leaves)))
+        for image, (p, occupied, luck, parked, counts) in folded:
+            assert image == theta(p, m, n)
+            outcome = _park(tree, image)
+            assert parked == outcome.all_parked
+            assert luck == len(outcome.lucky_set)
+            assert occupied == sum(1 << node for node in outcome.assignment
+                                   if node)
+            assert counts == tuple(image.count(j) for j in range(1, m + 1))
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_theta_step_against_park_where_cars_fall_out(m, n):
+    """Every image is a distribution, so on the walk above every car parks;
+    here preferences run over every node, and the step must agree with
+    _park on the cars that fall out too."""
+    tree = build_caterpillar(m, n)
+    start = ((), 0, 0, True, (0,) * m)
+    step = partial(harness._theta_step, tree)
+    fallen = 0
+    for prefs, (_, _, luck, parked, _) in kernels.fold_bounded(
+            [tree.node_count] * tree.node_count, (), step, start):
+        outcome = _park(tree, prefs)
+        assert (parked, luck) == (outcome.all_parked, len(outcome.lucky_set))
+        fallen += not parked
+    assert fallen
 
 
 def test_involution_checks_each_image_once(monkeypatch):

@@ -162,6 +162,37 @@ def test_count_for_bounds_against_odometer(bounds):
     assert kernels.count_for_bounds(bounds) == len(list(odometer(bounds)))
 
 
+def _fold_p_and_pieces(state, v, piece):
+    p, joined = state
+    return p + (v,), joined + piece
+
+
+@pytest.mark.parametrize("bounds", [[0, 3], [3, 2], [3, 3], [2, 5, 5]] + [
+    [m * (i + k - 1) - r for i in range(1, n + 1)]
+    for m, k, r in FAMILIES[:6] for n in range(1, 6)], ids=str)
+@pytest.mark.parametrize("leaves", [(), (2, 4), (5, 1, 3, 3)], ids=str)
+def test_fold_bounded_against_iter_bounded(bounds, leaves):
+    """Folding (p, pieces so far) gives every row of iter_bounded with its p,
+    and the row is its pieces joined."""
+    folded = list(kernels.fold_bounded(bounds, leaves, _fold_p_and_pieces,
+                                       ((), ())))
+    assert [row for row, _ in folded] == list(kernels.iter_bounded(bounds, leaves))
+    assert [p for _, (p, _) in folded] == list(odometer(bounds))
+    assert all(row == joined for row, (_, joined) in folded)
+
+
+def test_fold_bounded_edge_cases():
+    start = ((), ())
+    assert list(kernels.fold_bounded([], (), _fold_p_and_pieces, start)) == [
+        ((), start)]
+    # no position to fold the labels into: the start state comes back
+    assert list(kernels.fold_bounded([], (3, 1), _fold_p_and_pieces, start)) == [
+        ((1, 3), start)]
+    # one position and no labels, as on the one-node tree
+    assert list(kernels.fold_bounded([1], (), _fold_p_and_pieces, start)) == [
+        ((1,), ((1,), (1,)))]
+
+
 def test_quad_histogram_luck_ones_symmetry():
     """The paper's (luck, omega_1) symmetry, at sizes past enumeration."""
     for m, n in ((2, 12), (3, 9)):

@@ -1,6 +1,8 @@
-"""Each check catches a broken count: one row per scope of a mutation, the
-name it patches where the check reads it, and the counterexample it must
+"""Each check catches a broken part: one row per mutation, with the name
+it patches where the check reads it and the counterexample it must
 report."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +11,8 @@ from catpark.harness import run_verification
 
 
 # (scope, options, module, name, stand-in made from the real function,
-#  counterexample the failing entry reports); each stand-in counts one too many
+#  counterexample the failing entry reports); the count-reading scopes'
+#  stand-ins count one too many
 MUTATIONS = [
     ("counting", {"m": 2, "max_n": 4}, harness, "count_u_pk",
      lambda real: lambda n, family: real(n, family) + (n == 3),
@@ -23,11 +26,45 @@ MUTATIONS = [
     ("hseries", {"m": 2, "order": 4}, engine, "count_u_pk",
      lambda real: lambda n, family: real(n, family) + (n == 2),
      {"k": 1, "r": 0, "first": (2, "8", "7")}),
+    # tree-iso-transport, one row per reason, each at p = (1, 1, 3), whose
+    # image on the (2, 3) tree is (1, 1, 2, 3, 4)
+    ("theta", {"m": 2, "max_n": 4}, harness, "is_tree_pk",
+     lambda real: lambda tree, seq: real(tree, seq) and seq != (1, 1, 2, 3, 4),
+     {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4),
+      "reason": "image not a distribution"}),
+    ("theta", {"m": 2, "max_n": 4}, harness, "_theta_inv",
+     lambda real: lambda seq, leaves: (real(seq, leaves)[::-1]
+                                       if seq == (1, 1, 2, 3, 4)
+                                       else real(seq, leaves)),
+     {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4), "reason": "roundtrip"}),
+    ("theta", {"m": 2, "max_n": 4}, harness, "_luck",
+     lambda real: lambda seq, m: real(seq, m) + (seq == (1, 1, 3)),
+     {"n": 3, "p": (1, 1, 3), "reason": "luck transport"}),
+    ("theta", {"m": 2, "max_n": 4}, harness, "u_omega",
+     lambda real: lambda seq, j: real(seq, j) + (seq == (1, 1, 3) and j == 2),
+     {"n": 3, "p": (1, 1, 3), "reason": "omega_2 transport"}),
+    ("theta", {"m": 2, "max_n": 4}, harness, "fuss_catalan",
+     lambda real: lambda m, n: real(m, n) + (n == 3),
+     {"n": 3, "reason": "count"}),
+    # the parking step counts a leaf car that parks at its preference as
+    # lucky: on the (2, 2) tree, car 3 of (1, 1, 2)
+    ("theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
+     lambda real: lambda tree, state, v, piece: real(
+         replace(tree, backbone_set=range(1, tree.node_count + 1)),
+         state, v, piece),
+     {"n": 2, "p": (1, 1), "reason": "luck transport"}),
 ]
 
 
+def _row_id(row):
+    """The scope, and the patched name when several rows share the scope."""
+    scope, name = row[0], row[3]
+    shared = sum(other[0] == scope for other in MUTATIONS) > 1
+    return f"{scope}-{name}" if shared else scope
+
+
 @pytest.mark.parametrize("scope,opts,module,name,mutate,counterexample",
-                         MUTATIONS, ids=[row[0] for row in MUTATIONS])
+                         MUTATIONS, ids=list(map(_row_id, MUTATIONS)))
 def test_mutation_is_caught(monkeypatch, scope, opts, module, name, mutate,
                             counterexample):
     assert run_verification(scope, **opts).ok
