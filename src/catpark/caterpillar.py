@@ -168,10 +168,17 @@ def theta(seq, m, n):
 
 def _theta_inv(seq, leaves):
     """sorted(seq) less one copy of each leaf label; seq must hold them all,
-    as every parking distribution does (a leaf's subtree is the leaf)."""
-    out = sorted(seq)
-    for label in leaves:
-        out.remove(label)
+    as every parking distribution does (a leaf's subtree is the leaf).
+    One merge pass: leaves ascend, so the first copy of the next leaf
+    label in sorted(seq) is the one to skip."""
+    out = []
+    rest = iter(leaves)
+    skip = next(rest, None)
+    for v in sorted(seq):
+        if v == skip:
+            skip = next(rest, None)
+        else:
+            out.append(v)
     return tuple(out)
 
 

@@ -120,18 +120,23 @@ def gamma_series_closed(m, order, literal=False):
     literal=True instead attaches the substitutions as
     B(x)^(m-1) * B(vx;q) * B(uvx;t), which fails against enumeration at
     m=2, n=2.
+
+    The monomial head q*t*(uv)^2 multiplies the first, small factor (137
+    terms at m=2, order 16), not the finished product: the last product is
+    dense, with no colliding terms, so a head applied last would cost as
+    much again as that product (13,277 terms there).
     """
     bq = r_series_closed(m, order, QT_UV, "q")
     bt = r_series_closed(m, order, QT_UV, "t")
     b = fuss_catalan_series(m, order, QT_UV)
     v = MultiPoly.variable(QT_UV, "v")
     uv = MultiPoly.monomial(QT_UV, {"u": 1, "v": 1})
-    if literal:
-        product = (b ** (m - 1)) * bq.scale_arg(v) * bt.scale_arg(uv)
-    else:
-        product = bq * (b.scale_arg(v) ** (m - 1)) * bt.scale_arg(uv)
     head = MultiPoly.monomial(QT_UV, {"q": 1, "t": 1, "u": 2, "v": 2})
-    return TruncatedSeries.one(QT_UV, order) + (head * product).shifted(1)
+    if literal:
+        product = (head * b ** (m - 1)) * bq.scale_arg(v) * bt.scale_arg(uv)
+    else:
+        product = (head * bq) * (b.scale_arg(v) ** (m - 1)) * bt.scale_arg(uv)
+    return TruncatedSeries.one(QT_UV, order) + product.shifted(1)
 
 
 def verify_gamma_series(m, order, literal=False):

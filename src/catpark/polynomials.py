@@ -19,6 +19,10 @@ a fresh dict, owned by the new value, from exponent tuples of that width
 to nonzero ints.  Only this module and ``catpark.series`` may call
 ``_raw``, read ``_terms`` or use ``_mul_into``, and only with values that
 already hold the invariant.
+
+``+`` copies the larger term map and walks the smaller one, so adding a
+constant or a short polynomial to a long one costs only the short side,
+whichever operand is on the left.
 """
 
 from operator import add
@@ -134,8 +138,11 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        for exps, coeff in small.items():
             new = terms.get(exps, 0) + coeff
             if new:
                 terms[exps] = new

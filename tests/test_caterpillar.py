@@ -207,6 +207,22 @@ def counter_theta_inv(seq, leaves):
     return tuple(label for label in sorted(counts) for _ in range(counts[label]))
 
 
+def remove_theta_inv(seq, leaves):
+    """Removal of one copy of each leaf label from sorted(seq) by list.remove."""
+    out = sorted(seq)
+    for label in leaves:
+        out.remove(label)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_theta_inv_merge_matches_sort_and_remove_on_every_image(m):
+    for n in range(1, 7):
+        leaves = non_backbone_labels(m, n)
+        for image in enumerate_caterpillar_pk(m, n):
+            assert _theta_inv(image, leaves) == remove_theta_inv(image, leaves)
+
+
 @pytest.mark.parametrize("m,n", PARKING_SMALL)
 def test_park_core_matches_definition_on_every_candidate(m, n):
     tree = build_caterpillar(m, n)
@@ -230,13 +246,14 @@ def test_park_core_matches_definition_on_shuffled_orders(shape, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 5), st.data())
+@given(st.integers(1, 3), st.integers(1, 6), st.data())
 def test_theta_inv_core_matches_counter_definition(m, n, data):
     dists = list(enumerate_caterpillar_pk(m, n))
     seq = tuple(data.draw(st.permutations(data.draw(st.sampled_from(dists)))))
     leaves = non_backbone_labels(m, n)
     assert _theta_inv(seq, leaves) == counter_theta_inv(seq, leaves)
     assert _theta_inv(seq, leaves) == theta_inv(seq, m, n)
+    assert theta_inv(seq, m, n) == remove_theta_inv(seq, leaves)
 
 
 def test_theta_bijection_and_transport():

@@ -27,6 +27,7 @@ from catpark.engine import (
 )
 from catpark.errors import HBasisError
 from catpark.polynomials import MultiPoly, complete_homogeneous
+from catpark.series import TruncatedSeries
 
 QT_UV = ("q", "t", "u", "v")
 
@@ -156,6 +157,27 @@ def test_gamma_series_literal_mismatch_at_2_2():
     q = MultiPoly.variable(QT_UV, "q")
     v = MultiPoly.variable(QT_UV, "v")
     assert brute == (head * (q + v + tuv)).render()
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gamma_series_closed_equals_head_last_product(m, literal):
+    """The closed form equals its product written out with the monomial head
+    applied last, to the finished product."""
+    v = MultiPoly.variable(QT_UV, "v")
+    uv = MultiPoly.monomial(QT_UV, {"u": 1, "v": 1})
+    head = MultiPoly.monomial(QT_UV, {"q": 1, "t": 1, "u": 2, "v": 2})
+    for order in range(9):
+        bq = r_series_closed(m, order, QT_UV, "q")
+        bt = r_series_closed(m, order, QT_UV, "t")
+        b = fuss_catalan_series(m, order, QT_UV)
+        if literal:
+            product = (b ** (m - 1)) * bq.scale_arg(v) * bt.scale_arg(uv)
+        else:
+            product = bq * (b.scale_arg(v) ** (m - 1)) * bt.scale_arg(uv)
+        one = TruncatedSeries.one(QT_UV, order)
+        assert (gamma_series_closed(m, order, literal=literal)
+                == one + (head * product).shifted(1)), (m, order)
 
 
 def test_gamma_specializes_to_r_series():

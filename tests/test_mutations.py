@@ -26,6 +26,25 @@ MUTATIONS = [
     ("hseries", {"m": 2, "order": 4}, engine, "count_u_pk",
      lambda real: lambda n, family: real(n, family) + (n == 2),
      {"k": 1, "r": 0, "first": (2, "8", "7")}),
+    # the closed series read r_series_closed; each stand-in builds some of
+    # its series in the uncorrected 1/(1 - q*x*B) form, or in a wrong variable
+    ("gamma", {"m": 2, "order": 3}, engine, "r_series_closed",
+     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
+         real(m, order, variables, qvar, literal=literal or qvar == "t"),
+     (3, "q*t^3*u^4*v^4 + 2*q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
+         " + q*t^2*u^3*v^4 + q^3*t*u^2*v^2 + q^2*t*u^2*v^3"
+         " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2",
+      "q*t^3*u^4*v^4 + q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
+      " + q*t^2*u^3*v^4 + q^3*t*u^2*v^2 + q^2*t*u^2*v^3"
+      " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2")),
+    ("qluck", {"m": 2, "order": 3}, engine, "r_series_closed",
+     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
+         real(m, order, variables, qvar, literal=True),
+     (2, "q^2 + 2*q", "q^2 + q")),
+    ("multistat", {"m": 1, "order": 3}, engine, "r_series_closed",
+     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
+         real(m, order, variables, "q0" if qvar == "q1" else qvar, literal),
+     (2, "q0^2*q1 + q0*q1^2", "2*q0^2*q1")),
     # tree-iso-transport, one row per reason, each at p = (1, 1, 3), whose
     # image on the (2, 3) tree is (1, 1, 2, 3, 4)
     ("theta", {"m": 2, "max_n": 4}, harness, "is_tree_pk",

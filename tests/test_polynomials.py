@@ -238,3 +238,26 @@ def test_cancellation_leaves_the_canonical_zero(data):
         assert diff == zero
         assert hash(diff) == hash(zero)
         assert diff.render() == "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_add_walks_either_side_without_aliasing(data):
+    """Addition gives the same sum whichever operand is the larger, drops
+    the terms that cancel, and leaves both operands' term maps as they were."""
+    width = data.draw(st.integers(0, 3))
+    variables = ("q", "t", "u")[:width]
+    ta = data.draw(term_maps(width))
+    # b shares some of a's exponents, some with negated coefficients
+    shared = data.draw(st.lists(st.sampled_from(sorted(ta)), unique=True)
+                       if ta else st.just([]))
+    tb = {e: -ta[e] if data.draw(st.booleans()) else ta[e] for e in shared}
+    tb.update(data.draw(term_maps(width)))
+    a, b = MultiPoly(variables, ta), MultiPoly(variables, tb)
+    before_a, before_b = dict(a._terms), dict(b._terms)
+    total = a + b
+    assert total == b + a
+    assert dict(total.items()) == oracle_add(ta, tb)
+    assert all(coeff for _, coeff in total.items())
+    assert a._terms == before_a and b._terms == before_b
+    assert total._terms is not a._terms and total._terms is not b._terms
