@@ -190,16 +190,18 @@ def theta_inv(seq, m, n):
     return _theta_inv(seq, non_backbone_labels(m, n))
 
 
-def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS, sep=None):
+def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS,
+                             text=None):
     """Iterate over all parking distributions on the (m, n) tree, as theta
     images of the bounded sequences, in the induced lexicographic order.
     The walker merges the leaf labels into each row, so no row is sorted;
-    given sep, rows are text joined by it.  An n < 1, or a count past
+    given text = (head, sep, tail), each row is one string, its entries
+    joined by sep between head and tail.  An n < 1, or a count past
     max_objects, raises at the call, before any row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return enumerate_u_pk(n, canonical_family(m), max_objects,
-                          non_backbone_labels(m, n), sep)
+                          non_backbone_labels(m, n), text)
 
 
 def to_lattice_path(seq, m):

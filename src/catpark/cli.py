@@ -19,12 +19,15 @@ every error comes before the first write, so a failed call prints nothing
 on stdout.  Every verb but ``enumerate`` writes its result through
 ``_emit``, which holds the three formats: one JSON payload, one CSV table,
 or lines of text.  ``enumerate`` streams: it asks the enumeration for rows
-as text already joined -- by "," for csv and text, by the indented JSON
-separator for json -- and writes them in batches of 512 as they come, so no
-row is converted or joined again and no list of all rows is held.
+as text already framed -- a line of commas for csv and text, an indented
+JSON array after a comma for json -- and writes them in batches of 512 as
+they come, so no row is converted, joined or formatted again and no list of
+all rows is held.
 
-``main`` parses with one parser per process, built on its first call;
-``build_parser()`` returns a fresh parser on every call.
+``main`` parses with one parser per process, built on its first call; when
+argv starts with a verb, that verb's own parser reads the rest, as the
+top-level parser would hand it on, and any other argv goes through the
+top-level parser.  ``build_parser()`` returns a fresh parser on every call.
 """
 
 import argparse
@@ -85,13 +88,14 @@ class ResourceError(Exception):
 
 
 def _parse_seq(text):
+    """The integers of --seq; the empty string is the empty sequence, and an
+    empty entry (as in 1,,2 or 1,2,) is refused."""
     if text is None:
         raise ValueError("--seq is required")
     try:
-        seq = tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"--seq must be comma-separated integers, got {text!r}")
-    return seq
 
 
 def _family(args):
@@ -158,33 +162,34 @@ def seq_str(seq):
 
 def cmd_enumerate(args, out):
     fam = _family(args)
-    # rows come as text already joined: JSON's indent=2 layout, else commas
-    sep = ",\n      " if args.format == "json" else ","
+    # rows come as text already framed: JSON's indent=2 layout, else lines
+    # of commas
+    text = ((",\n    [\n      ", ",\n      ", "\n    ]")
+            if args.format == "json" else ("", ",", "\n"))
     if args.kind == "u":
         rows = enumerate_u_pk(args.n, fam, max_objects=args.max_objects,
-                              sep=sep)
+                              text=text)
         length = args.n
     else:
         rows = enumerate_caterpillar_pk(args.m, args.n,
-                                        max_objects=args.max_objects, sep=sep)
+                                        max_objects=args.max_objects,
+                                        text=text)
         length = args.m * args.n - args.m + 1
     if args.format == "json":
         # json.dumps(payload, indent=2), written as the rows come.  The
-        # stream is never empty; the one row at n = 0 is empty and prints []
+        # first row drops its comma; the one row at length 0 prints []
         head, tail = json.dumps({"m": args.m, "n": args.n, "kind": args.kind,
                                  "sequences": []}, indent=2).rsplit("[]", 1)
         first = next(rows)
-        start = (f"{head}[\n    [\n      {first}\n    ]" if first
-                 else f"{head}[\n    []")
-        row, end = ",\n    [\n      {}\n    ]", "\n  ]" + tail + "\n"
+        start = head + ("[" + first[1:] if length else "[\n    []")
+        end = "\n  ]" + tail + "\n"
     else:
         start = (",".join(f"p{i}" for i in range(1, length + 1)) + "\n"
                  if args.format == "csv" else "")
-        row, end = "{}\n", ""
+        end = ""
     out.write(start)
     # one write per batch: a write per row is slow on a real stdout, and a
     # join of every row would hold them all
-    rows = map(row.format, rows)
     while batch := "".join(islice(rows, 512)):
         out.write(batch)
     out.write(end)
@@ -444,14 +449,32 @@ def build_parser():
                    help="restrict checks to one regularity")
     _add_common(p, m=False, max_order=True)
     p.set_defaults(fn=cmd_verify)
+    # verb -> its parser, for main to parse a verb's argv directly
+    parser.verbs = sub.choices
     return parser
 
 
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv):
+    """Parse argv with the parser of the verb argv[0] names, which is what
+    the top-level parser would hand it to, sparing a second parse.  Any
+    other argv goes through the top-level parser, and leftover arguments
+    get its error message, so stderr and exit codes stay argparse's own."""
+    parser = _parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         for name, least in (("m", 1), ("n", 0), ("max_objects", 0),
                             ("max_order", 0)):

@@ -13,7 +13,9 @@ labels, which the tree enumeration uses for its leaf labels: a piece is the
 labels in [prev, v) followed by v, and a last-position piece also holds the
 labels >= v, so every row is the sorted merge without a sort.  Pieces are
 tuples, or, in the plain walk, text already joined by the caller's
-separator, so a text row is never converted or joined again.
+separator and framed by its head and tail: a first-position piece starts
+with the head, a last-position piece ends with the tail, so a text row
+comes out whole and is never converted, joined or framed again.
 
 The three histogram kernels -- luck, the four statistics (luck, freq of 1,
 first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
@@ -79,14 +81,14 @@ def count_for_bounds(bounds):
     return sum(accumulate(ending)) + (caps[-1] - len(ending)) * sum(ending)
 
 
-def iter_bounded(bounds, leaves=(), sep=None):
+def iter_bounded(bounds, leaves=(), text=None):
     """Yield every nondecreasing p with 1 <= p[i] <= bounds[i], merged with
     the labels in leaves.
 
     Rows come in strictly increasing lexicographic order of p.  A row is
-    the tuple sorted(p + leaves), or, given sep, the text
-    sep.join(map(str, sorted(p + leaves))).  The empty bound list yields
-    the row of the labels alone once.
+    the tuple sorted(p + leaves), or, given the triple text = (head, sep,
+    tail), the string head + sep.join(map(str, sorted(p + leaves))) + tail.
+    The empty bound list yields the row of the labels alone once.
 
     The walk runs under the caps, so every prefix it visits completes.  Its
     piece tables keep, per position, one list for each run of previous
@@ -94,23 +96,24 @@ def iter_bounded(bounds, leaves=(), sep=None):
     pieces when leaves is empty.
     """
     leaves = sorted(leaves)
-    # a row's first piece has no separator ahead of it
-    if sep is None:
-        first = rest = tuple
+    if text is None:
+        def frame(first, last):
+            return tuple
     else:
-        def first(items):
-            return sep.join(map(str, items))
+        head, sep, tail = text
 
-        def rest(items):
-            return sep + first(items)
+        # the first position's pieces open the row, the last's close it
+        def frame(first, last):
+            before, after = head if first else sep, tail if last else ""
+            return lambda items: before + sep.join(map(str, items)) + after
     n = len(bounds)
     if n == 0:
-        yield first(leaves)
+        yield frame(True, True)(leaves)
         return
     caps = _caps(bounds)
     top = n - 1
     tables = [_pieces(caps[d - 1] if d else 1, cap, leaves, d == top,
-                      rest if d else first)
+                      frame(d == 0, d == top))
               for d, cap in enumerate(caps)]
     pieces, _ = tables[0][1]
     if top == 0:

@@ -108,19 +108,20 @@ def _require_under_cap(n, family, max_objects):
 
 
 def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
-                   sep=None):
+                   text=None):
     """Yield every family-bounded distribution of length n, lexicographically.
 
     The count projected by the closed form is checked against max_objects
     before the first yield; EnumerationCapError is raised when it would be
     exceeded.  Rows are tuples, merged in sorted position with the labels
-    in leaves; given sep, each row is that tuple's entries as text joined
-    by sep (see ``kernels.iter_bounded``).
+    in leaves; given text = (head, sep, tail), each row is that tuple's
+    entries joined by sep, between head and tail, as one string (see
+    ``kernels.iter_bounded``).
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     _require_under_cap(n, family, max_objects)
-    return kernels.iter_bounded(family.bounds(n), leaves, sep)
+    return kernels.iter_bounded(family.bounds(n), leaves, text)
 
 
 def fuss_catalan(m, n):

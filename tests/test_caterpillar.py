@@ -288,12 +288,16 @@ def test_enumerate_caterpillar_counts():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_enumerate_caterpillar_is_theta_image(m):
     """theta's definition, sorted(p + leaves), is the oracle for the walker's
-    sort-free merge, in tuples and in text rows."""
+    sort-free merge, in tuples and in text rows, bare or framed."""
     for n in range(1, 7):
         images = [theta(p, m, n) for p in enumerate_u_pk(n, canonical_family(m))]
         assert list(enumerate_caterpillar_pk(m, n)) == images
-        assert (list(enumerate_caterpillar_pk(m, n, sep=","))
-                == [",".join(map(str, image)) for image in images])
+        for text in (("", ",", ""), ("", ",", "\n"),
+                     (",\n    [\n      ", ",\n      ", "\n    ]")):
+            head, sep, tail = text
+            assert (list(enumerate_caterpillar_pk(m, n, text=text))
+                    == [head + sep.join(map(str, image)) + tail
+                        for image in images])
 
 
 def test_enumerate_caterpillar_matches_filter():

@@ -99,6 +99,19 @@ def test_map_errors_name_flag(capsys):
     assert code == 2 and "--seq" in err
 
 
+def test_seq_refuses_empty_entries(capsys):
+    """An empty entry is refused, not dropped; the empty string stays the
+    empty sequence."""
+    for seq in ("1,,2", "1,2,", ",1,2", ","):
+        code, out, err = run_cli(capsys, "stats", "--m", "2", "--seq", seq)
+        assert (code, out) == (2, "")
+        assert err == (f"catpark stats: --seq must be comma-separated "
+                       f"integers, got {seq!r}\n")
+    code, out, _ = run_cli(capsys, "map", "--name", "tau", "--m", "2",
+                           "--seq", "")
+    assert (code, out) == (0, "\n")
+
+
 def test_stats(capsys):
     code, out, _ = run_cli(capsys, "stats", "--m", "2", "--seq", "1,1,4")
     assert code == 0
@@ -342,6 +355,11 @@ def test_verify_rejects_unsupported_options(capsys, argv):
     ["map", "--name", "theta", "--m", "2", "--seq", ","],
     ["poly", "--name", "R", "--m", "2", "--n", "-1"],
     ["tensor", "--m", "2", "--n", "-1"],
+    # an empty --seq entry, inside, last or first
+    ["stats", "--m", "2", "--seq", "1,,2"],
+    ["stats", "--m", "2", "--seq", "1,2,"],
+    ["decompose", "--m", "2", "--seq", ",1,2"],
+    ["map", "--name", "tau", "--m", "2", "--seq", "1,1,,4"],
 ])
 def test_bad_values_exit_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -485,12 +503,65 @@ def test_shared_parser_matches_fresh_parser(monkeypatch):
     assert build_parser() is not build_parser()
 
 
+def _fresh_parse(argv):
+    """A fresh top-level parser's (exit code, stdout, stderr) on argv; the
+    code is None when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["nosuch"],
+    ["nosuch", "--m", "2"],
+    ["stats", "--help"],
+    ["stats", "--m", "2", "--seq", "1,1,4", "--bogus"],
+    ["stats", "--m", "2", "--seq", "1,1,4", "stray"],
+    ["count", "--m", "2", "stray", "--n", "3", "--bogus", "x"],
+    ["stats", "--m", "x", "--seq", "1"],
+    ["count", "--m", "2", "--n"],
+], ids=" ".join)
+def test_parse_errors_match_the_top_level_parser(argv):
+    """Help and usage errors, whichever parser main uses, print what the
+    top-level parser prints and exit with its code."""
+    expected = _fresh_parse(argv)
+    assert expected[0] in (0, 2)
+    assert _call(argv) == expected
+
+
+def test_a_verb_is_parsed_by_its_own_parser(monkeypatch):
+    """A verb's argv never reaches the top-level parser; other argv do."""
+    parser = cli._parser()
+
+    def refuse(argv):
+        raise AssertionError(argv)
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    assert _call(["count", "--m", "2", "--n", "3"]) == (0, "12\n", "")
+    with pytest.raises(AssertionError):
+        _call(["--help"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 6), st.sampled_from(("u", "cat")),
        st.sampled_from(("text", "csv", "json")), st.sampled_from((None, (2, 1))))
 @example(2, 0, "u", "text", None)
 @example(2, 0, "u", "csv", None)
 @example(2, 0, "u", "json", None)
+# one position: each row is one piece, carrying the frame's head and tail
+@example(2, 1, "u", "text", None)
+@example(2, 1, "u", "csv", None)
+@example(2, 1, "u", "json", None)
+@example(2, 1, "cat", "text", None)
+@example(2, 1, "cat", "csv", None)
+@example(2, 1, "cat", "json", None)
 @example(3, 4, "u", "csv", (2, 1))
 def test_enumerate_json_bytes(m, n, kind, fmt, kr):
     """Every enumerate format, byte for byte, against the tuple enumeration

@@ -143,9 +143,12 @@ FAMILIES = [(1, 1, 0), (2, 1, 1), (3, 1, 2), (4, 1, 3), (2, 1, 0), (3, 1, 0),
 def test_iter_bounded_against_odometer(bounds):
     rows = list(odometer(bounds))
     assert list(kernels.iter_bounded(bounds)) == rows
-    for sep in (",", ",\n      "):
-        assert (list(kernels.iter_bounded(bounds, sep=sep))
-                == [sep.join(map(str, row)) for row in rows])
+    # bare joins, and frames whose head and tail are not empty
+    for text in (("", ",", ""), ("", ",\n      ", ""), ("", ",", "\n"),
+                 (",\n    [\n      ", ",\n      ", "\n    ]"), ("(", " ", ")")):
+        head, sep, tail = text
+        assert (list(kernels.iter_bounded(bounds, text=text))
+                == [head + sep.join(map(str, row)) + tail for row in rows])
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,6 +211,13 @@ def test_iter_bounded_edge_cases():
     assert list(kernels.iter_bounded([2])) == [(1,), (2,)]
     # a later bound caps the earlier entries too
     assert list(kernels.iter_bounded([3, 2])) == [(1, 1), (1, 2), (2, 2)]
+    # a text row is framed whole: with no position the labels alone sit
+    # between head and tail, and with one position each piece carries both
+    text = ("<", ",", ">")
+    assert list(kernels.iter_bounded([], text=text)) == ["<>"]
+    assert list(kernels.iter_bounded([], (3, 1), text)) == ["<1,3>"]
+    assert list(kernels.iter_bounded([2], (1,), text)) == ["<1,1>", "<1,2>"]
+    assert list(kernels.iter_bounded([0, 3], (1,), text)) == []
 
 
 def test_luck_histogram_empty_length():

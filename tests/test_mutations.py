@@ -72,6 +72,18 @@ MUTATIONS = [
          replace(tree, backbone_set=range(1, tree.node_count + 1)),
          state, v, piece),
      {"n": 2, "p": (1, 1), "reason": "luck transport"}),
+    # condition-vs-process on the four-node path: a process where a car
+    # whose node is taken exits at once, and a condition that accepts one
+    # non-distribution
+    ("parking", {"m": 1, "max_n": 4}, harness, "_park",
+     lambda real: lambda tree, seq: real(
+         replace(tree, parent=(0,) * len(tree.parent)), seq),
+     {"m": 1, "n": 4, "seq": (1, 1, 1, 1), "condition": True,
+      "parked": False}),
+    ("parking", {"m": 1, "max_n": 4}, harness, "is_tree_pk",
+     lambda real: lambda tree, seq: real(tree, seq) or seq == (1, 2, 4, 4),
+     {"m": 1, "n": 4, "seq": (1, 2, 4, 4), "condition": True,
+      "parked": False}),
 ]
 
 
