@@ -195,9 +195,10 @@ def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS,
     """Iterate over all parking distributions on the (m, n) tree, as theta
     images of the bounded sequences, in the induced lexicographic order.
     The walker merges the leaf labels into each row, so no row is sorted;
-    given text = (head, sep, tail), each row is one string, its entries
-    joined by sep between head and tail.  An n < 1, or a count past
-    max_objects, raises at the call, before any row."""
+    given text = (head, sep, tail), each row is its entries joined by sep
+    between head and tail, and the yielded strings, joined in order, are
+    the framed rows, each string one or more whole rows.  An n < 1, or a
+    count past max_objects, raises at the call, before any row."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return enumerate_u_pk(n, canonical_family(m), max_objects,

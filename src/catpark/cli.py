@@ -4,11 +4,11 @@ Verbs: enumerate, count, stats, decompose, map, poly, tensor, tables,
 verify.  Output formats are text (default), csv, and json; identical
 invocations produce identical bytes (verify timing fields excepted).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.  ``main`` checks --m >= 1, --n >= 0, --max-objects >= 0 and
---max-order >= 0 for every verb, and maps every ValueError or CatparkError
-an argument provokes to exit 2 with a one-line message, so no argv ends in
-a traceback.  Each option is declared once: the shared ones by
+Exit codes: 0 success, 1 verification failure or output closed early, 2
+usage error, 3 resource cap exceeded.  ``main`` checks --m >= 1, --n >= 0,
+--max-objects >= 0 and --max-order >= 0 for every verb, and maps every
+ValueError or CatparkError an argument provokes to exit 2 with a one-line
+message, so no argv ends in a traceback.  Each option is declared once: the shared ones by
 ``_add_common``, the rest in their verb's block.  The cap refusals of
 ``enumerate``, ``poly --name multi`` and ``tensor`` all come from
 ``sequences._require_under_cap``, and ``poly --name B`` reads
@@ -20,9 +20,12 @@ on stdout.  Every verb but ``enumerate`` writes its result through
 ``_emit``, which holds the three formats: one JSON payload, one CSV table,
 or lines of text.  ``enumerate`` streams: it asks the enumeration for rows
 as text already framed -- a line of commas for csv and text, an indented
-JSON array after a comma for json -- and writes them in batches of 512 as
-they come, so no row is converted, joined or formatted again and no list of
-all rows is held.
+JSON array after a comma for json -- which come as strings of whole rows,
+one per parent prefix, and writes them joined up to ``WRITE_SIZE``
+characters at a time as they come, so no row is converted, joined or
+formatted again and no list of all rows is held.  When stdout closes before
+the output is written, as under ``| head``, ``main`` says so in one line and
+exits 1.
 
 ``main`` parses with one parser per process, built on its first call; when
 argv starts with a verb, that verb's own parser reads the rest, as the
@@ -34,8 +37,8 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
-from itertools import islice
 
 from catpark.caterpillar import (
     build_caterpillar,
@@ -77,10 +80,13 @@ from catpark.sequences import (
 from catpark.tables import build_table
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_MAX_ORDER = 24
+# characters that enumerate gathers before each write
+WRITE_SIZE = 1 << 16
 
 
 class ResourceError(Exception):
@@ -187,12 +193,18 @@ def cmd_enumerate(args, out):
         start = (",".join(f"p{i}" for i in range(1, length + 1)) + "\n"
                  if args.format == "csv" else "")
         end = ""
-    out.write(start)
-    # one write per batch: a write per row is slow on a real stdout, and a
-    # join of every row would hold them all
-    while batch := "".join(islice(rows, 512)):
-        out.write(batch)
-    out.write(end)
+    # whole batches joined up to WRITE_SIZE characters per write: a write
+    # per batch is slow on a real stdout, and one parent's batch can be
+    # large, so a count of batches would not bound what a write holds
+    chunk, size = [start], len(start)
+    for batch in rows:
+        if size >= WRITE_SIZE:
+            out.write("".join(chunk))
+            chunk, size = [], 0
+        chunk.append(batch)
+        size += len(batch)
+    chunk.append(end)
+    out.write("".join(chunk))
     return EXIT_OK
 
 
@@ -483,6 +495,12 @@ def main(argv=None):
                 raise ValueError(f"--{name.replace('_', '-')} must be >= "
                                  f"{least}, got {value}")
         code = args.fn(args, sys.stdout)
+        # a closed pipe shows here at the latest, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        sys.stderr.write(f"catpark {args.command}: output closed early\n")
+        return EXIT_CLOSED
     except (EnumerationCapError, ResourceError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_RESOURCE
@@ -490,6 +508,19 @@ def main(argv=None):
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_USAGE
     return code
+
+
+def _silence_stdout():
+    """Point stdout's file descriptor at devnull, so that the flush at exit
+    cannot raise on the closed pipe again.  A stdout with no descriptor,
+    such as a StringIO, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ labels >= v, so every row is the sorted merge without a sort.  Pieces are
 tuples, or, in the plain walk, text already joined by the caller's
 separator and framed by its head and tail: a first-position piece starts
 with the head, a last-position piece ends with the tail, so a text row
-comes out whole and is never converted, joined or framed again.
+comes out whole and is never converted, joined or framed again.  In text,
+a parent's batch is one string, its rows concatenated: the walker yields
+strings that, joined in order, are the framed rows, each string holding
+one or more whole rows, so a text caller writes what it reads.
 
 The three histogram kernels -- luck, the four statistics (luck, freq of 1,
 first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
@@ -86,9 +89,12 @@ def iter_bounded(bounds, leaves=(), text=None):
     the labels in leaves.
 
     Rows come in strictly increasing lexicographic order of p.  A row is
-    the tuple sorted(p + leaves), or, given the triple text = (head, sep,
-    tail), the string head + sep.join(map(str, sorted(p + leaves))) + tail.
-    The empty bound list yields the row of the labels alone once.
+    the tuple sorted(p + leaves), yielded one by one, or, given the triple
+    text = (head, sep, tail), the string head + sep.join(map(str,
+    sorted(p + leaves))) + tail.  Text rows come in batches: each yielded
+    string is one or more whole rows concatenated, here the rows under one
+    (n-1)-prefix, so the strings joined in order are the framed rows.  The
+    empty bound list yields the row of the labels alone once.
 
     The walk runs under the caps, so every prefix it visits completes.  Its
     piece tables keep, per position, one list for each run of previous
@@ -117,7 +123,10 @@ def iter_bounded(bounds, leaves=(), text=None):
               for d, cap in enumerate(caps)]
     pieces, _ = tables[0][1]
     if top == 0:
-        yield from pieces
+        if text is None:
+            yield from pieces
+        elif pieces:
+            yield "".join(pieces)
         return
     # stack[d] yields the (prefix, last value) pairs still to visit at depth
     # d + 1; a pushed level runs to its end before its parent resumes
@@ -128,7 +137,12 @@ def iter_bounded(bounds, leaves=(), text=None):
         for prefix, prev in stack[-1]:
             pieces, offset = where[prev]
             if depth == top:
-                yield from map(prefix.__add__, pieces[offset:])
+                if text is None:
+                    yield from map(prefix.__add__, pieces[offset:])
+                else:
+                    # the pieces run from prev to a cap >= prev, so at
+                    # least one, and prefix before each is the batch
+                    yield prefix + prefix.join(pieces[offset:])
             else:
                 stack.append(zip(map(prefix.__add__, pieces[offset:]),
                                  count(prev)))

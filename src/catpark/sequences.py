@@ -115,8 +115,9 @@ def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),
     before the first yield; EnumerationCapError is raised when it would be
     exceeded.  Rows are tuples, merged in sorted position with the labels
     in leaves; given text = (head, sep, tail), each row is that tuple's
-    entries joined by sep, between head and tail, as one string (see
-    ``kernels.iter_bounded``).
+    entries joined by sep, between head and tail, and the rows come as
+    strings that, joined in order, are the framed rows, each string one or
+    more whole rows (see ``kernels.iter_bounded``).
     """
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")

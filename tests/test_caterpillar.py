@@ -295,9 +295,9 @@ def test_enumerate_caterpillar_is_theta_image(m):
         for text in (("", ",", ""), ("", ",", "\n"),
                      (",\n    [\n      ", ",\n      ", "\n    ]")):
             head, sep, tail = text
-            assert (list(enumerate_caterpillar_pk(m, n, text=text))
-                    == [head + sep.join(map(str, image)) + tail
-                        for image in images])
+            assert ("".join(enumerate_caterpillar_pk(m, n, text=text))
+                    == "".join(head + sep.join(map(str, image)) + tail
+                               for image in images))
 
 
 def test_enumerate_caterpillar_matches_filter():

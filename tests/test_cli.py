@@ -4,15 +4,20 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import catpark
 from catpark import cli, harness
 from catpark.caterpillar import enumerate_caterpillar_pk
 from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main, seq_str
@@ -593,6 +598,107 @@ def test_enumerate_json_bytes(m, n, kind, fmt, kr):
     else:
         expected = "".join(seq_str(s) + "\n" for s in sequences)
     assert _call(argv) == (0, expected, "")
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("write_size", [1, 1000])
+@pytest.mark.parametrize("kind,fmt", [("cat", "csv"), ("u", "json")])
+def test_enumerate_writes_whole_batches_up_to_the_write_size(
+        monkeypatch, kind, fmt, write_size):
+    """The bytes do not depend on the write size.  Every write but the last
+    reaches it, and none holds more than one batch past it, besides the
+    text around the rows."""
+    argv = ["enumerate", "--m", "3", "--n", "5", "--kind", kind,
+            "--format", fmt]
+    expected = _call(argv)
+    batches = []
+
+    def recorded(real):
+        def rows(*args, **kwargs):
+            for batch in real(*args, **kwargs):
+                batches.append(len(batch))
+                yield batch
+        return rows
+
+    for name in ("enumerate_u_pk", "enumerate_caterpillar_pk"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    monkeypatch.setattr(cli, "WRITE_SIZE", write_size)
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert (0, out.getvalue(), "") == expected
+    assert all(size >= write_size for size in out.sizes[:-1])
+    around = len(expected[1]) - sum(batches)
+    assert max(out.sizes) < around + write_size + max(batches)
+
+
+class _Closed(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_is_one_line():
+    """A stdout with no file descriptor, as here, is left untouched."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_Closed()), contextlib.redirect_stderr(err):
+        code = main(["enumerate", "--m", "2", "--n", "3"])
+    assert code == 1
+    assert err.getvalue() == "catpark enumerate: output closed early\n"
+
+
+def _child_env():
+    """This catpark on the path, and stdout buffered, as by default."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(catpark.__file__).resolve().parents[1])
+    return env
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    """A reader that stops after the first line, as head -n 1 does: the
+    child says so in one line on stderr and exits 1."""
+    argv = [sys.executable, "-m", "catpark.cli", "enumerate", "--m", "2",
+            "--n", "9", "--format", "csv"]
+    # 246,675 rows, far more than a pipe holds, so the child is still
+    # writing when the pipe closes
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_child_env()) as child:
+        assert child.stdout.readline() == b"p1,p2,p3,p4,p5,p6,p7,p8,p9\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert err == b"catpark enumerate: output closed early\n"
+    assert code == 1
+
+
+def test_pipe_closed_before_the_output_exits_1():
+    """Output that fits stdout's buffer meets the closed pipe at main's
+    flush; the flush at exit then finds devnull, so it cannot raise again
+    (that would print "Exception ignored" and exit 120)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "catpark.cli", "count", "--m", "2", "--n",
+             "3"], stdout=write, stderr=subprocess.PIPE, env=_child_env(),
+            timeout=60)
+    finally:
+        os.close(write)
+    assert done.stderr == b"catpark count: output closed early\n"
+    assert done.returncode == 1
 
 
 TABLE_1 = ["(1,1,1,2,4)", "(1,1,2,2,4)", "(1,1,2,3,4)", "(1,1,2,4,4)",

@@ -9,6 +9,7 @@ enumeration's reach, the luck DP meets its Lagrange-inversion closed form.
 """
 
 from collections import Counter
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -132,6 +133,9 @@ def odometer(bounds):
         p[j:] = [p[j] + 1] * (n - j)
 
 
+# text frames: bare joins, and frames whose head and tail are not empty
+FRAMES = (("", ",", ""), ("", ",\n      ", ""), ("", ",", "\n"),
+          (",\n    [\n      ", ",\n      ", "\n    ]"), ("(", " ", ")"))
 # (m, k, r): every canonical family (r = m - 1) and a few others
 FAMILIES = [(1, 1, 0), (2, 1, 1), (3, 1, 2), (4, 1, 3), (2, 1, 0), (3, 1, 0),
             (3, 1, 1), (1, 2, 0), (2, 2, 0), (2, 2, 1), (3, 2, 2)]
@@ -143,12 +147,33 @@ FAMILIES = [(1, 1, 0), (2, 1, 1), (3, 1, 2), (4, 1, 3), (2, 1, 0), (3, 1, 0),
 def test_iter_bounded_against_odometer(bounds):
     rows = list(odometer(bounds))
     assert list(kernels.iter_bounded(bounds)) == rows
-    # bare joins, and frames whose head and tail are not empty
-    for text in (("", ",", ""), ("", ",\n      ", ""), ("", ",", "\n"),
-                 (",\n    [\n      ", ",\n      ", "\n    ]"), ("(", " ", ")")):
+    for text in FRAMES:
         head, sep, tail = text
-        assert (list(kernels.iter_bounded(bounds, text=text))
-                == [head + sep.join(map(str, row)) + tail for row in rows])
+        assert ("".join(kernels.iter_bounded(bounds, text=text))
+                == "".join(head + sep.join(map(str, row)) + tail
+                           for row in rows))
+
+
+@pytest.mark.parametrize("bounds", [[], [0], [3], [0, 3], [3, 2], [2, 5, 5]]
+                         + [[m * (i + k - 1) - r for i in range(1, n + 1)]
+                            for m, k, r in FAMILIES[:6] for n in (2, 4)],
+                         ids=str)
+@pytest.mark.parametrize("leaves", [(), (2, 4), (5, 1, 3, 3)], ids=str)
+def test_iter_bounded_text_batches(bounds, leaves):
+    """Text rows come one string per (n-1)-prefix: joined in order, the
+    strings are the framed rows, and each ends where a row ends."""
+    rows = list(kernels.iter_bounded(bounds, leaves))
+    prefixes = kernels.count_for_bounds(kernels._caps(bounds)[:-1])
+    for head, sep, tail in FRAMES:
+        framed = [head + sep.join(map(str, row)) + tail for row in rows]
+        batches = list(kernels.iter_bounded(bounds, leaves,
+                                            (head, sep, tail)))
+        assert "".join(batches) == "".join(framed)
+        assert all(batch.endswith(tail) for batch in batches)
+        # every batch boundary is a row boundary, so each holds whole rows
+        assert (set(accumulate(map(len, batches)))
+                <= set(accumulate(map(len, framed))))
+        assert len(batches) == (prefixes if rows else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,8 +241,9 @@ def test_iter_bounded_edge_cases():
     text = ("<", ",", ">")
     assert list(kernels.iter_bounded([], text=text)) == ["<>"]
     assert list(kernels.iter_bounded([], (3, 1), text)) == ["<1,3>"]
-    assert list(kernels.iter_bounded([2], (1,), text)) == ["<1,1>", "<1,2>"]
+    assert "".join(kernels.iter_bounded([2], (1,), text)) == "<1,1><1,2>"
     assert list(kernels.iter_bounded([0, 3], (1,), text)) == []
+    assert list(kernels.iter_bounded([0], (1,), text)) == []
 
 
 def test_luck_histogram_empty_length():

@@ -3,11 +3,25 @@ it patches where the check reads it and the counterexample it must
 report."""
 
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 from catpark import engine, harness
 from catpark.harness import run_verification
+
+
+def _move_one_count(tensor):
+    """The tensor with one count moved from its least key to the next key
+    of the same coordinate sum; unchanged when no two keys share a sum."""
+    keys = sorted(tensor.entries, key=lambda key: (sum(key), key))
+    for low, high in zip(keys, keys[1:]):
+        if sum(low) == sum(high):
+            entries = dict(tensor.entries)
+            entries[low] -= 1
+            entries[high] += 1
+            return replace(tensor, entries=entries)
+    return tensor
 
 
 # (scope, options, module, name, stand-in made from the real function,
@@ -84,6 +98,12 @@ MUTATIONS = [
      lambda real: lambda tree, seq: real(tree, seq) or seq == (1, 2, 4, 4),
      {"m": 1, "n": 4, "seq": (1, 2, 4, 4), "condition": True,
       "parked": False}),
+    # tensor-symmetry alone, as the m = 3 run has no tensor-table: on the
+    # (3, 2) tree the four keys of sum 5 each count one
+    ("tensor", {"m": 3, "max_n": 3}, engine, "joint_count_tensor",
+     lambda real: lambda m, n: _move_one_count(real(m, n)),
+     {"n": 2, "first": (5, [((1, 1, 1, 2), 0), ((1, 1, 2, 1), 2),
+                            ((1, 2, 1, 1), 1), ((2, 1, 1, 1), 1)], None)}),
 ]
 
 
@@ -103,3 +123,35 @@ def test_mutation_is_caught(monkeypatch, scope, opts, module, name, mutate,
     report = run_verification(scope, **opts)
     assert [entry.status for entry in report.entries] == ["fail"]
     assert report.entries[0].counterexample == counterexample
+
+
+# Scopes that report several entries: (scope, options, module, name,
+# stand-in, the identity that must fail, its counterexample); every other
+# entry keeps its status.  An erratum row removes the mismatch that the
+# entry demonstrates.
+SHARED_SCOPE_MUTATIONS = [
+    ("tensor", {"m": 2, "max_n": 2}, harness, "joint_count_tensor",
+     lambda real: lambda m, n: _move_one_count(real(m, n)),
+     "tensor-table", {"entry": (1, 1, 2), "got": 6, "want": 7}),
+    # one row too many in the enumerated count of the (2, 3) sequences
+    ("errata", {}, harness, "enumerate_u_pk",
+     lambda real: lambda n, family: chain(real(n, family), [()]),
+     "stated-count-erratum", {"enumerated": 13, "stated": 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "scope,opts,module,name,mutate,identity,counterexample",
+    SHARED_SCOPE_MUTATIONS, ids=[row[5] for row in SHARED_SCOPE_MUTATIONS])
+def test_mutation_fails_one_entry(monkeypatch, scope, opts, module, name,
+                                  mutate, identity, counterexample):
+    before = run_verification(scope, **opts)
+    assert before.ok
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    report = run_verification(scope, **opts)
+    assert ([(entry.identity, entry.status) for entry in report.entries]
+            == [(entry.identity,
+                 "fail" if entry.identity == identity else entry.status)
+                for entry in before.entries])
+    [failed] = [entry for entry in report.entries if entry.status == "fail"]
+    assert failed.counterexample == counterexample
