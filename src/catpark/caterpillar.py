@@ -9,16 +9,19 @@ exploit that by accumulating in a single ascending pass.
 
 Parking: cars arrive in index order, drive to their preferred node, and roll
 toward the sink until they find a free node or fall out.  A car is lucky when
-it prefers a backbone node and parks exactly there.
+it prefers a backbone node and parks exactly there.  Every non-sink node's
+parent is the least backbone label above it, so the climb from a taken node
+meets the backbone labels above it in ascending order and stops at the
+least free one: ``_park_cars`` takes it off a bitmask, never reading parent.
 
-The module has two layers.  The private core (``_park``, ``_theta_inv``)
-does no argument checks and assumes its input is in range: ``_park`` takes
-preferences within 1..node_count, ``_theta_inv`` a parking distribution on
-the tree whose leaf labels it is given.  The public functions validate
-their input once, at the boundary, then run on the core: ``simulate``
-checks the entries and ``theta_inv`` checks the subtree condition.  A
-sweep whose objects are in range by construction, or already checked,
-calls the core directly.
+The module has two layers.  The private core (``_park_cars``, ``_park``,
+``_theta_inv``) does no argument checks and assumes its input is in range:
+``_park_cars`` and ``_park`` take preferences within 1..node_count,
+``_theta_inv`` a parking distribution on the tree whose leaf labels it is
+given.  The public functions validate their input once, at the boundary,
+then run on the core: ``simulate`` checks the entries and ``theta_inv``
+checks the subtree condition.  A sweep whose objects are in range by
+construction, or already checked, calls the core directly.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +44,8 @@ class CaterpillarTree:
     # parent[label] for labels 1..node_count; the sink maps to 0
     parent: tuple
     backbone_labels: tuple
-    backbone_set: frozenset = field(repr=False)
+    # bit j set for each backbone label j
+    backbone_mask: int = field(repr=False)
     subtree_size: tuple = field(repr=False)
 
 
@@ -54,7 +58,6 @@ def build_caterpillar(m, n):
         raise ValueError(f"n must be >= 1, got {n}")
     count = m * n - m + 1
     backbone = tuple(m * (j - 1) + 1 for j in range(1, n + 1))
-    backbone_set = frozenset(backbone)
     parent = [0] * (count + 1)
     for label in range(1, count):  # the sink, label count, has no parent
         # the least backbone label (1 mod m) above label: a leaf's own
@@ -70,7 +73,7 @@ def build_caterpillar(m, n):
         node_count=count,
         parent=tuple(parent),
         backbone_labels=backbone,
-        backbone_set=backbone_set,
+        backbone_mask=sum(1 << label for label in backbone),
         subtree_size=tuple(sizes),
     )
 
@@ -128,24 +131,41 @@ class ParkingOutcome:
         return all(node is not None for node in self.assignment)
 
 
+def _park_cars(tree, state, cars):
+    """Park cars, preferences within 1..node_count, in order from state =
+    (taken nodes as a bitmask, lucky cars, every car parked); return the
+    state after them.  A car takes its preference if that node is free,
+    else the least free backbone node above it, else it falls out."""
+    occupied, luck, parked = state
+    backbone = tree.backbone_mask
+    for pref in cars:
+        bit = 1 << pref
+        if not occupied & bit:
+            occupied |= bit
+            if backbone & bit:
+                luck += 1
+            continue
+        free = backbone & ~occupied & -(bit << 1)
+        if free:
+            occupied |= free & -free
+        else:
+            parked = False
+    return occupied, luck, parked
+
+
 def _park(tree, seq):
-    """The parking process on preferences within 1..node_count."""
-    parent = tree.parent
-    backbone = tree.backbone_set
-    occupied = [False] * (tree.node_count + 1)
+    """The parking process on preferences within 1..node_count, one
+    _park_cars step per car; a car's node is the bit its step set."""
+    state = (0, 0, True)
     assignment = []
     lucky = set()
     for car, pref in enumerate(seq, start=1):
-        node = pref
-        while node and occupied[node]:
-            node = parent[node]
-        if node:
-            occupied[node] = True
-            assignment.append(node)
-            if node == pref and pref in backbone:
-                lucky.add(car)
-        else:
-            assignment.append(None)
+        after = _park_cars(tree, state, (pref,))
+        taken = after[0] ^ state[0]
+        assignment.append(taken.bit_length() - 1 if taken else None)
+        if after[1] != state[1]:
+            lucky.add(car)
+        state = after
     return ParkingOutcome(tuple(assignment), frozenset(lucky))
 
 

@@ -27,7 +27,7 @@ from functools import cache, partial
 from itertools import combinations_with_replacement
 
 from catpark.caterpillar import (
-    _park,
+    _park_cars,
     _theta_inv,
     build_caterpillar,
     enumerate_caterpillar_pk,
@@ -355,26 +355,14 @@ def check_eta(m, max_n):
 
 def _theta_step(tree, state, v, piece):
     """check_theta's fold step: append v to p and park the cars of its
-    piece in order, as _park does.
+    piece in order with _park_cars.
 
-    state is (p, occupied nodes as a bitmask, lucky cars, every car parked,
-    counts of the labels 1..m in the image).  A car is lucky when it parks
-    at its preference and that is a backbone node.  Only the labels up to
-    m are counted; as the image is sorted, a piece starting above m holds
-    none.
+    state is (p, _park_cars's state, counts of the labels 1..m in the
+    image).  Only the labels up to m are counted; as the image is sorted,
+    a piece starting above m holds none.
     """
-    p, occupied, luck, parked, counts = state
-    parent = tree.parent
-    for label in piece:
-        node = label
-        while node and occupied >> node & 1:
-            node = parent[node]
-        if not node:
-            parked = False
-            continue
-        occupied |= 1 << node
-        if node == label and label in tree.backbone_set:
-            luck += 1
+    p, parking, counts = state
+    parking = _park_cars(tree, parking, piece)
     if piece[0] <= tree.m:
         counts = list(counts)
         for label in piece:
@@ -382,7 +370,7 @@ def _theta_step(tree, state, v, piece):
                 break
             counts[label - 1] += 1
         counts = tuple(counts)
-    return p + (v,), occupied, luck, parked, counts
+    return p + (v,), parking, counts
 
 
 @_per_m("theta", "tree-iso-transport")
@@ -395,13 +383,13 @@ def check_theta(m, max_n):
     luck must equal p's, and the counts p's plus one leaf for 2..m.
     """
     fam = canonical_family(m)
-    start = ((), 0, 0, True, (0,) * m)
+    start = ((), (0, 0, True), (0,) * m)
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
         leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
         total = 0
-        for image, (p, _, luck, parked, counts) in fold_bounded(
+        for image, (p, (_, luck, parked), counts) in fold_bounded(
                 fam.bounds(n), leaves, partial(_theta_step, tree), start):
             total += 1
             try:
@@ -429,7 +417,8 @@ def check_theta(m, max_n):
 
 def check_parking(entries, opts):
     """Subtree condition coincides with the parking process succeeding, on
-    the (m, n) shapes that --m and --max-n leave."""
+    the (m, n) shapes that --m and --max-n leave: is_tree_pk reads parent
+    links, and one _park_cars run per candidate the backbone mask alone."""
     m, max_n = opts.get("m"), opts.get("max_n")
 
     def keep(shapes):
@@ -444,14 +433,15 @@ def check_parking(entries, opts):
             size = tree.node_count
             for cand in combinations_with_replacement(range(1, size + 1), size):
                 cond = is_tree_pk(tree, cand)
-                parked = _park(tree, cand).all_parked
+                parked = _park_cars(tree, (0, 0, True), cand)[2]
                 if cond != parked:
                     return "fail", {"m": m, "n": n, "seq": cand,
                                     "condition": cond, "parked": parked}
         for m, n in larger:
             tree = build_caterpillar(m, n)
             for seq in enumerate_caterpillar_pk(m, n):
-                if not (is_tree_pk(tree, seq) and _park(tree, seq).all_parked):
+                if not (is_tree_pk(tree, seq)
+                        and _park_cars(tree, (0, 0, True), seq)[2]):
                     return "fail", {"m": m, "n": n, "seq": seq}
         return "pass", None
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catpark.caterpillar import (
     _park,
+    _park_cars,
     _theta_inv,
     build_caterpillar,
     enumerate_caterpillar_pk,
@@ -141,6 +142,17 @@ def test_simulate_identity_and_overflow():
     assert not out.all_parked
 
 
+def test_simulate_long_runs_of_one_preference():
+    # on the path car k rolls to node k; on the m = 2 tree the displaced
+    # cars take the backbone nodes 3, 5, ..., 2001 and the rest fall out
+    out = simulate(build_caterpillar(1, 2000), (1,) * 2000)
+    assert out.assignment == tuple(range(1, 2001))
+    assert out.lucky_set == {1}
+    out = simulate(build_caterpillar(2, 1001), (1,) * 2001)
+    assert out.assignment == (1, *range(3, 2002, 2), *(None,) * 1000)
+    assert out.lucky_set == {1}
+
+
 def test_luck_and_omega():
     tree = build_caterpillar(2, 3)
     assert len(simulate(tree, (1, 1, 2, 3, 4)).lucky_set) == 1
@@ -230,6 +242,23 @@ def test_park_core_matches_definition_on_every_candidate(m, n):
         out = _park(tree, cand)
         assert out == simulate(tree, cand)
         assert (out.assignment, out.lucky_set) == reference_park(tree, cand)
+
+
+@pytest.mark.parametrize("m,n", PARKING_SMALL)
+def test_park_cars_matches_definition_at_every_split(m, n):
+    """The one parking step: parking seq[:k] and then seq[k:] is the whole
+    run, whose taken nodes, luck and all-parked flag are reference_park's,
+    which climbs parent links."""
+    tree = build_caterpillar(m, n)
+    start = (0, 0, True)
+    for cand in all_candidates(tree):
+        whole = _park_cars(tree, start, cand)
+        assignment, lucky = reference_park(tree, cand)
+        assert whole == (sum(1 << node for node in assignment if node),
+                         len(lucky), None not in assignment), cand
+        for k in range(len(cand) + 1):
+            head = _park_cars(tree, start, cand[:k])
+            assert _park_cars(tree, head, cand[k:]) == whole, (cand, k)
 
 
 @settings(max_examples=200, deadline=None)

@@ -437,7 +437,7 @@ def test_theta_fold_against_theta_and_park(m):
     definitions: enumerate_u_pk's p order, theta and the walker's rows,
     _park's run, and the counts of the labels 1..m."""
     fam = canonical_family(m)
-    start = ((), 0, 0, True, (0,) * m)
+    start = ((), (0, 0, True), (0,) * m)
     for n in range(1, 7):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
@@ -446,7 +446,7 @@ def test_theta_fold_against_theta_and_park(m):
         assert [state[0] for _, state in folded] == list(enumerate_u_pk(n, fam))
         assert ([image for image, _ in folded]
                 == list(kernels.iter_bounded(fam.bounds(n), leaves)))
-        for image, (p, occupied, luck, parked, counts) in folded:
+        for image, (p, (occupied, luck, parked), counts) in folded:
             assert image == theta(p, m, n)
             outcome = _park(tree, image)
             assert parked == outcome.all_parked
@@ -462,10 +462,10 @@ def test_theta_step_against_park_where_cars_fall_out(m, n):
     here preferences run over every node, and the step must agree with
     _park on the cars that fall out too."""
     tree = build_caterpillar(m, n)
-    start = ((), 0, 0, True, (0,) * m)
+    start = ((), (0, 0, True), (0,) * m)
     step = partial(harness._theta_step, tree)
     fallen = 0
-    for prefs, (_, _, luck, parked, _) in kernels.fold_bounded(
+    for prefs, (_, (_, luck, parked), _) in kernels.fold_bounded(
             [tree.node_count] * tree.node_count, (), step, start):
         outcome = _park(tree, prefs)
         assert (parked, luck) == (outcome.all_parked, len(outcome.lucky_set))

@@ -9,6 +9,7 @@ import pytest
 
 from catpark import engine, harness
 from catpark.harness import run_verification
+from catpark.polynomials import MultiPoly
 
 
 def _move_one_count(tensor):
@@ -22,6 +23,24 @@ def _move_one_count(tensor):
             entries[high] += 1
             return replace(tensor, entries=entries)
     return tensor
+
+
+def _lucky_leaves(real):
+    """The parking step, run a car at a time, that also counts a car which
+    parks at its preferred leaf as lucky."""
+    def step(tree, state, cars):
+        for car in cars:
+            taken = state[0]
+            occupied, luck, parked = state = real(tree, state, (car,))
+            if (car - 1) % tree.m and not taken >> car & 1:
+                state = occupied, luck + 1, parked
+        return state
+    return step
+
+
+def _every_variable(m):
+    """The monomial q0*q1*...*qm."""
+    return MultiPoly(engine.multi_stat_variables(m), {(1,) * (m + 1): 1})
 
 
 # (scope, options, module, name, stand-in made from the real function,
@@ -81,17 +100,14 @@ MUTATIONS = [
      {"n": 3, "reason": "count"}),
     # the parking step counts a leaf car that parks at its preference as
     # lucky: on the (2, 2) tree, car 3 of (1, 1, 2)
-    ("theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
-     lambda real: lambda tree, state, v, piece: real(
-         replace(tree, backbone_set=range(1, tree.node_count + 1)),
-         state, v, piece),
+    ("theta", {"m": 2, "max_n": 4}, harness, "_park_cars", _lucky_leaves,
      {"n": 2, "p": (1, 1), "reason": "luck transport"}),
     # condition-vs-process on the four-node path: a process where a car
     # whose node is taken exits at once, and a condition that accepts one
     # non-distribution
-    ("parking", {"m": 1, "max_n": 4}, harness, "_park",
-     lambda real: lambda tree, seq: real(
-         replace(tree, parent=(0,) * len(tree.parent)), seq),
+    ("parking", {"m": 1, "max_n": 4}, harness, "_park_cars",
+     lambda real: lambda tree, state, cars: real(
+         replace(tree, backbone_mask=0), state, cars),
      {"m": 1, "n": 4, "seq": (1, 1, 1, 1), "condition": True,
       "parked": False}),
     ("parking", {"m": 1, "max_n": 4}, harness, "is_tree_pk",
@@ -137,12 +153,36 @@ SHARED_SCOPE_MUTATIONS = [
     ("errata", {}, harness, "enumerate_u_pk",
      lambda real: lambda n, family: chain(real(n, family), [()]),
      "stated-count-erratum", {"enumerated": 13, "stated": 4}),
+    # a printed series whose corrected form is checked in its literal form
+    ("errata", {}, harness, "verify_r_series",
+     lambda real: lambda m, order, literal=False: real(m, order, literal=True),
+     "q-luck-exponent-erratum", {"literal_ok": False, "corrected_ok": False}),
+    ("errata", {}, harness, "verify_gamma_series",
+     lambda real: lambda m, order, literal=False: real(m, order, literal=True),
+     "joint-series-arguments-erratum",
+     {"literal_ok": False, "corrected_ok": False}),
+    # the one-node tree's polynomial is the product's q0*...*qm: the order-1
+    # gap is gone, and the product identity still holds
+    ("multistat", {"m": 2}, engine, "multi_stat_poly_brute",
+     lambda real: lambda m, n: _every_variable(m) if n == 1 else real(m, n),
+     "multi-stat-product-order1", {"enumerated": None, "stated": None}),
+    ("multistat", {"m": 3}, engine, "multi_stat_poly_brute",
+     lambda real: lambda m, n: _every_variable(m) if n == 1 else real(m, n),
+     "multi-stat-product-order1", {"enumerated": None, "stated": None}),
 ]
+
+
+def _shared_id(row):
+    """The failing identity, and the options when several rows share it."""
+    identity = row[5]
+    if sum(other[5] == identity for other in SHARED_SCOPE_MUTATIONS) > 1:
+        return "-".join([identity, *(f"{k}{v}" for k, v in row[1].items())])
+    return identity
 
 
 @pytest.mark.parametrize(
     "scope,opts,module,name,mutate,identity,counterexample",
-    SHARED_SCOPE_MUTATIONS, ids=[row[5] for row in SHARED_SCOPE_MUTATIONS])
+    SHARED_SCOPE_MUTATIONS, ids=list(map(_shared_id, SHARED_SCOPE_MUTATIONS)))
 def test_mutation_fails_one_entry(monkeypatch, scope, opts, module, name,
                                   mutate, identity, counterexample):
     before = run_verification(scope, **opts)
