@@ -24,7 +24,7 @@ checks the subtree condition.  A sweep whose objects are in range by
 construction, or already checked, calls the core directly.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from catpark.errors import NonMembershipError
@@ -36,17 +36,41 @@ from catpark.sequences import (
 )
 
 
-@dataclass(frozen=True)
 class CaterpillarTree:
-    m: int
-    n: int
-    node_count: int
-    # parent[label] for labels 1..node_count; the sink maps to 0
-    parent: tuple
-    backbone_labels: tuple
-    # bit j set for each backbone label j
-    backbone_mask: int = field(repr=False)
-    subtree_size: tuple = field(repr=False)
+    """The labelled (m, n) tree, compared and hashed over every field.
+
+    parent[label] is the parent of each label 1..node_count (the sink's is
+    0), backbone_mask has bit j set for each backbone label j, and
+    subtree_size[label] counts the nodes of label's subtree."""
+
+    __slots__ = ("m", "n", "node_count", "parent", "backbone_labels",
+                 "backbone_mask", "subtree_size")
+
+    def __init__(self, m, n, node_count, parent, backbone_labels,
+                 backbone_mask, subtree_size):
+        self.m = m
+        self.n = n
+        self.node_count = node_count
+        self.parent = parent
+        self.backbone_labels = backbone_labels
+        self.backbone_mask = backbone_mask
+        self.subtree_size = subtree_size
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"CaterpillarTree(m={self.m!r}, n={self.n!r}, "
+                f"node_count={self.node_count!r}, parent={self.parent!r}, "
+                f"backbone_labels={self.backbone_labels!r})")
 
 
 @lru_cache
@@ -118,13 +142,11 @@ def is_tree_pk(tree, seq):
     return True
 
 
-@dataclass(frozen=True)
-class ParkingOutcome:
+class ParkingOutcome(namedtuple("ParkingOutcome", "assignment lucky_set")):
     """Where each car ended up (node label, or None if it exited) and which
     cars were lucky.  Car indices are 1-based."""
 
-    assignment: tuple
-    lucky_set: frozenset
+    __slots__ = ()
 
     @property
     def all_parked(self):

@@ -38,17 +38,17 @@ offset.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import eq
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
 from catpark.sequences import _require_canonical, canonical_family, is_u_pk
 
 
-@dataclass(frozen=True)
-class FirstReturnDecomposition:
-    components: tuple  # m+1 sequences, possibly empty
-    fixed_points: tuple  # first index per type, n+1 when absent
+# components: m+1 sequences, possibly empty; fixed_points: the first index
+# per type, n+1 when absent
+FirstReturnDecomposition = namedtuple("FirstReturnDecomposition",
+                                      "components fixed_points")
 
 
 # -- core: no argument checks; every input is within the canonical bounds --

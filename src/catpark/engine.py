@@ -17,7 +17,7 @@ product formula has a third, narrower defect: its x^1 coefficient counts a
 node the smallest tree does not have (see verify_multi_stat_product).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from operator import mul
 
@@ -30,13 +30,14 @@ from catpark import kernels
 QT_UV = ("q", "t", "u", "v")
 
 
-@dataclass
 class IdentityCheck:
-    """Coefficient-by-coefficient comparison result."""
+    """Coefficient-by-coefficient comparison result; mismatches holds
+    (index, lhs, rhs) triples, a fresh list unless one is given."""
 
-    name: str
-    params: dict
-    mismatches: list = field(default_factory=list)  # (index, lhs, rhs) triples
+    def __init__(self, name, params, mismatches=None):
+        self.name = name
+        self.params = params
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self):
@@ -253,14 +254,11 @@ def verify_multi_stat_product(m, order):
     return check
 
 
-@dataclass(frozen=True)
-class JointCountTensor:
+class JointCountTensor(namedtuple("JointCountTensor", "m n entries")):
     """Counts of distributions on the (m, n) tree by the full statistic
     vector (luck, freq of node 1, ..., freq of node m)."""
 
-    m: int
-    n: int
-    entries: dict
+    __slots__ = ()
 
     def count(self, key):
         return self.entries.get(tuple(key), 0)

@@ -22,7 +22,6 @@ report one body per m under {"m": m, option: value}.
 """
 
 import time
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations_with_replacement
 
@@ -98,13 +97,14 @@ PARKING_SMALL = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
 PARKING_LARGER = ((2, 5), (3, 4))
 
 
-@dataclass
 class ReportEntry:
-    identity: str
-    status: str  # pass | fail | erratum
-    params: dict
-    counterexample: object = None
-    millis: int = 0
+    def __init__(self, identity, status, params, counterexample=None,
+                 millis=0):
+        self.identity = identity
+        self.status = status  # pass | fail | erratum
+        self.params = params
+        self.counterexample = counterexample
+        self.millis = millis
 
     def to_dict(self):
         out = {
@@ -118,9 +118,9 @@ class ReportEntry:
         return out
 
 
-@dataclass
 class VerificationReport:
-    entries: list = field(default_factory=list)
+    def __init__(self, entries=None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self):

@@ -14,7 +14,6 @@ its canonical case, and ``_require_under_cap``, the one cap guard of
 ``enumerate_u_pk``, the harness and the CLI, reads it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -25,21 +24,31 @@ from catpark.kernels import count_for_bounds
 DEFAULT_MAX_OBJECTS = 10**8
 
 
-@dataclass(frozen=True)
 class BoundFamily:
-    """Per-position ceilings u_i = m*(i+k-1) - r for i >= 1."""
+    """Per-position ceilings u_i = m*(i+k-1) - r for i >= 1, compared and
+    hashed over (m, k, r)."""
 
-    m: int
-    k: int
-    r: int
+    __slots__ = ("m", "k", "r")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0 <= self.r <= self.m - 1:
-            raise ValueError(f"r must be in [0, m-1], got r={self.r} with m={self.m}")
+    def __init__(self, m, k, r):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 0 <= r <= m - 1:
+            raise ValueError(f"r must be in [0, m-1], got r={r} with m={m}")
+        self.m, self.k, self.r = m, k, r
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.k, self.r) == (other.m, other.k, other.r)
+
+    def __hash__(self):
+        return hash((self.m, self.k, self.r))
+
+    def __repr__(self):
+        return f"BoundFamily(m={self.m!r}, k={self.k!r}, r={self.r!r})"
 
     def bound(self, i):
         """Ceiling for position i (1-based)."""

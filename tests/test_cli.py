@@ -268,8 +268,13 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_unknown_scope(capsys):
-    code, _, err = run_cli(capsys, "verify", "--scope", "nope")
-    assert code == 2 and "--scope" in err
+    """The refusal is the one place the scopes are listed, in CHECKS order
+    on one stderr line."""
+    code, out, err = run_cli(capsys, "verify", "--scope", "nope")
+    assert (code, out) == (2, "") and "--scope" in err
+    line, = err.splitlines()
+    assert err == line + "\n"
+    assert line.split("valid scopes: ")[1].split(", ") == ["all", *CHECKS]
 
 
 def test_verify_detects_seeded_mutation(capsys, monkeypatch):
@@ -527,6 +532,7 @@ def _fresh_parse(argv):
     ["nosuch"],
     ["nosuch", "--m", "2"],
     ["stats", "--help"],
+    ["verify", "--help"],
     ["stats", "--m", "2", "--seq", "1,1,4", "--bogus"],
     ["stats", "--m", "2", "--seq", "1,1,4", "stray"],
     ["count", "--m", "2", "stray", "--n", "3", "--bogus", "x"],
