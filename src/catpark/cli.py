@@ -8,11 +8,13 @@ Exit codes: 0 success, 1 verification failure or output closed early, 2
 usage error, 3 resource cap exceeded.  ``main`` checks --m >= 1, --n >= 0,
 --max-objects >= 0 and --max-order >= 0 for every verb, and maps every
 ValueError or CatparkError an argument provokes to exit 2 with a one-line
-message, so no argv ends in a traceback.  Each option is declared once: the shared ones by
-``_add_common``, the rest in their verb's block.  The cap refusals of
-``enumerate``, ``poly --name multi`` and ``tensor`` all come from
-``sequences._require_under_cap``, and ``poly --name B`` reads
-``fuss_catalan`` term by term.
+message, so no argv ends in a traceback.  Two tables declare the command
+line: ``OPTIONS`` holds each option once, and ``VERBS`` gives each verb its
+help, its handler and its options in ``--help`` order; ``build_parser``
+reads them.  The cap refusals of ``enumerate``, ``poly --name multi`` and
+``tensor`` all come from ``sequences._require_under_cap``, ``count`` reads
+the same Raney closed form, ``sequences._raney_count``, and ``poly --name
+B`` reads ``fuss_catalan`` term by term.
 
 Verbs write their output directly to the stdout ``main`` passes them, and
 every error comes before the first write, so a failed call prints nothing
@@ -40,13 +42,13 @@ only what the parser and the single-object verbs use on every call:
 ``tensor`` imports ``engine``, ``tables`` imports ``tables`` and ``verify``
 imports ``harness``, each inside its own function.  The parser therefore
 does not list the verify scopes in ``--scope``'s help; an unknown scope's
-refusal, which comes from ``harness``, names every one.
+refusal, which comes from ``harness``, names every one.  ``json`` loads only
+for ``--format json`` and ``verify``, and ``csv`` only for ``--format csv``
+of a verb other than ``enumerate``, which frames its own rows.
 """
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 
@@ -73,9 +75,9 @@ from catpark.errors import CatparkError, EnumerationCapError, NonMembershipError
 from catpark.sequences import (
     BoundFamily,
     DEFAULT_MAX_OBJECTS,
+    _raney_count,
     _require_under_cap,
     canonical_family,
-    count_u_pk,
     enumerate_u_pk,
     fuss_catalan,
 )
@@ -150,8 +152,12 @@ def _emit(out, fmt, payload, header, rows, text):
     lines of text.  rows and text are read only in their own format, so
     either may be a stream."""
     if fmt == "json":
+        import json
+
         out.write(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -183,6 +189,8 @@ def cmd_enumerate(args, out):
                                         text=text)
         length = args.m * args.n - args.m + 1
     if args.format == "json":
+        import json
+
         # json.dumps(payload, indent=2), written as the rows come.  The
         # first row drops its comma; the one row at length 0 prints []
         head, tail = json.dumps({"m": args.m, "n": args.n, "kind": args.kind,
@@ -211,11 +219,20 @@ def cmd_enumerate(args, out):
 
 def cmd_count(args, out):
     fam = _family(args)
-    count = count_u_pk(args.n, fam)
+    count = _raney_count(args.n, fam)
     payload = {"m": args.m, "k": fam.k, "r": fam.r, "n": args.n,
                "kind": args.kind, "count": count}
-    _emit(out, args.format, payload, list(payload), [payload.values()],
-          [str(count)])
+    # Python 3.11 and 3.10.7+ refuse to write an int of more than 4300
+    # digits; the limit is lifted for this write alone
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(out, args.format, payload, list(payload), [payload.values()],
+              [str(count)])
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -370,6 +387,8 @@ def _verify_lines(entries):
 
 
 def cmd_verify(args, out):
+    import json
+
     from catpark.harness import run_verification
 
     if args.order is not None:
@@ -386,35 +405,53 @@ def cmd_verify(args, out):
 
 # -- argument wiring ---------------------------------------------------------
 
+# option -> add_argument keywords, each option declared once.  The key is
+# the flag, or "verb:flag" where a verb gives the flag a meaning of its own
+OPTIONS = {
+    "--m": dict(type=int, required=True, help="tree regularity (>= 1)"),
+    "verify:--m": dict(type=int, help="restrict checks to one regularity"),
+    "--n": dict(type=int, required=True, help="length / backbone size"),
+    "--seq": dict(type=str, help="comma-separated sequence, e.g. 1,1,4"),
+    "--k": dict(type=int, help="bound family k (with --r); default canonical"),
+    "--r": dict(type=int, help="bound family r (with --k)"),
+    "--kind": dict(choices=("u", "cat"), default="u",
+                   help="bounded sequences (u) or tree distributions (cat)"),
+    "--max-objects": dict(type=int, default=DEFAULT_MAX_OBJECTS,
+                          help="enumeration cap (exit 3 when exceeded)"),
+    "--max-order": dict(type=int, default=DEFAULT_MAX_ORDER,
+                        help="series/polynomial order cap"),
+    "--format": dict(choices=("text", "csv", "json"), default="text",
+                     help="output format"),
+    "map:--name": dict(choices=MAP_NAMES, required=True),
+    "--word": dict(type=str, help="step word for from-path"),
+    "poly:--name": dict(choices=POLY_NAMES, required=True),
+    "--id": dict(type=str, required=True, help="table id 1..10"),
+    "--scope": dict(default="all",
+                    help="all, or one check scope (an unknown one lists them)"),
+    "--order": dict(type=int, help="series order override"),
+    "--max-n": dict(type=int, help="length bound override"),
+}
 
-def _add_common(parser, *, m=True, n=False, seq=False, family=False,
-                kind=False, max_objects=False, max_order=False):
-    if m:
-        parser.add_argument("--m", type=int, required=True,
-                            help="tree regularity (>= 1)")
-    if n:
-        parser.add_argument("--n", type=int, required=True,
-                            help="length / backbone size")
-    if seq:
-        parser.add_argument("--seq", type=str,
-                            help="comma-separated sequence, e.g. 1,1,4")
-    if family:
-        parser.add_argument("--k", type=int, default=None,
-                            help="bound family k (with --r); default canonical")
-        parser.add_argument("--r", type=int, default=None,
-                            help="bound family r (with --k)")
-    if kind:
-        parser.add_argument("--kind", choices=("u", "cat"), default="u",
-                            help="bounded sequences (u) or tree distributions (cat)")
-    if max_objects:
-        parser.add_argument("--max-objects", type=int,
-                            default=DEFAULT_MAX_OBJECTS,
-                            help="enumeration cap (exit 3 when exceeded)")
-    if max_order:
-        parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                            help="series/polynomial order cap")
-    parser.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text", help="output format")
+# verb -> (help, handler, its OPTIONS keys in --help order)
+VERBS = {
+    "enumerate": ("list distributions", cmd_enumerate,
+                  "--m --n --k --r --kind --max-objects --format"),
+    "count": ("count distributions without listing", cmd_count,
+              "--m --n --k --r --kind --format"),
+    "stats": ("statistics of one sequence", cmd_stats,
+              "--m --seq --kind --format"),
+    "decompose": ("first-return decomposition", cmd_decompose,
+                  "--m --seq --format"),
+    "map": ("apply a bijection", cmd_map,
+            "map:--name --word --m --seq --format"),
+    "poly": ("statistic polynomials", cmd_poly,
+             "poly:--name --m --n --max-objects --max-order --format"),
+    "tensor": ("joint count tensor on the tree", cmd_tensor,
+               "--m --n --max-objects --format"),
+    "tables": ("reproduce a reference table", cmd_tables, "--id --format"),
+    "verify": ("run the identity verification suite", cmd_verify,
+               "--scope --order --max-n verify:--m --max-order --format"),
+}
 
 
 def build_parser():
@@ -424,54 +461,11 @@ def build_parser():
                     "enumeration, statistics, bijections, and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list distributions")
-    _add_common(p, n=True, family=True, kind=True, max_objects=True)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("count", help="count distributions without listing")
-    _add_common(p, n=True, family=True, kind=True)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("stats", help="statistics of one sequence")
-    _add_common(p, seq=True, kind=True)
-    p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("decompose", help="first-return decomposition")
-    _add_common(p, seq=True)
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("map", help="apply a bijection")
-    p.add_argument("--name", choices=MAP_NAMES, required=True)
-    p.add_argument("--word", type=str, help="step word for from-path")
-    _add_common(p, seq=True)
-    p.set_defaults(fn=cmd_map)
-
-    p = sub.add_parser("poly", help="statistic polynomials")
-    p.add_argument("--name", choices=POLY_NAMES, required=True)
-    _add_common(p, n=True, max_objects=True, max_order=True)
-    p.set_defaults(fn=cmd_poly)
-
-    p = sub.add_parser("tensor", help="joint count tensor on the tree")
-    _add_common(p, n=True, max_objects=True)
-    p.set_defaults(fn=cmd_tensor)
-
-    p = sub.add_parser("tables", help="reproduce a reference table")
-    p.add_argument("--id", type=str, required=True, help="table id 1..10")
-    _add_common(p, m=False)
-    p.set_defaults(fn=cmd_tables)
-
-    p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--scope", default="all",
-                   help="all, or one check scope (an unknown one lists them)")
-    p.add_argument("--order", type=int, default=None,
-                   help="series order override")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="length bound override")
-    p.add_argument("--m", type=int, default=None,
-                   help="restrict checks to one regularity")
-    _add_common(p, m=False, max_order=True)
-    p.set_defaults(fn=cmd_verify)
+    for verb, (summary, fn, options) in VERBS.items():
+        p = sub.add_parser(verb, help=summary)
+        for key in options.split():
+            p.add_argument(key.rpartition(":")[2], **OPTIONS[key])
+        p.set_defaults(fn=fn)
     # verb -> its parser, for main to parse a verb's argv directly
     parser.verbs = sub.choices
     return parser

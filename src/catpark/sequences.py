@@ -10,8 +10,9 @@ run on ``kernels``, which owns the rule for bounded sequences: its counter
 enumerates.
 
 ``_raney_count`` is the one closed form of the counts: ``fuss_catalan`` is
-its canonical case, and ``_require_under_cap``, the one cap guard of
-``enumerate_u_pk``, the harness and the CLI, reads it.
+its canonical case, the CLI's ``count`` reads it, and so does
+``_require_under_cap``, the one cap guard of ``enumerate_u_pk``, the
+harness and the CLI.  The DP ``count_u_pk`` stays its oracle.
 """
 
 from functools import lru_cache

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,7 +24,8 @@ from catpark.caterpillar import enumerate_caterpillar_pk
 from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main, seq_str
 from catpark.harness import CHECKS
 from catpark.polynomials import MultiPoly
-from catpark.sequences import BoundFamily, canonical_family, enumerate_u_pk
+from catpark.sequences import (BoundFamily, canonical_family, count_u_pk,
+                               enumerate_u_pk)
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,52 @@ def test_count(capsys):
     code, out, _ = run_cli(capsys, "count", "--m", "2", "--n", "2",
                            "--k", "2", "--r", "0", "--format", "json")
     assert json.loads(out)["count"] == 18
+
+
+def _digits(value):
+    """str(value) past the int digit limit of Python 3.11 and 3.10.7+."""
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is None:
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    lift(0)
+    try:
+        return str(value)
+    finally:
+        lift(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_count_prints_past_the_int_digit_limit(capsys, fmt):
+    """A 4970-digit count prints in every format, at once, and the digit
+    limit is back in place afterwards."""
+    n = 6000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--m", "2", "--n", str(n),
+                             "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert code == 0 and err == ""
+    digits = _digits(math.comb(3 * n, n) // (2 * n + 1))
+    assert len(digits) == 4970
+    expected = {"text": f"{digits}\n",
+                "csv": f"m,k,r,n,kind,count\n2,1,1,{n},u,{digits}\n",
+                "json": f'"count": {digits}\n}}\n'}[fmt]
+    assert out.endswith(expected) and (fmt == "json" or out == expected)
+
+
+def test_count_matches_the_dp_on_every_small_family(capsys):
+    """count reads the closed form; count_u_pk's DP is its oracle."""
+    for m in range(1, 4):
+        for k in range(1, 4):
+            for r in range(m):
+                family = BoundFamily(m, k, r)
+                for n in range(13):
+                    code, out, _ = run_cli(capsys, "count", "--m", str(m),
+                                           "--n", str(n), "--k", str(k),
+                                           "--r", str(r))
+                    assert (code, out) == (0, f"{count_u_pk(n, family)}\n")
 
 
 def test_map_tau(capsys):
@@ -558,6 +606,88 @@ def test_a_verb_is_parsed_by_its_own_parser(monkeypatch):
     assert _call(["count", "--m", "2", "--n", "3"]) == (0, "12\n", "")
     with pytest.raises(AssertionError):
         _call(["--help"])
+
+
+FORMAT_CHOICES = ("text", "csv", "json")
+# verb -> (flag, dest, type, default, required, choices) of each option in
+# --help order, as the parser has declared them since before its tables
+SURFACE = {
+    "enumerate": [
+        ("--m", "m", int, None, True, None),
+        ("--n", "n", int, None, True, None),
+        ("--k", "k", int, None, False, None),
+        ("--r", "r", int, None, False, None),
+        ("--kind", "kind", None, "u", False, ("u", "cat")),
+        ("--max-objects", "max_objects", int, 10**8, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "count": [
+        ("--m", "m", int, None, True, None),
+        ("--n", "n", int, None, True, None),
+        ("--k", "k", int, None, False, None),
+        ("--r", "r", int, None, False, None),
+        ("--kind", "kind", None, "u", False, ("u", "cat")),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "stats": [
+        ("--m", "m", int, None, True, None),
+        ("--seq", "seq", str, None, False, None),
+        ("--kind", "kind", None, "u", False, ("u", "cat")),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "decompose": [
+        ("--m", "m", int, None, True, None),
+        ("--seq", "seq", str, None, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "map": [
+        ("--name", "name", None, None, True,
+         ("theta", "theta-inv", "tau", "eta", "eta-inv", "to-path",
+          "from-path")),
+        ("--word", "word", str, None, False, None),
+        ("--m", "m", int, None, True, None),
+        ("--seq", "seq", str, None, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "poly": [
+        ("--name", "name", None, None, True, ("R", "gamma", "multi", "B")),
+        ("--m", "m", int, None, True, None),
+        ("--n", "n", int, None, True, None),
+        ("--max-objects", "max_objects", int, 10**8, False, None),
+        ("--max-order", "max_order", int, 24, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "tensor": [
+        ("--m", "m", int, None, True, None),
+        ("--n", "n", int, None, True, None),
+        ("--max-objects", "max_objects", int, 10**8, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "tables": [
+        ("--id", "id", str, None, True, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+    "verify": [
+        ("--scope", "scope", None, "all", False, None),
+        ("--order", "order", int, None, False, None),
+        ("--max-n", "max_n", int, None, False, None),
+        ("--m", "m", int, None, False, None),
+        ("--max-order", "max_order", int, 24, False, None),
+        ("--format", "format", None, "text", False, FORMAT_CHOICES),
+    ],
+}
+
+
+def test_every_verb_keeps_its_options():
+    """No verb gains, loses or reorders an option, nor changes one's dest,
+    type, default, requiredness or choices."""
+    verbs = build_parser().verbs
+    assert list(verbs) == list(SURFACE)
+    for verb, options in SURFACE.items():
+        actions = [a for a in verbs[verb]._actions if a.dest != "help"]
+        assert [(*a.option_strings, a.dest, a.type, a.default, a.required,
+                 a.choices) for a in actions] == options, verb
+        assert verbs[verb].get_default("fn") is getattr(cli, f"cmd_{verb}")
 
 
 @settings(max_examples=60, deadline=None)

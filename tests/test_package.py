@@ -41,9 +41,10 @@ EXPORTS = {
 NAMES = [(module, name) for module, names in EXPORTS.items()
          for name in names]
 # modules neither the parser nor a single-object verb needs
-NOT_AT_COLD_START = ("dataclasses", "inspect", "catpark.harness",
-                     "catpark.engine", "catpark.polynomials",
-                     "catpark.series", "catpark.tables")
+NOT_AT_COLD_START = ("dataclasses", "inspect", "json", "csv",
+                     "catpark.harness", "catpark.engine",
+                     "catpark.polynomials", "catpark.series",
+                     "catpark.tables")
 
 
 def _loaded_after(code, modules):
@@ -113,5 +114,6 @@ COLD_STARTS = (
 @pytest.mark.parametrize("code", COLD_STARTS, ids=("parser", "verbs"))
 def test_cold_start_loads_only_what_it_needs(code):
     """The records are not dataclasses, and nothing imports the harness,
-    engine, polynomials, series or tables before a verb needs them."""
+    engine, polynomials, series, tables, json or csv before a verb needs
+    them."""
     assert _loaded_after(code, NOT_AT_COLD_START) == []
