@@ -166,6 +166,21 @@ def _emit(out, fmt, payload, header, rows, text):
             out.write(line + "\n")
 
 
+def _without_digit_limit(write):
+    """Call write with Python's int-to-str digit limit lifted, and put the
+    limit back afterwards.  Python 3.11 and 3.10.7+ refuse to convert an
+    int of more than 4300 digits by default, and counts and coefficients
+    grow past that."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        write()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def seq_str(seq):
     return ",".join(str(v) for v in seq)
 
@@ -222,17 +237,9 @@ def cmd_count(args, out):
     count = _raney_count(args.n, fam)
     payload = {"m": args.m, "k": fam.k, "r": fam.r, "n": args.n,
                "kind": args.kind, "count": count}
-    # Python 3.11 and 3.10.7+ refuse to write an int of more than 4300
-    # digits; the limit is lifted for this write alone
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        _emit(out, args.format, payload, list(payload), [payload.values()],
-              [str(count)])
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    _without_digit_limit(lambda: _emit(out, args.format, payload,
+                                       list(payload), [payload.values()],
+                                       [str(count)]))
     return EXIT_OK
 
 
@@ -338,8 +345,9 @@ def _poly_for(args):
 
 def cmd_poly(args, out):
     poly = _poly_for(args)
-    _emit(out, args.format, poly.to_dict(), list(poly.variables) + ["coeff"],
-          ([*exps, coeff] for exps, coeff in poly.items()), [poly.render()])
+    _without_digit_limit(lambda: _emit(
+        out, args.format, poly.to_dict(), list(poly.variables) + ["coeff"],
+        ([*exps, coeff] for exps, coeff in poly.items()), [poly.render()]))
     return EXIT_OK
 
 

@@ -9,8 +9,13 @@ distributions; recomposition inverts this exactly.
 
 The module has two layers.  The private core (``_fixed_points``, ``_cut``,
 ``_assemble``, ``_luck``, ``_tau``, ``_eta``, ``_eta_inv``) does no checks
-and assumes in-bounds input.  The public functions validate their input
-once, at the boundary, then run on the core without re-checking its output.
+and assumes in-bounds input.  ``_return_step`` is the incremental form of
+``_fixed_points``'s rule: folded along a sequence by
+``kernels.fold_bounded`` from ``_RETURN_START``, it carries luck, the number
+of 1s and the blocks ``_cut`` would give, which ``_return_blocks`` reads,
+so a sweep that walks its sequences never cuts them again.  The public
+functions validate their input once, at the boundary, then run on the core
+without re-checking its output.
 ``_assemble`` places in-bounds blocks so that the result is in bounds and
 its fixed points are the forced cuts, which is what makes it decompose back
 into them.  That is checked in public ``recompose``, the boundary for
@@ -19,18 +24,20 @@ in the tests, over every small block tuple.
 
 The involution tau swaps the first and last components (recursing into
 each), exchanging the luck statistic with the multiplicity of 1.  Its core
-``_tau(seq, m, images)`` reads and fills a caller-owned table of images
-(sequence -> tau image): it answers a sequence already in the table and
-adds the image of every component it computes, never that of seq itself.
-It runs one loop on an explicit stack: a popped sequence is cut, and when
-the images of both end blocks are in the table it is assembled; otherwise
-it goes back on the stack, with its cut, under the missing end blocks.
+``_tau(seq, m, images, comps=None)`` reads and fills a caller-owned table
+of images (sequence -> tau image): it answers a sequence already in the
+table and adds the image of every component it computes, never that of seq
+itself.  It runs one loop on an explicit stack: a popped sequence is cut,
+unless it is seq and the caller passed its blocks as comps, and when the
+images of both end blocks are in the table it is assembled; otherwise it
+goes back on the stack, with its cut, under the missing end blocks.
 Public ``tau`` passes a fresh table, so each call stands alone; a sweep
 that visits sequences by increasing length can keep one table and store
-each image it wants reused, so every tau it asks for is one cut and one
-assembly.  Because tau is an involution, such a sweep computes each image
-once: tau(p) and tau(tau(p)) cover the orbit {p, tau(p)}, so the orbit's
-later member needs no visit of its own.
+each image it wants reused, so every tau it asks for is one assembly, and
+one cut unless the sweep folded the blocks along its walk.  Because tau is
+an involution, such a sweep computes each image once: tau(p) and
+tau(tau(p)) cover the orbit {p, tau(p)}, so the orbit's later member needs
+no visit of its own.
 
 The map eta rebuilds a distribution from the per-component multiplicities
 of 1 and transports every other entry upward by a component-dependent
@@ -71,6 +78,40 @@ def _fixed_points(seq, m):
                 return tuple(found)
         floor += m
     return tuple(found) + (len(seq) + 1,) * (m - reached)
+
+
+# the fold state of the empty prefix; see _return_step
+_RETURN_START = (None, 0, 0, 0, (), 0, ())
+
+
+def _return_step(m, state, v, piece):
+    """The fold state of a prefix extended by v: _fixed_points's rule and
+    _cut's blocks, one value at a time, for ``kernels.fold_bounded``.
+
+    state is (floor, luck, ones, reached, closed, shift, block): floor is
+    m(k-2) + 1 for the next position k (None before position 1), luck and
+    ones count the lucky positions and the 1s so far, reached is the
+    running maximum of v - floor, closed holds the blocks before block
+    reached, and block is that open block, shifted down by shift.  A value
+    that raises reached to t closes the open block, leaves the blocks of
+    the types in between empty and opens block t with itself.
+    """
+    floor, luck, ones, reached, closed, shift, block = state
+    if floor is None:  # position 1 holds 1, lucky and in no block
+        return 1, 1, 1, 0, (), 0, ()
+    t = v - floor  # lucky exactly when t == m, a 1 only when t <= 0
+    if t <= reached:
+        return (floor + m, luck + (t == m), ones + (v == 1), reached, closed,
+                shift, block + (v - shift,))
+    return (floor + m, luck + (t == m), ones, t,
+            closed + (block,) + ((),) * (t - reached - 1), v - 1, (1,))
+
+
+def _return_blocks(state, m):
+    """The m+1 blocks of a finished prefix, as _cut at its fixed points
+    gives them: the blocks past the open one are empty."""
+    reached, closed, block = state[3], state[4], state[6]
+    return closed + (block,) + ((),) * (m - reached)
 
 
 def _cut(seq, cuts):
@@ -167,11 +208,12 @@ def recompose(components, m):
     return result
 
 
-def _tau(seq, m, images):
+def _tau(seq, m, images, comps=None):
     """tau of an in-bounds seq, reading and filling the table images.
 
     images maps sequences to their tau images and holds at least {(): ()}.
-    Each stack entry is a sequence and its cut, None until it is first cut.
+    Each stack entry is a sequence and its cut, None until it is first cut;
+    a caller that holds seq's blocks already passes them as comps.
     A popped sequence already in the table is answered from it; one whose
     end blocks both have images is assembled; any other goes back on the
     stack under its missing end blocks.  The image of every component
@@ -180,7 +222,7 @@ def _tau(seq, m, images):
     table keeps it.  The explicit stack keeps deep inputs off the recursion
     limit.
     """
-    stack = [(seq, None)]
+    stack = [(seq, comps)]
     while stack:
         s, comps = stack.pop()
         image = images.get(s)

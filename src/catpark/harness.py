@@ -36,11 +36,12 @@ from catpark.caterpillar import (
     to_lattice_path,
 )
 from catpark.decomposition import (
-    _cut,
+    _RETURN_START,
     _eta,
     _eta_inv,
-    _fixed_points,
     _luck,
+    _return_blocks,
+    _return_step,
     _tau,
     u_omega,
 )
@@ -236,9 +237,11 @@ def check_recurrence(m, max_n):
 
 @_per_m("involution", "luck-ones-involution")
 def check_involution(m, max_n):
-    """One tau table per m: enumeration runs by increasing length, so every
+    """One tau table per m: the walk runs by increasing length, so every
     component of p is already in it and each tau is one pass of _tau's
-    loop, one cut and one assembly.
+    loop.  The walk folds _return_step along each p, which hands p's
+    blocks to _tau and gives p's luck and multiplicity of 1, so p is never
+    cut; tau(p) is one assembly, and tau(q) one cut and one assembly.
 
     Each orbit {p, q = tau(p)} is computed once, from its first member p:
     q gets the one is_u_pk bound check, tau(q) is computed only when q != p
@@ -250,19 +253,21 @@ def check_involution(m, max_n):
     which keeps the table small.
     """
     fam = canonical_family(m)
+    step = partial(_return_step, m)
     images = {(): ()}
     for n in range(max_n + 1):
         pending = set()
-        for p in enumerate_u_pk(n, fam):
+        for p, state in fold_bounded(fam.bounds(n), (), step, _RETURN_START):
             if p in pending:
                 pending.remove(p)
                 continue
-            q = _tau(p, m, images)
+            q = _tau(p, m, images, _return_blocks(state, m))
             if not is_u_pk(q, fam):
                 return "fail", {"n": n, "p": p, "tau": q, "reason": "bounds"}
             if q != p and _tau(q, m, images) != p:
                 return "fail", {"n": n, "p": p, "tau": q}
-            if _luck(p, m) != u_omega(q, 1) or u_omega(p, 1) != _luck(q, m):
+            luck, ones = state[1], state[2]
+            if luck != u_omega(q, 1) or ones != _luck(q, m):
                 return "fail", {"n": n, "p": p, "tau": q,
                                 "reason": "statistic exchange"}
             if q > p:
@@ -318,8 +323,10 @@ def check_hbasis(entries, opts):
 
 @_per_m("eta", "component-rebuild-bijection")
 def check_eta(m, max_n):
-    """p is cut once, for eta's core and the block relations; each image
-    gets one is_u_pk bound check before it goes into _eta_inv.
+    """The walk folds _return_step along each p, which gives p's blocks,
+    for eta's core and the block relations, and p's luck and multiplicity
+    of 1, so p is never cut; each image gets one is_u_pk bound check before
+    it goes into _eta_inv.
 
     Besides the bijection, each p is checked against the criterion behind
     the paper's m-statistic extension: a statistic is its value on one
@@ -328,19 +335,21 @@ def check_eta(m, max_n):
     which makes them equidistributed, is luck-ones-involution's check.
     """
     fam = canonical_family(m)
+    step = partial(_return_step, m)
     for n in range(1, max_n + 1):
         seen = set()
-        for p in enumerate_u_pk(n, fam):
-            comps = _cut(p, _fixed_points(p, m))
+        for p, state in fold_bounded(fam.bounds(n), (), step, _RETURN_START):
+            comps = _return_blocks(state, m)
             image = _eta(comps, m)
             if not is_u_pk(image, fam):
                 return "fail", {"n": n, "p": p, "eta": image, "reason": "bounds"}
             if _eta_inv(image, m) != p:
                 return "fail", {"n": n, "p": p, "eta": image}
             seen.add(image)
-            if _luck(p, m) != 1 + _luck(comps[m], m):
+            luck, ones = state[1], state[2]
+            if luck != 1 + _luck(comps[m], m):
                 return "fail", {"n": n, "p": p, "reason": "luck of last block"}
-            if u_omega(p, 1) != 1 + u_omega(comps[0], 1):
+            if ones != 1 + u_omega(comps[0], 1):
                 return "fail", {"n": n, "p": p,
                                 "reason": "omega_1 of first block"}
             if u_omega(image, 1) != 1 + u_omega(comps[0], 1):
@@ -577,8 +586,8 @@ CHECKS = {
 
 
 # Checks that walk every canonically bounded sequence of each length up to
-# their max_n: with enumerate_u_pk, or for theta with fold_bounded, which
-# has no cap of its own, so _check_caps is its guard.
+# their max_n: with enumerate_u_pk, or, for involution, eta and theta, with
+# fold_bounded, which has no cap of its own, so _check_caps is their guard.
 ENUMERATED = ("counting", "involution", "eta", "theta", "lattice")
 
 

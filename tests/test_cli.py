@@ -104,6 +104,31 @@ def test_count_prints_past_the_int_digit_limit(capsys, fmt):
     assert out.endswith(expected) and (fmt == "json" or out == expected)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_poly_prints_past_the_int_digit_limit(capsys, fmt):
+    """Under the least digit limit Python allows, 640, poly B at n = 800
+    prints its 659-digit top coefficient in full, and the limit is back at
+    640 afterwards."""
+    n = 800
+    top = _digits(math.comb(3 * n, n) // (2 * n + 1))
+    assert len(top) == 659
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "poly", "--name", "B", "--m", "2",
+                                 "--n", str(n), "--max-order", str(n),
+                                 "--format", fmt)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and err == ""
+    expected = {"text": f"{top}*x^{n} + ", "csv": f"\n{n},{top}\n",
+                "json": f"{top}"}[fmt]
+    assert expected in out
+
+
 def test_count_matches_the_dp_on_every_small_family(capsys):
     """count reads the closed form; count_u_pk's DP is its oracle."""
     for m in range(1, 4):

@@ -1,12 +1,13 @@
 """First-return decomposition, tau, eta, and the sequence statistics."""
 
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catpark import decomposition, sequences
+from catpark import decomposition, kernels, sequences
 from catpark.caterpillar import theta, to_lattice_path
 from catpark.decomposition import (
     decompose,
@@ -251,6 +252,23 @@ def test_luck_matches_its_definition():
             for p in enumerate_u_pk(n, canonical_family(m)):
                 assert decomposition._luck(p, m) == sum(
                     1 for i in range(1, n + 1) if p[i - 1] == m * i - m + 1)
+
+
+@pytest.mark.parametrize("m, max_n", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_return_fold_against_cut_luck_and_ones(m, max_n):
+    """The first-return fold on every p, n <= max_n, against the
+    definitions: enumerate_u_pk's rows and order, _cut at _fixed_points,
+    _luck and the count of 1s."""
+    fam = canonical_family(m)
+    step = partial(decomposition._return_step, m)
+    for n in range(max_n + 1):
+        folded = list(kernels.fold_bounded(fam.bounds(n), (), step,
+                                           decomposition._RETURN_START))
+        assert [p for p, _ in folded] == list(enumerate_u_pk(n, fam))
+        for p, state in folded:
+            assert (decomposition._return_blocks(state, m)
+                    == decomposition._cut(p, decomposition._fixed_points(p, m)))
+            assert state[1:3] == (decomposition._luck(p, m), p.count(1))
 
 
 def test_tau_deep_input_stays_off_the_call_stack():

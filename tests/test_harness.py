@@ -377,10 +377,10 @@ def test_involution_table_holds_no_top_length(monkeypatch):
     tables = []
     real = harness._tau
 
-    def spy(seq, m, images):
+    def spy(seq, m, images, *comps):
         if not any(t is images for t in tables):
             tables.append(images)
-        return real(seq, m, images)
+        return real(seq, m, images, *comps)
 
     monkeypatch.setattr(harness, "_tau", spy)
     report = run_verification("involution", max_n=5)
@@ -392,8 +392,8 @@ def test_involution_table_holds_no_top_length(monkeypatch):
 def test_involution_reports_a_broken_image(monkeypatch):
     real = harness._tau
 
-    def broken(seq, m, images):
-        return (1, 1) if seq == (1, 2) else real(seq, m, images)
+    def broken(seq, m, images, *comps):
+        return (1, 1) if seq == (1, 2) else real(seq, m, images, *comps)
 
     monkeypatch.setattr(harness, "_tau", broken)
     report = run_verification("involution", m=2, max_n=3)
@@ -493,8 +493,8 @@ def test_involution_skips_the_second_tau_exactly_at_fixed_points(monkeypatch):
     calls = []
     real = harness._tau
 
-    def spy(seq, m, images):
-        image = real(seq, m, images)
+    def spy(seq, m, images, *comps):
+        image = real(seq, m, images, *comps)
         calls.append((seq, image))
         return image
 
@@ -519,8 +519,8 @@ def test_involution_catches_a_broken_skipped_partner(monkeypatch):
     assert tau(p, 2) == q and p < q
     real = harness._tau
 
-    def broken(seq, m, images):
-        return (1, 1, 2) if seq == q else real(seq, m, images)
+    def broken(seq, m, images, *comps):
+        return (1, 1, 2) if seq == q else real(seq, m, images, *comps)
 
     monkeypatch.setattr(harness, "_tau", broken)
     report = run_verification("involution", m=2, max_n=3)
@@ -534,8 +534,8 @@ def test_involution_reports_a_partner_never_enumerated(monkeypatch):
     orbit is never reached by the walk of p's length, and fails."""
     swap = {(1,): (1, 2), (1, 2): (1,)}
     real = harness._tau
-    monkeypatch.setattr(harness, "_tau", lambda seq, m, images:
-                        swap.get(seq) or real(seq, m, images))
+    monkeypatch.setattr(harness, "_tau", lambda seq, m, images, *comps:
+                        swap.get(seq) or real(seq, m, images, *comps))
     report = run_verification("involution", m=2, max_n=1)
     assert report.entries[0].status == "fail"
     assert report.entries[0].counterexample == {"n": 1, "p": (1,),
@@ -562,8 +562,8 @@ def test_enumeration_cap_is_checked_before_any_check(monkeypatch, scope):
 def test_involution_reports_an_image_out_of_bounds(monkeypatch):
     real = harness._tau
 
-    def broken(seq, m, images):
-        return (1, 4) if seq == (1, 2) else real(seq, m, images)
+    def broken(seq, m, images, *comps):
+        return (1, 4) if seq == (1, 2) else real(seq, m, images, *comps)
 
     monkeypatch.setattr(harness, "_tau", broken)
     report = run_verification("involution", m=2, max_n=3)
@@ -580,12 +580,29 @@ def test_eta_reports_an_image_out_of_bounds(monkeypatch):
         "n": 1, "p": (1,), "eta": (2,), "reason": "bounds"}
 
 
-@pytest.mark.parametrize("name, broken, reason", [
-    ("_luck", lambda seq, m: 0, "luck of last block"),
-    ("u_omega", lambda seq, j: 2 * seq.count(j), "omega_1 of first block"),
+def _zero_luck(real):
+    """The fold step, with the luck of every prefix 0."""
+    def step(m, state, v, piece):
+        after = real(m, state, v, piece)
+        return after[:1] + (0,) + after[2:]
+    return step
+
+
+def _double_ones(real):
+    """The fold step, counting every 1 twice."""
+    def step(m, state, v, piece):
+        after = real(m, state, v, piece)
+        return after[:2] + (after[2] + (v == 1),) + after[3:]
+    return step
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (_zero_luck, "luck of last block"),
+    (_double_ones, "omega_1 of first block"),
 ], ids=["luck", "omega_1"])
-def test_eta_reports_a_broken_block_relation(monkeypatch, name, broken, reason):
-    monkeypatch.setattr(harness, name, broken)
+def test_eta_reports_a_broken_block_relation(monkeypatch, mutate, reason):
+    """p's luck and multiplicity of 1 come from the walk's fold step."""
+    monkeypatch.setattr(harness, "_return_step", mutate(harness._return_step))
     report = run_verification("eta", m=2, max_n=3)
     assert [(e.identity, e.status) for e in report.entries] == [
         ("component-rebuild-bijection", "fail")]
@@ -594,16 +611,17 @@ def test_eta_reports_a_broken_block_relation(monkeypatch, name, broken, reason):
 
 
 def test_eta_checks_each_object_once(monkeypatch):
-    """Each enumerated p is cut once, and its image gets the one membership
-    check: one is_u_pk per object, none at the public boundary."""
+    """No walked p is cut, as the fold gives its blocks, and its image gets
+    the one membership check: one is_u_pk per object, none at the public
+    boundary."""
     calls = {}
     _count_calls(monkeypatch, calls, harness, "is_u_pk")
-    _count_calls(monkeypatch, calls, harness, "_cut")
     _count_calls(monkeypatch, calls, decomposition, "_cut")
+    _count_calls(monkeypatch, calls, decomposition, "_fixed_points")
     _count_calls(monkeypatch, calls, decomposition, "_require_canonical")
     _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
     report = run_verification("eta")
     assert report.ok and len(report.entries) == 3
     objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 6))
     assert objects == 1544
-    assert calls == {"harness.is_u_pk": objects, "harness._cut": objects}
+    assert calls == {"harness.is_u_pk": objects}
