@@ -14,7 +14,7 @@ help, its handler and its options in ``--help`` order; ``build_parser``
 reads them.  The cap refusals of ``enumerate``, ``poly --name multi`` and
 ``tensor`` all come from ``sequences._require_under_cap``, ``count`` reads
 the same Raney closed form, ``sequences._raney_count``, and ``poly --name
-B`` reads ``fuss_catalan`` term by term.
+B`` reads its consecutive values from ``sequences.fuss_catalan_upto``.
 
 Verbs write their output directly to the stdout ``main`` passes them, and
 every error comes before the first write, so a failed call prints nothing
@@ -79,7 +79,7 @@ from catpark.sequences import (
     _require_under_cap,
     canonical_family,
     enumerate_u_pk,
-    fuss_catalan,
+    fuss_catalan_upto,
 )
 
 EXIT_OK = 0
@@ -327,12 +327,15 @@ POLY_NAMES = ("R", "gamma", "multi", "B")
 def _poly_for(args):
     from catpark.engine import (gamma_poly_brute, multi_stat_poly_brute,
                                 r_poly_brute)
-    from catpark.polynomials import MultiPoly
+    from catpark.polynomials import MAX_EXPONENT, MultiPoly
 
     _check_order(args.n, args.max_order)
+    if args.n > MAX_EXPONENT:
+        raise ValueError(f"--n must be <= {MAX_EXPONENT}, the largest exponent "
+                         f"a polynomial holds, got {args.n}")
     if args.name == "B":
-        return MultiPoly(("x",), {(j,): fuss_catalan(args.m, j)
-                                  for j in range(args.n + 1)})
+        return MultiPoly(("x",), {(j,): b for j, b in
+                                  enumerate(fuss_catalan_upto(args.m, args.n))})
     if args.name == "R":
         return r_poly_brute(args.m, args.n)
     if args.name == "gamma":

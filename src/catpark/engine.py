@@ -23,7 +23,7 @@ from operator import mul
 
 from catpark.errors import HBasisError
 from catpark.polynomials import MultiPoly, complete_homogeneous
-from catpark.sequences import count_u_pk, fuss_catalan, BoundFamily
+from catpark.sequences import count_u_pk, fuss_catalan_upto, BoundFamily
 from catpark.series import TruncatedSeries
 from catpark import kernels
 
@@ -60,9 +60,7 @@ def _compare(name, params, order, lhs, rhs):
 
 def fuss_catalan_series(m, order, variables=()):
     """Series whose x^n coefficient is the n-th count for regularity m."""
-    return TruncatedSeries.from_function(
-        variables, order, lambda j: fuss_catalan(m, j)
-    )
+    return TruncatedSeries(variables, fuss_catalan_upto(m, order), order)
 
 
 def verify_functional_equation(m, order):

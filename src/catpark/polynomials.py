@@ -8,16 +8,36 @@ equal polynomials produce byte-identical output.
 Values are immutable: every operation returns a fresh polynomial and the
 term map is never exposed for mutation.
 
+The term map is keyed by one packed int per exponent vector, so the key of
+a product term is the sum of its factors' keys.  Each variable owns a
+32-bit field, the first variable the highest one; with two or more
+variables the total degree sits above every field.  Int order is then
+graded-lex order, the key of a constant is 0 at every width, and a
+polynomial in one variable is keyed by its exponent.  ``_LAYOUTS[width]``
+holds the layout of one width; its ``pack`` and ``unpack`` turn exponent
+vectors into keys and back.
+
+Every exponent is at most ``MAX_EXPONENT`` = 2**31 - 1, so the top bit of
+each field is a guard bit: a sum of two fields never carries into the next
+field, and it sets the guard bit exactly when it passes the limit.  The
+guard runs wherever keys are made: the validating constructor refuses an
+exponent above the limit, ``_nonzero`` (through which every product, power
+and ``TruncatedSeries.reciprocal`` passes its term maps) refuses a summed
+key with a guard bit set, and ``divide_by_monomial`` refuses a quotient key
+that is negative or has a guard bit set, which is exactly a field that
+borrowed.  Each raises ``ValueError``; no exponent ever carries silently.
+
 Inputs are validated once, at the public boundary.  ``MultiPoly(variables,
 terms)`` and the named constructors check every term: exponent vectors are
-int tuples of the right width with no negative entry, and coefficients are
-ints.  Ring operations (``+``, ``-``, ``*``, ``**``, ``divide_by_monomial``
-and ``rename``) build their results, and turn int operands of ``+``, ``*``
-and ``==`` into constants, with the trusted ``MultiPoly._raw``, which
-checks nothing.  Its invariant: ``variables`` is a tuple, and ``terms`` is
-a fresh dict, owned by the new value, from exponent tuples of that width
-to nonzero ints.  Only this module and ``catpark.series`` may call
-``_raw``, read ``_terms`` or use ``_mul_into``, and only with values that
+int tuples of the right width with entries in 0..MAX_EXPONENT, and
+coefficients are ints.  Ring operations (``+``, ``-``, ``*``, ``**``,
+``substitute``, ``divide_by_monomial`` and ``rename``) build their results,
+and turn int operands of ``+``, ``*`` and ``==`` into constants, with the
+trusted ``MultiPoly._raw``, which checks nothing.  Its invariant:
+``variables`` is a tuple, and ``terms`` is a fresh dict, owned by the new
+value, from packed keys of that width to nonzero ints.  Only this module
+and ``catpark.series`` may call ``_raw``, read ``_terms`` or use
+``_LAYOUTS``, ``_mul_into`` and ``_nonzero``, and only with values that
 already hold the invariant.
 
 ``+`` copies the larger term map and walks the smaller one, so adding a
@@ -25,11 +45,50 @@ constant or a short polynomial to a long one costs only the short side,
 whichever operand is on the left.
 """
 
-from operator import add
+from functools import reduce
+from itertools import repeat
+from operator import or_
+from struct import Struct, error as StructError
+
+FIELD_BITS = 32  # the width of the struct format "I"
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+_INTS = repeat(int)  # the second argument of map(isinstance, exps, _INTS)
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+class _Layout:
+    """The packed-key layout of one number of variables."""
+
+    __slots__ = ("width", "shifts", "guard", "fields", "dshift", "codec")
+
+    def __init__(self, width):
+        self.width = width
+        # the shift of each variable's field, first variable highest
+        self.shifts = tuple(FIELD_BITS * i for i in reversed(range(width)))
+        self.guard = sum(1 << s + FIELD_BITS - 1 for s in self.shifts)
+        self.fields = (1 << FIELD_BITS * width) - 1
+        self.dshift = FIELD_BITS * width if width > 1 else 0
+        self.codec = Struct(f">{width}I")
+
+    def pack(self, exps):
+        """The key of an exponent vector whose entries are in range."""
+        key = int.from_bytes(self.codec.pack(*exps), "big")
+        return key | sum(exps) << self.dshift if self.dshift else key
+
+    def unpack(self, key):
+        return self.codec.unpack(
+            (key & self.fields).to_bytes(4 * self.width, "big"))
+
+
+class _Layouts(dict):
+    """width -> _Layout, each built on its first use."""
+
+    def __missing__(self, width):
+        layout = self[width] = _Layout(width)
+        return layout
+
+
+_LAYOUTS = _Layouts()
 
 
 class MultiPoly:
@@ -40,20 +99,29 @@ class MultiPoly:
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
         width = len(self.variables)
+        layout = _LAYOUTS[width]
+        pack, guard, dshift = layout.codec.pack, layout.guard, layout.dshift
+        from_bytes = int.from_bytes
         clean = {}
         for exps, coeff in (terms or {}).items():
             if not isinstance(exps, tuple) or len(exps) != width:
                 raise ValueError(
                     f"exponent vector {exps!r} does not match variables {self.variables}"
                 )
-            if not all(isinstance(e, int) for e in exps):
+            if not all(map(isinstance, exps, _INTS)):
                 raise ValueError(f"non-integer exponent in {exps!r}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            try:  # layout.pack, inlined
+                key = from_bytes(pack(*exps), "big")
+            except StructError:  # an entry below 0 or at least 2**32
+                key = guard
+            if key & guard:
+                if min(exps) < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                raise ValueError(f"exponent above {MAX_EXPONENT} in {exps}")
             if not isinstance(coeff, int):
                 raise ValueError(f"coefficient {coeff!r} of {exps} is not an integer")
             if coeff:
-                clean[exps] = coeff
+                clean[key | sum(exps) << dshift if dshift else key] = coeff
         self._terms = clean
 
     @classmethod
@@ -95,14 +163,28 @@ class MultiPoly:
 
     def items(self):
         """Terms in descending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]),
-                      reverse=True)
+        terms = self._terms
+        keys = sorted(terms, reverse=True)
+        if len(self.variables) == 1:  # the key is the exponent
+            return [((key,), terms[key]) for key in keys]
+        layout = _LAYOUTS[len(self.variables)]
+        unpack, fields, size = layout.codec.unpack, layout.fields, 4 * layout.width
+        return [(unpack((key & fields).to_bytes(size, "big")), terms[key])
+                for key in keys]
 
     def coefficient(self, exps):
-        return self._terms.get(tuple(exps), 0)
+        """The coefficient of an exponent vector; 0 for one that no term
+        can have (wrong width, or an entry that is not an int in range)."""
+        exps = tuple(exps)
+        layout = _LAYOUTS[len(self.variables)]
+        if len(exps) != layout.width or not all(map(isinstance, exps, _INTS)):
+            return 0
+        if exps and not 0 <= min(exps) <= max(exps) <= MAX_EXPONENT:
+            return 0
+        return self._terms.get(layout.pack(exps), 0)
 
     def total_degree(self):
-        return max((sum(e) for e in self._terms), default=0)
+        return max(self._terms, default=0) >> _LAYOUTS[len(self.variables)].dshift
 
     def __bool__(self):
         return bool(self._terms)
@@ -124,8 +206,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, int):  # a constant, built trusted
-            return MultiPoly._raw(self.variables,
-                                  {(0,) * len(self.variables): other} if other else {})
+            return MultiPoly._raw(self.variables, {0: other} if other else {})
         if isinstance(other, MultiPoly):
             if other.variables != self.variables:
                 raise ValueError(
@@ -142,19 +223,19 @@ class MultiPoly:
         if len(big) < len(small):
             big, small = small, big
         terms = dict(big)
-        for exps, coeff in small.items():
-            new = terms.get(exps, 0) + coeff
+        for key, coeff in small.items():
+            new = terms.get(key, 0) + coeff
             if new:
-                terms[exps] = new
+                terms[key] = new
             else:
-                terms.pop(exps, None)
+                terms.pop(key, None)
         return MultiPoly._raw(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._raw(self.variables,
-                              {e: -c for e, c in self._terms.items()})
+                              {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -171,7 +252,8 @@ class MultiPoly:
             return NotImplemented
         acc = {}
         _mul_into(acc, self._terms, other._terms)
-        return MultiPoly._raw(self.variables, _nonzero(acc))
+        return MultiPoly._raw(self.variables,
+                              _nonzero(acc, _LAYOUTS[len(self.variables)].guard))
 
     __rmul__ = __mul__
 
@@ -187,24 +269,43 @@ class MultiPoly:
     def substitute(self, assignment):
         """Substitute integers for a subset of variables; the result lives
         over the remaining variables (in their original order)."""
-        keep = [i for i, v in enumerate(self.variables) if v not in assignment]
-        values = {i: assignment[v] for i, v in enumerate(self.variables)
-                  if v in assignment}
-        new_vars = tuple(self.variables[i] for i in keep)
+        variables = self.variables
+        layout = _LAYOUTS[len(variables)]
+        drops = []  # (field shift, value) of each substituted variable
+        moves = {}  # right shift -> mask of the kept fields that move by it
+        for i, (name, shift) in enumerate(zip(variables, layout.shifts)):
+            if name in assignment:
+                value = assignment[name]
+                if not isinstance(value, int):
+                    raise ValueError(f"value {value!r} for {name} is not an integer")
+                drops.append((shift, value))
+            else:  # down one field per substituted variable below it
+                down = FIELD_BITS * sum(v in assignment for v in variables[i + 1:])
+                moves[down] = moves.get(down, 0) | _FIELD << shift
+        new_vars = tuple(v for v in variables if v not in assignment)
+        dshift, new_dshift = layout.dshift, _LAYOUTS[len(new_vars)].dshift
+        moves = moves.items()
         terms = {}
-        for exps, coeff in self._terms.items():
-            for i, val in values.items():
-                if exps[i]:
-                    coeff *= val ** exps[i]
+        for key, coeff in self._terms.items():
+            dropped = 0
+            for shift, value in drops:
+                e = key >> shift & _FIELD
+                if e:
+                    coeff *= value ** e
+                    dropped += e
             if not coeff:
                 continue
-            key = tuple(exps[i] for i in keep)
-            new = terms.get(key, 0) + coeff
+            new_key = 0
+            for down, mask in moves:
+                new_key |= (key & mask) >> down
+            if new_dshift:
+                new_key |= ((key >> dshift) - dropped) << new_dshift
+            new = terms.get(new_key, 0) + coeff
             if new:
-                terms[key] = new
+                terms[new_key] = new
             else:
-                terms.pop(key, None)
-        return MultiPoly(new_vars, terms)
+                terms.pop(new_key, None)
+        return MultiPoly._raw(new_vars, terms)
 
     def rename(self, mapping_or_vars):
         """Rename variables (dict old->new) or re-embed into a wider
@@ -218,30 +319,37 @@ class MultiPoly:
         if len(set(new_vars)) != len(new_vars):
             raise ValueError(f"variable tuple repeats a name: {new_vars}")
         positions = [new_vars.index(v) for v in self.variables]
+        unpack = _LAYOUTS[len(self.variables)].unpack
+        pack = _LAYOUTS[len(new_vars)].pack
         terms = {}
-        for exps, coeff in self._terms.items():
-            key = [0] * len(new_vars)
-            for pos, e in zip(positions, exps):
-                key[pos] = e
-            terms[tuple(key)] = coeff
+        for key, coeff in self._terms.items():
+            exps = [0] * len(new_vars)
+            for pos, e in zip(positions, unpack(key)):
+                exps[pos] = e
+            terms[pack(exps)] = coeff
         return MultiPoly._raw(new_vars, terms)
 
     def divide_by_monomial(self, powers):
         """Exact division by a monomial given as name -> exponent; raises if
         some term lacks the required exponents."""
         variables = self.variables
+        layout = _LAYOUTS[len(variables)]
         drop = [0] * len(variables)
         for name, e in powers.items():
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponent of {name} must be an integer >= 0, got {e!r}")
             drop[variables.index(name)] = e
+        fits = max(drop, default=0) <= MAX_EXPONENT  # else it divides no term
+        divisor = layout.pack(drop) if fits else 0
+        guard = layout.guard
         terms = {}
-        for exps, coeff in self._terms.items():
-            if any(e < d for e, d in zip(exps, drop)):
+        for key, coeff in self._terms.items():
+            quotient = key - divisor  # a field that borrows sets its guard bit
+            if not fits or quotient < 0 or quotient & guard:
                 raise ValueError(
-                    f"term {exps} is not divisible by {powers}"
+                    f"term {layout.unpack(key)} is not divisible by {powers}"
                 )
-            terms[tuple(e - d for e, d in zip(exps, drop))] = coeff
+            terms[quotient] = coeff
         return MultiPoly._raw(variables, terms)
 
     # -- rendering and serialization --------------------------------------
@@ -286,17 +394,22 @@ class MultiPoly:
 def _mul_into(acc, t1, t2):
     """Add the product of term maps t1 and t2 into the term map acc.
 
-    Summed coefficients may cancel, so acc can hold zeros; the caller drops
-    them once, after its last accumulation."""
+    Summed coefficients may cancel, so acc can hold zeros, and summed keys
+    may carry a guard bit; the caller passes acc through ``_nonzero`` once,
+    after its last accumulation."""
     get = acc.get
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            exps = tuple(map(add, e1, e2))
-            acc[exps] = get(exps, 0) + c1 * c2
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
 
 
-def _nonzero(acc):
-    return {e: c for e, c in acc.items() if c}
+def _nonzero(acc, guard):
+    """acc without its zero coefficients; raises ValueError if a key has a
+    bit of guard set, that is an exponent summed past MAX_EXPONENT."""
+    if reduce(or_, acc, 0) & guard:
+        raise ValueError(f"a product exponent exceeds {MAX_EXPONENT}")
+    return {k: c for k, c in acc.items() if c}
 
 
 def _power(base, exponent):

@@ -10,13 +10,15 @@ run on ``kernels``, which owns the rule for bounded sequences: its counter
 enumerates.
 
 ``_raney_count`` is the one closed form of the counts: ``fuss_catalan`` is
-its canonical case, the CLI's ``count`` reads it, and so does
+its canonical case (``fuss_catalan_upto`` walks its consecutive values by
+their ratio, for a series or ``poly --name B``), the CLI's ``count`` reads
+it, and so does
 ``_require_under_cap``, the one cap guard of ``enumerate_u_pk``, the
 harness and the CLI.  The DP ``count_u_pk`` stays its oracle.
 """
 
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 from catpark.errors import EnumerationCapError
 from catpark import kernels
@@ -143,3 +145,20 @@ def fuss_catalan(m, n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _raney_count(n, canonical_family(m))
+
+
+def fuss_catalan_upto(m, n):
+    """[fuss_catalan(m, j) for j in range(n + 1)], each number from the one
+    before by the ratio B(j+1)/B(j) = (a+1)...(a+m+1) / ((j+1) (d+1)...(d+m))
+    with a = (m+1)j and d = mj+1.  The factors both products share cancel
+    first, so a step multiplies at most min(j, m) + 1 small factors, as
+    one binomial of ``fuss_catalan`` does."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    numbers = [1, 1][: max(n + 1, 0)]
+    for j in range(1, n):
+        a, d = (m + 1) * j, m * j + 1
+        low, high = min(a, d + m), max(a, d + m)  # (a, d + m] cancels
+        numbers.append(numbers[-1] * perm(a + m + 1, a + m + 1 - high)
+                       // ((j + 1) * perm(low, low - d)))
+    return numbers

@@ -10,11 +10,15 @@ their results with the trusted ``TruncatedSeries._raw``, which checks
 nothing.  Its invariant: ``variables`` is a tuple, ``order`` an int >= 0,
 and ``coeffs`` a tuple of exactly order+1 MultiPoly values over
 ``variables``.  Only this module may call it.  Products accumulate each
-output coefficient into one term map through ``polynomials._mul_into`` and
-wrap it with ``MultiPoly._raw`` once, under that module's invariant.
+output coefficient into one term map through ``polynomials._mul_into``,
+whose keys are packed exponent vectors (see ``catpark.polynomials``), and
+wrap it with ``MultiPoly._raw`` once, under that module's invariant, after
+``polynomials._nonzero`` has dropped its zeros and checked its keys' guard
+bits: a product or reciprocal whose exponents would pass
+``polynomials.MAX_EXPONENT`` raises ``ValueError``.
 """
 
-from catpark.polynomials import MultiPoly, _mul_into, _nonzero, _power
+from catpark.polynomials import MultiPoly, _LAYOUTS, _mul_into, _nonzero, _power
 
 
 class TruncatedSeries:
@@ -139,13 +143,14 @@ class TruncatedSeries:
             return NotImplemented
         a = [c._terms for c in self.coeffs]
         b = [c._terms for c in other.coeffs]
+        guard = _LAYOUTS[len(self.variables)].guard
         out = []
         for n in range(self.order + 1):
             acc = {}
             for i in range(n + 1):
                 if a[i] and b[n - i]:
                     _mul_into(acc, a[i], b[n - i])
-            out.append(MultiPoly._raw(self.variables, _nonzero(acc)))
+            out.append(MultiPoly._raw(self.variables, _nonzero(acc, guard)))
         return TruncatedSeries._raw(self.variables, tuple(out), self.order)
 
     __rmul__ = __mul__
@@ -158,20 +163,23 @@ class TruncatedSeries:
         return _power(self, exponent)
 
     def reciprocal(self):
-        """1/self; the constant term must be 1."""
-        one = {(0,) * len(self.variables): 1}
+        """1/self; the constant term must be 1.
+
+        With s = self, inv[j] = sum over k = 1..j of (-s[k]) * inv[j - k]."""
+        one = {0: 1}  # the key of a constant is 0 at every width
         if self.coeffs[0]._terms != one:
             raise ValueError(
                 f"reciprocal requires constant term 1, got {self.coeffs[0].render()}"
             )
-        s = [c._terms for c in self.coeffs]
+        neg = [{k: -v for k, v in c._terms.items()} for c in self.coeffs]
+        guard = _LAYOUTS[len(self.variables)].guard
         inv = [one]
         for j in range(1, self.order + 1):
             acc = {}
             for k in range(1, j + 1):
-                if s[k] and inv[j - k]:
-                    _mul_into(acc, s[k], inv[j - k])
-            inv.append({e: -c for e, c in acc.items() if c})
+                if neg[k] and inv[j - k]:
+                    _mul_into(acc, neg[k], inv[j - k])
+            inv.append(_nonzero(acc, guard))
         return TruncatedSeries._raw(
             self.variables,
             tuple(MultiPoly._raw(self.variables, t) for t in inv),

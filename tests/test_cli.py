@@ -248,6 +248,14 @@ def test_poly_b_reads_the_fuss_catalan_numbers(capsys, fmt, expected):
     assert code == 0 and out == expected
 
 
+def test_poly_refuses_an_n_past_the_exponent_limit(capsys):
+    code, out, err = run_cli(capsys, "poly", "--name", "B", "--m", "2",
+                             "--n", "2147483648", "--max-order", "2147483648")
+    assert code == 2 and out == ""
+    assert err == ("catpark poly: --n must be <= 2147483647, the largest "
+                   "exponent a polynomial holds, got 2147483648\n")
+
+
 def test_poly_order_cap(capsys):
     code, out, err = run_cli(capsys, "poly", "--name", "R", "--m", "2",
                              "--n", "30")
@@ -303,8 +311,16 @@ def test_every_cap_refusal_has_one_text(capsys, verb):
     code, out, err = run_cli(capsys, *verb, "--m", "2", "--n", "3",
                              "--max-objects", "11")
     assert code == 3 and out == ""
-    assert err == (f"catpark {verb[0]}: enumeration would yield 12 objects, "
-                   "exceeding the cap of 11\n")
+    assert err == (f"catpark {verb[0]}: enumeration would yield more than 11 "
+                   "objects, exceeding the cap of 11\n")
+
+
+def test_cap_refusal_past_the_digit_limit_is_one_line(capsys):
+    # the projected count has about 4800 digits, more than Python writes
+    code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "10000")
+    assert code == 3 and out == ""
+    assert err == ("catpark enumerate: enumeration would yield more than "
+                   "100000000 objects, exceeding the cap of 100000000\n")
 
 
 def test_cap_refusal_at_large_m_is_fast(capsys):
@@ -353,13 +369,12 @@ def test_verify_unknown_scope(capsys):
 def test_verify_detects_seeded_mutation(capsys, monkeypatch):
     import catpark.engine as engine
 
-    real = engine.fuss_catalan
+    real = engine.fuss_catalan_upto
 
     def corrupted(m, n):
-        value = real(m, n)
-        return value + 1 if (m, n) == (2, 4) else value
+        return [b + ((m, j) == (2, 4)) for j, b in enumerate(real(m, n))]
 
-    monkeypatch.setattr(engine, "fuss_catalan", corrupted)
+    monkeypatch.setattr(engine, "fuss_catalan_upto", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--scope", "funceq")
     assert code == 1
     assert "fail" in out
@@ -402,8 +417,8 @@ def test_verify_refuses_an_enumeration_over_the_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--scope", "counting",
                              "--m", "5", "--max-n", "9")
     assert code == 3 and out == ""
-    assert err == ("catpark verify: enumeration would yield 115607310 "
-                   "objects, exceeding the cap of 100000000\n")
+    assert err == ("catpark verify: enumeration would yield more than "
+                   "100000000 objects, exceeding the cap of 100000000\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,13 +67,12 @@ def test_functional_equation(m):
 def test_functional_equation_detects_mutation(monkeypatch):
     import catpark.engine as engine
 
-    real = engine.fuss_catalan
+    real = engine.fuss_catalan_upto
 
     def corrupted(m, n):
-        value = real(m, n)
-        return value + 1 if n == 3 else value
+        return [b + (j == 3) for j, b in enumerate(real(m, n))]
 
-    monkeypatch.setattr(engine, "fuss_catalan", corrupted)
+    monkeypatch.setattr(engine, "fuss_catalan_upto", corrupted)
     check = engine.verify_functional_equation(2, 6)
     assert not check.ok
     assert check.mismatches[0][0] in (3, 4)

@@ -552,8 +552,9 @@ def test_enumeration_cap_is_checked_before_any_check(monkeypatch, scope):
                             lambda entries, opts, name=name: ran.append(name))
     with pytest.raises(EnumerationCapError) as caught:
         run_verification(scope, m=5, max_n=9)
-    assert str(caught.value) == ("enumeration would yield 115607310 objects, "
-                                 "exceeding the cap of 100000000")
+    assert str(caught.value) == ("enumeration would yield more than 100000000 "
+                                 "objects, exceeding the cap of 100000000")
+    assert caught.value.projected == 115607310
     assert ran == []
     run_verification(scope, m=5, max_n=8)
     assert ran == [scope]

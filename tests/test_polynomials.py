@@ -261,3 +261,140 @@ def test_add_walks_either_side_without_aliasing(data):
     assert all(coeff for _, coeff in total.items())
     assert a._terms == before_a and b._terms == before_b
     assert total._terms is not a._terms and total._terms is not b._terms
+
+
+# -- packed exponent keys ------------------------------------------------------
+
+LIMIT = 2**31 - 1  # the largest exponent a polynomial holds
+VARS4 = ("q", "t", "u", "v")
+
+
+def test_the_largest_exponent_is_held_and_its_square_refused():
+    top = MultiPoly(("q",), {(LIMIT,): 1})
+    assert top.render() == f"q^{LIMIT}" and top.total_degree() == LIMIT
+    wide = MultiPoly(VARS4, {(0, LIMIT, 0, LIMIT): 3})
+    assert wide.coefficient((0, LIMIT, 0, LIMIT)) == 3
+    assert wide.total_degree() == 2 * LIMIT
+    half = MultiPoly(VARS4, {(0, 2**30, 0, 0): 1})
+    assert (half * MultiPoly(VARS4, {(0, 2**30 - 1, 0, 0): 1})).coefficient(
+        (0, LIMIT, 0, 0)) == 1
+    for poly in (top, wide, half):
+        with pytest.raises(ValueError):
+            poly * poly
+        with pytest.raises(ValueError):
+            poly ** 3
+
+
+@pytest.mark.parametrize("exps", [(2**31,), (2**32,), (2**40,), (-1,)])
+def test_constructor_refuses_an_exponent_out_of_range(exps):
+    with pytest.raises(ValueError):
+        MultiPoly(("q",), {exps: 1})
+    with pytest.raises(ValueError):
+        MultiPoly(VARS4, {(0, 0) + exps + (0,): 1})
+
+
+def test_divide_by_monomial_refuses_a_borrow():
+    # the t field is short by one and the q field is large: a carry-free
+    # subtraction would borrow from q and leave t at 2**32 - 1
+    p = MultiPoly(QT, {(5, 0): 1, (1, 1): 2})
+    with pytest.raises(ValueError, match=r"term \(5, 0\) is not divisible"):
+        p.divide_by_monomial({"q": 1, "t": 1})
+    with pytest.raises(ValueError):
+        MultiPoly(VARS4, {(9, 9, 0, 9): 1}).divide_by_monomial({"u": 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("q",), {(3,): 1}).divide_by_monomial({"q": 4})
+    with pytest.raises(ValueError):
+        MultiPoly(("q",), {(3,): 1}).divide_by_monomial({"q": 2**31})
+    assert MultiPoly.zero(("q",)).divide_by_monomial({"q": 2**31}) == 0
+    top = MultiPoly(QT, {(LIMIT, LIMIT): 7})
+    assert top.divide_by_monomial({"q": LIMIT, "t": 1}) == P({(0, LIMIT - 1): 7})
+
+
+@pytest.mark.parametrize("exps", [
+    (), (1,), (1, 0, 0), (-1, 1), (1, -1), (2**31, 0), (0, 2**32), (1.0, 0),
+])
+def test_coefficient_of_a_vector_no_term_has_is_zero(exps):
+    p = P({(1, 0): 5, (0, 1): 6, (0, 0): 7})
+    assert p.coefficient(exps) == 0
+    assert p.coefficient([0, 1]) == 6 and p.coefficient((True, False)) == 5
+
+
+def _equal_and_hash_equal(*polys):
+    for p in polys[1:]:
+        assert p == polys[0] and hash(p) == hash(polys[0])
+        assert p.render() == polys[0].render()
+
+
+def test_every_route_to_a_polynomial_gives_one_key():
+    """3*q^2*t + 5*t^3 - 1, by the constructor, a product, a renaming, a
+    re-embedding in another variable order and a substitution."""
+    built = P({(2, 1): 3, (0, 3): 5, (0, 0): -1})
+    q, t = MultiPoly.variable(QT, "q"), MultiPoly.variable(QT, "t")
+    product = (3 * q * q + 5 * t * t) * t - 1
+    renamed = MultiPoly(("a", "t"), {(2, 1): 3, (0, 3): 5, (0, 0): -1}
+                        ).rename({"a": "q"})
+    reordered = MultiPoly(("t", "q"), {(1, 2): 3, (3, 0): 5, (0, 0): -1}
+                          ).rename(QT)
+    widened = MultiPoly(("t",), {(3,): 5, (0,): -1}).rename(QT) + 3 * q**2 * t
+    # u sits between q and t, so t's field moves when u goes
+    substituted = MultiPoly(("q", "u", "t"), {(2, 2, 1): 3, (0, 1, 3): 5,
+                                              (0, 0, 0): -1, (1, 1, 0): 4,
+                                              (1, 0, 0): -4}).substitute({"u": 1})
+    _equal_and_hash_equal(built, product, renamed, reordered, widened, substituted)
+    assert substituted.variables == QT
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_and_embed_match_a_tuple_oracle(data):
+    width = data.draw(st.integers(1, 4))
+    variables = VARS4[:width]
+    terms = data.draw(term_maps(width))
+    p = MultiPoly(variables, terms)
+    chosen = data.draw(st.lists(st.sampled_from(variables), unique=True))
+    assignment = {v: data.draw(st.integers(-3, 3)) for v in chosen}
+    kept = [i for i, v in enumerate(variables) if v not in assignment]
+    want = {}
+    for exps, coeff in terms.items():
+        for i, v in enumerate(variables):
+            if v in assignment:
+                coeff *= assignment[v] ** exps[i]
+        key = tuple(exps[i] for i in kept)
+        want[key] = want.get(key, 0) + coeff
+    got = p.substitute(assignment)
+    assert got.variables == tuple(variables[i] for i in kept)
+    assert dict(got.items()) == nonzero(want)
+    wide = ("z",) + variables[::-1] + ("y",)
+    embedded = p.rename(wide)
+    assert dict(embedded.items()) == {
+        (0,) + exps[::-1] + (0,): c for exps, c in nonzero(terms).items()}
+    assert embedded.total_degree() == p.total_degree()
+
+
+WIDE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 2**30 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_with_wide_exponents_match_the_tuple_oracle(data):
+    """Fields up to 2**30 - 1 never reach the guard bit in one product, and
+    a product term is still the tuple-wise sum of its factors' exponents."""
+    width = data.draw(st.integers(0, 4))
+    variables = VARS4[:width]
+    maps = st.dictionaries(st.tuples(*[WIDE_EXPONENTS] * width), COEFFS,
+                           max_size=5)
+    ta, tb = data.draw(maps), data.draw(maps)
+    a, b = MultiPoly(variables, ta), MultiPoly(variables, tb)
+    assert dict((a * b).items()) == oracle_mul(ta, tb)
+    assert dict((a + b).items()) == oracle_add(ta, tb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_items_run_in_descending_graded_lex_order(data):
+    width = data.draw(st.integers(0, 4))
+    p = MultiPoly(VARS4[:width], data.draw(st.dictionaries(
+        st.tuples(*[WIDE_EXPONENTS] * width), COEFFS, max_size=8)))
+    exps = [e for e, _ in p.items()]
+    assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+    assert p.total_degree() == max((sum(e) for e in exps), default=0)

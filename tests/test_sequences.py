@@ -16,6 +16,7 @@ from catpark.sequences import (
     count_u_pk,
     enumerate_u_pk,
     fuss_catalan,
+    fuss_catalan_upto,
     is_u_pk,
 )
 
@@ -115,6 +116,19 @@ def test_fuss_catalan_matches_the_binomial_formula():
     for m in range(1, 31):
         for n in range(41):
             assert fuss_catalan(m, n) * (m * n + 1) == comb(m * n + n, n)
+
+
+def test_fuss_catalan_upto_walks_the_consecutive_numbers():
+    for m in range(1, 5):
+        for n in range(61):
+            assert fuss_catalan_upto(m, n) == [fuss_catalan(m, j)
+                                               for j in range(n + 1)]
+    # past m the cancelled ratio keeps min(j, m) + 1 factors a step
+    for m in (10, 10**6):
+        assert fuss_catalan_upto(m, 12) == [fuss_catalan(m, j) for j in range(13)]
+    assert fuss_catalan_upto(2, -1) == []
+    with pytest.raises(ValueError):
+        fuss_catalan_upto(0, 3)
 
 
 def test_fuss_catalan_validation():

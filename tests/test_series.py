@@ -185,3 +185,74 @@ def test_gamma_series_term_products_stay_bounded(monkeypatch):
     monkeypatch.setattr(series_module, "_mul_into", spy)
     gamma_series_closed(2, 16)
     assert sum(products) <= 16_163
+
+
+# -- packed keys against a tuple-key oracle ------------------------------------
+
+VARS4 = ("q", "t", "u", "v")
+
+
+def tuple_terms(poly):
+    return dict(poly.items())
+
+
+def tuple_mul_into(acc, a, b):
+    """The reference product on exponent tuples, summed into acc."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def tuple_series_mul(a, b):
+    out = []
+    for n in range(len(a)):
+        acc = {}
+        for i in range(n + 1):
+            tuple_mul_into(acc, a[i], b[n - i])
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+def tuple_reciprocal(s):
+    inv = [s[0]]  # the constant 1
+    for j in range(1, len(s)):
+        acc = {}
+        for k in range(1, j + 1):
+            tuple_mul_into(acc, s[k], inv[j - k])
+        inv.append({e: -c for e, c in acc.items() if c})
+    return inv
+
+
+def wide_series(width, order, unit):
+    exps = st.tuples(*[st.one_of(st.integers(0, 2), st.integers(0, 2**26))] * width)
+    poly = st.dictionaries(exps, st.integers(-4, 4), max_size=3).map(
+        lambda t: MultiPoly(VARS4[:width], t))
+    coeffs = st.lists(poly, min_size=order + 1, max_size=order + 1)
+    if unit:
+        coeffs = coeffs.map(lambda cs: [MultiPoly.const(VARS4[:width], 1)] + cs[1:])
+    return coeffs.map(lambda cs: TruncatedSeries(VARS4[:width], cs, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_products_and_reciprocals_match_the_tuple_oracle(data):
+    width, order = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = data.draw(wide_series(width, order, unit=False))
+    b = data.draw(wide_series(width, order, unit=True))
+    ta = [tuple_terms(c) for c in a.coeffs]
+    tb = [tuple_terms(c) for c in b.coeffs]
+    assert [tuple_terms(c) for c in (a * b).coeffs] == tuple_series_mul(ta, tb)
+    assert [tuple_terms(c) for c in b.reciprocal().coeffs] == tuple_reciprocal(tb)
+
+
+def test_series_products_refuse_an_exponent_past_the_limit():
+    q = MultiPoly.variable(("q",), "q")
+    big = q ** (2**30)
+    # at order 1 the term q^(2^31) x^2 falls off before it is made
+    assert (TruncatedSeries(("q",), [1, big], 1) ** 2).coefficient(1) == 2 * big
+    with pytest.raises(ValueError):
+        TruncatedSeries(("q",), [1, big], 2) ** 2
+    with pytest.raises(ValueError):
+        TruncatedSeries(("q",), [1, -big], 2).reciprocal()
+    assert TruncatedSeries(("q",), [1, -big], 1).reciprocal().coefficient(1) == big
