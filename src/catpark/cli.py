@@ -12,7 +12,9 @@ message, so no argv ends in a traceback.  Two tables declare the command
 line: ``OPTIONS`` holds each option once, and ``VERBS`` gives each verb its
 help, its handler and its options in ``--help`` order; ``build_parser``
 reads them.  The cap refusals of ``enumerate``, ``poly --name multi`` and
-``tensor`` all come from ``sequences._require_under_cap``, ``count`` reads
+``tensor`` all come from ``sequences._require_under_cap``, and those of
+``poly --name R`` and ``gamma``, whose DP tables grow with m, from
+``sequences._require_table_under_cap``.  ``count`` reads
 the same Raney closed form, ``sequences._raney_count``, and ``poly --name
 B`` reads its consecutive values from ``sequences.fuss_catalan_upto``.
 
@@ -76,6 +78,7 @@ from catpark.sequences import (
     BoundFamily,
     DEFAULT_MAX_OBJECTS,
     _raney_count,
+    _require_table_under_cap,
     _require_under_cap,
     canonical_family,
     enumerate_u_pk,
@@ -337,8 +340,12 @@ def _poly_for(args):
         return MultiPoly(("x",), {(j,): b for j, b in
                                   enumerate(fuss_catalan_upto(args.m, args.n))})
     if args.name == "R":
+        # the luck of a length-n sequence is one of 1..n
+        _require_table_under_cap(args.n, args.m, args.n, args.max_objects)
         return r_poly_brute(args.m, args.n)
     if args.name == "gamma":
+        # luck and the count of ones in 1..n, each first hit in 2..n or none
+        _require_table_under_cap(args.n ** 4, args.m, args.n, args.max_objects)
         return gamma_poly_brute(args.m, args.n)
     if args.n < 1:
         raise ValueError("--n must be >= 1 for --name multi")

@@ -5,7 +5,10 @@ four-statistic and tree multi-statistic ones are exact DP counts from
 ``catpark.kernels``, whose oracle in the tests is plain enumeration; the
 tree one is carried to the trees by the ``theta`` transport.  Closed forms
 are built from truncated series and must match the brute values
-coefficient by coefficient.
+coefficient by coefficient.  Each brute polynomial has a per-length form,
+``r_poly_brute(m, n)``, and an all-lengths form, ``r_polys_brute(m,
+order)``, which yields the lengths 0..order from one kernel pass; a series
+check reads the latter, one length at a time.
 
 Two published closed forms disagree with enumeration and are implemented in
 both variants: the q-luck series (the stated reciprocal omits an exponent m)
@@ -44,12 +47,11 @@ class IdentityCheck:
         return not self.mismatches
 
 
-def _compare(name, params, order, lhs, rhs):
-    """Compare lhs(n) with rhs(n) for n = 0..order; each mismatch is
-    recorded as (n, lhs(n).render(), rhs(n).render())."""
+def _compare(name, params, lhs, rhs):
+    """Compare the coefficients lhs and rhs of x^0, x^1, ... in turn; each
+    mismatch is recorded as (n, left.render(), right.render())."""
     check = IdentityCheck(name, params)
-    for n in range(order + 1):
-        left, right = lhs(n), rhs(n)
+    for n, (left, right) in enumerate(zip(lhs, rhs, strict=True)):
         if left != right:
             check.mismatches.append((n, left.render(), right.render()))
     return check
@@ -67,8 +69,8 @@ def verify_functional_equation(m, order):
     """Check B = 1 + x*B^(m+1) coefficient-wise."""
     b = fuss_catalan_series(m, order)
     rhs = TruncatedSeries.one((), order) + (b ** (m + 1)).shifted(1)
-    return _compare("functional-equation", {"m": m, "order": order}, order,
-                    b.coefficient, rhs.coefficient)
+    return _compare("functional-equation", {"m": m, "order": order},
+                    b.coeffs, rhs.coeffs)
 
 
 def _require_length(n):
@@ -76,11 +78,20 @@ def _require_length(n):
         raise ValueError(f"length must be >= 0, got {n}")
 
 
+def _r_poly(hist):
+    return MultiPoly(("q",), {(k,): c for k, c in enumerate(hist) if c})
+
+
 def r_poly_brute(m, n):
     """Sum of q^luck over all canonically bounded distributions of length n."""
     _require_length(n)
-    hist = kernels.luck_histogram(m, n)
-    return MultiPoly(("q",), {(k,): c for k, c in enumerate(hist) if c})
+    return _r_poly(kernels.luck_histogram(m, n))
+
+
+def r_polys_brute(m, order):
+    """Yield r_poly_brute(m, n) for n = 0..order, from one DP pass."""
+    _require_length(order)
+    return map(_r_poly, kernels.luck_histograms(m, order))
 
 
 def r_series_closed(m, order, variables=("q",), qvar="q", literal=False):
@@ -99,17 +110,26 @@ def r_series_closed(m, order, variables=("q",), qvar="q", literal=False):
 def verify_r_series(m, order, literal=False):
     name = "q-luck-series" + ("-literal" if literal else "")
     closed = r_series_closed(m, order, literal=literal)
-    return _compare(name, {"m": m, "order": order}, order,
-                    lambda n: r_poly_brute(m, n), closed.coefficient)
+    return _compare(name, {"m": m, "order": order}, r_polys_brute(m, order),
+                    closed.coeffs)
+
+
+def _gamma_poly(hist):
+    # the kernel counts the empty length in no state, the series as 1
+    return MultiPoly(QT_UV, hist) if hist else MultiPoly.const(QT_UV, 1)
 
 
 def gamma_poly_brute(m, n):
     """Sum of q^luck t^(freq of 1) u^f v^g over length-n distributions;
     the empty length contributes the constant 1."""
     _require_length(n)
-    if n == 0:
-        return MultiPoly.const(QT_UV, 1)
-    return MultiPoly(QT_UV, kernels.stat_quad_histogram(m, n))
+    return _gamma_poly(kernels.stat_quad_histogram(m, n))
+
+
+def gamma_polys_brute(m, order):
+    """Yield gamma_poly_brute(m, n) for n = 0..order, from one DP pass."""
+    _require_length(order)
+    return map(_gamma_poly, kernels.stat_quad_histograms(m, order))
 
 
 def gamma_series_closed(m, order, literal=False):
@@ -141,8 +161,8 @@ def gamma_series_closed(m, order, literal=False):
 def verify_gamma_series(m, order, literal=False):
     name = "joint-series" + ("-literal" if literal else "")
     closed = gamma_series_closed(m, order, literal=literal)
-    return _compare(name, {"m": m, "order": order}, order,
-                    lambda n: gamma_poly_brute(m, n), closed.coefficient)
+    return _compare(name, {"m": m, "order": order},
+                    gamma_polys_brute(m, order), closed.coeffs)
 
 
 def h_series(m, k, r, order):
@@ -158,8 +178,8 @@ def verify_thm_rec(m, k, r, order):
     counted = h_series(m, k, r, order)
     powered = fuss_catalan_series(m, order) ** (m * k - r)
     return _compare("count-series-power",
-                    {"m": m, "k": k, "r": r, "order": order}, order,
-                    counted.coefficient, powered.coefficient)
+                    {"m": m, "k": k, "r": r, "order": order},
+                    counted.coeffs, powered.coeffs)
 
 
 # -- complete homogeneous decomposition -----------------------------------
@@ -205,6 +225,13 @@ def multi_stat_variables(m):
     return tuple(f"q{i}" for i in range(m + 1))
 
 
+def _multi_stat_poly(m, n, hist):
+    leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
+    terms = {(luck, ones) + tuple(w + leaf for w in rest): count
+             for (luck, ones, *rest), count in hist.items()}
+    return MultiPoly(multi_stat_variables(m), terms)
+
+
 def multi_stat_poly_brute(m, n):
     """Sum of q0^luck * prod_j qj^(freq of node j) over all parking
     distributions on the (m, n) tree, luck being the number of lucky cars.
@@ -215,11 +242,15 @@ def multi_stat_poly_brute(m, n):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
-    terms = {(luck, ones) + tuple(w + leaf for w in rest): count
-             for (luck, ones, *rest), count
-             in kernels.multi_stat_histogram(m, n).items()}
-    return MultiPoly(multi_stat_variables(m), terms)
+    return _multi_stat_poly(m, n, kernels.multi_stat_histogram(m, n))
+
+
+def multi_stat_polys_brute(m, order):
+    """Yield multi_stat_poly_brute(m, n) for n = 0..order, from one DP
+    pass; the empty length, which has no tree, gives the constant 1."""
+    _require_length(order)
+    return (_multi_stat_poly(m, n, hist) for n, hist
+            in enumerate(kernels.multi_stat_histograms(m, order)))
 
 
 def verify_multi_stat_product(m, order):
@@ -240,10 +271,8 @@ def verify_multi_stat_product(m, order):
                 qi * r_series_closed(m, order, variables, f"q{i}")
             )
         rhs = rhs + product.shifted(1)
-    check = _compare("multi-stat-product", {"m": m, "order": order}, order,
-                     lambda n: (MultiPoly.const(variables, 1) if n == 0
-                                else multi_stat_poly_brute(m, n)),
-                     rhs.coefficient)
+    check = _compare("multi-stat-product", {"m": m, "order": order},
+                     multi_stat_polys_brute(m, order), rhs.coeffs)
     # both sides are 1 at n = 0, so an x^1 mismatch comes first
     gap = None
     if m >= 2 and check.mismatches and check.mismatches[0][0] == 1:
@@ -299,7 +328,7 @@ def verify_convolution_identity(m, n_max):
     """
     check = IdentityCheck("luck-convolution", {"m": m, "n_max": n_max,
                                                "t_max": m + 1})
-    r_polys = [r_poly_brute(m, n) for n in range(n_max + 1)]
+    r_polys = list(r_polys_brute(m, n_max))
     for t in range(2, m + 2):
         variables = tuple(f"q{i}" for i in range(t))
         lhs = reduce(mul, (

@@ -6,14 +6,15 @@ class CatparkError(Exception):
 
 
 class EnumerationCapError(CatparkError):
-    """Projected enumeration size exceeds the configured object cap.
+    """Projected enumeration size, or DP table size, exceeds the configured
+    object cap.
 
     The message names the cap, not the projected count, which may have more
     digits than Python writes by default; ``projected`` keeps the count."""
 
-    def __init__(self, projected, cap):
+    def __init__(self, projected, cap, what="enumeration would yield"):
         super().__init__(
-            f"enumeration would yield more than {cap} objects, exceeding the cap of {cap}"
+            f"{what} more than {cap} objects, exceeding the cap of {cap}"
         )
         self.projected = projected
         self.cap = cap

@@ -46,10 +46,10 @@ from catpark.decomposition import (
     u_omega,
 )
 from catpark.engine import (
-    gamma_poly_brute,
+    gamma_polys_brute,
     h_decompose,
     joint_count_tensor,
-    r_poly_brute,
+    r_polys_brute,
     verify_convolution_identity,
     verify_functional_equation,
     verify_gamma_series,
@@ -298,11 +298,15 @@ def check_hbasis(entries, opts):
         def run(m=m, n_max=n_max):
             fam_counts = [count_for_bounds(
                 [m * i - 1 for i in range(1, r + 1)]) for r in range(n_max + 1)]
-            # luck histograms C_(j, k) of the lengths j < n_max
-            hists = [{k: c for (k,), c in r_poly_brute(m, j).items()}
-                     for j in range(n_max)]
+            # one pass of each kernel, read a length at a time: the luck
+            # histograms C_(j, k) of the lengths j < n, and gamma_n
+            lucks = r_polys_brute(m, n_max)
+            gammas = gamma_polys_brute(m, n_max)
+            next(gammas)  # gamma_0 = 1
+            hists = []
             for n in range(1, n_max + 1):
-                flat = gamma_poly_brute(m, n).substitute({"u": 1, "v": 1})
+                hists.append({k: c for (k,), c in next(lucks).items()})
+                flat = next(gammas).substitute({"u": 1, "v": 1})
                 coeffs = h_decompose(flat)
                 degrees = sorted(coeffs, reverse=True)
                 vector = tuple(coeffs[d] for d in degrees)

@@ -25,8 +25,11 @@ first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
 never walk: they count the canonically bounded sequences (1, m+1, 2m+1, ...)
 by an exact transfer-matrix DP over (last value, statistic state).  All
 three run one transfer step, ``_extend``, with the same prefix sums as
-``count_for_bounds``.  Plain enumeration with the statistics restated from
-their definitions is their oracle in tests/test_kernels.py.
+``count_for_bounds``, once per position, and one pass yields every length:
+``luck_histograms(m, n)`` and its two siblings yield the histograms of the
+lengths 0..n in turn, and the single-length kernel is the pass's last one.
+Plain enumeration with the statistics restated from their definitions is
+their oracle in tests/test_kernels.py.
 
 Callers validate their inputs: m >= 1 and n >= 0.
 """
@@ -234,12 +237,21 @@ def _extend(rows, k, m, moves):
 
 
 def _run(m, n, start, moves):
-    """Count the length-n sequences by final state, from the one-entry
-    prefix (1) in state start; n >= 1."""
+    """Yield the counts of the sequences of each length 1..n by final
+    state, from the one-entry prefix (1) in state start: one _extend per
+    length, run when the next length is asked for."""
     rows = {start: [0, 1]}
-    for k in range(2, n + 1):
-        rows = _extend(rows, k, m, moves)
-    return {state: sum(counts) for state, counts in rows.items()}
+    for k in range(1, n + 1):
+        if k > 1:
+            rows = _extend(rows, k, m, moves)
+        yield {state: sum(counts) for state, counts in rows.items()}
+
+
+def _last(lengths):
+    """The last item of a pass, which holds one length at a time."""
+    for last in lengths:
+        pass
+    return last
 
 
 def _luck_moves(luck, k):
@@ -259,6 +271,17 @@ def _multi_moves(state, k):
             state, state, (state[0] + 1,) + state[1:])
 
 
+def luck_histograms(m, n):
+    """Yield luck_histogram(m, j) for j = 0..n, from one DP pass."""
+    yield [1]
+    # position 1 holds 1, its bound, so it is lucky
+    for j, counts in enumerate(_run(m, n, 1, _luck_moves), start=1):
+        hist = [0] * (j + 1)
+        for luck, count in counts.items():
+            hist[luck] = count
+        yield hist
+
+
 def luck_histogram(m, n):
     """Histogram of the luck statistic over all length-n sequences bounded by
     (1, m+1, 2m+1, ...).
@@ -267,14 +290,17 @@ def luck_histogram(m, n):
     this bound family is exactly the positional bound.  Returns a list of
     length n+1 with hist[k] = number of sequences having k lucky positions.
     """
-    hist = [0] * (n + 1)
-    if n == 0:
-        hist[0] = 1
-        return hist
-    # position 1 holds 1, its bound, so it is lucky
-    for luck, count in _run(m, n, 1, _luck_moves).items():
-        hist[luck] = count
-    return hist
+    return _last(luck_histograms(m, n))
+
+
+def stat_quad_histograms(m, n):
+    """Yield stat_quad_histogram(m, j) for j = 0..n, from one DP pass."""
+    yield {}
+    for absent, counts in enumerate(_run(m, n, (1, 1, 0, 0), _quad_moves),
+                                    start=2):
+        # 0 marks a hit not seen yet
+        yield {(luck, ones, first_win or absent, first_top or absent): count
+               for (luck, ones, first_win, first_top), count in counts.items()}
 
 
 def stat_quad_histogram(m, n):
@@ -286,13 +312,13 @@ def stat_quad_histogram(m, n):
     top m(k-1)+1 exactly.  Missing hits are encoded as n+1.  Returns a dict
     keyed by the 4-tuple of statistic values.
     """
-    if n == 0:
-        return {}
-    absent = n + 1
-    # 0 marks a hit not seen yet
-    return {(luck, ones, first_win or absent, first_top or absent): count
-            for (luck, ones, first_win, first_top), count
-            in _run(m, n, (1, 1, 0, 0), _quad_moves).items()}
+    return _last(stat_quad_histograms(m, n))
+
+
+def multi_stat_histograms(m, n):
+    """Yield multi_stat_histogram(m, j) for j = 0..n, from one DP pass."""
+    yield {(0,) * (m + 1): 1}
+    yield from _run(m, n, (1, 1) + (0,) * (m - 1), _multi_moves)
 
 
 def multi_stat_histogram(m, n):
@@ -302,6 +328,4 @@ def multi_stat_histogram(m, n):
     dict keyed by the (m+1)-tuple of statistic values; the empty sequence
     has the all-zero tuple.
     """
-    if n == 0:
-        return {(0,) * (m + 1): 1}
-    return _run(m, n, (1, 1) + (0,) * (m - 1), _multi_moves)
+    return _last(multi_stat_histograms(m, n))

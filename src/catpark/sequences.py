@@ -15,6 +15,7 @@ their ratio, for a series or ``poly --name B``), the CLI's ``count`` reads
 it, and so does
 ``_require_under_cap``, the one cap guard of ``enumerate_u_pk``, the
 harness and the CLI.  The DP ``count_u_pk`` stays its oracle.
+``_require_table_under_cap`` is the CLI's guard of the histogram DP.
 """
 
 from functools import lru_cache
@@ -117,6 +118,16 @@ def _require_under_cap(n, family, max_objects):
     projected = _raney_count(n, family)
     if projected > max_objects:
         raise EnumerationCapError(projected, max_objects)
+
+
+def _require_table_under_cap(states, m, n, max_objects):
+    """The DP guard of the histogram kernels: raise EnumerationCapError
+    when a length-n pass could hold more than max_objects counts.  Its last
+    step holds the rows of lengths n-1 and n, at most states rows each, of
+    at most m(n-1)+2 counts."""
+    size = 2 * states * (m * (n - 1) + 2)
+    if n and size > max_objects:
+        raise EnumerationCapError(size, max_objects, "the DP table would hold")
 
 
 def enumerate_u_pk(n, family, max_objects=DEFAULT_MAX_OBJECTS, leaves=(),

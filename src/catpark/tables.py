@@ -8,7 +8,7 @@ source).  ``build_table`` puts the table's ``TABLES`` key first, as its
 
 from catpark.caterpillar import enumerate_caterpillar_pk, theta
 from catpark.decomposition import decompose, eta
-from catpark.engine import gamma_poly_brute, h_decompose, joint_count_tensor, r_poly_brute
+from catpark.engine import gamma_polys_brute, h_decompose, joint_count_tensor, r_polys_brute
 from catpark.sequences import canonical_family, enumerate_u_pk
 
 
@@ -63,19 +63,21 @@ def _decomposition_table(m, n):
 
 
 def table_q_analogs():
-    """The q-luck polynomials for m = 2, 3, 4 and n = 0..4."""
+    """The q-luck polynomials for m = 2, 3, 4 and n = 0..4, one pass per m."""
+    columns = [[poly.render() for poly in r_polys_brute(m, 4)] for m in (2, 3, 4)]
     return _table(
         "q-luck polynomials R_n for m = 2, 3, 4",
         ["n", "m=2", "m=3", "m=4"],
-        [[str(n)] + [r_poly_brute(m, n).render() for m in (2, 3, 4)]
-         for n in range(5)],
+        [[str(n), *cells] for n, cells in enumerate(zip(*columns))],
     )
 
 
 def _gamma_h_table(m):
     rows = []
-    for n in range(1, 5):
-        flat = gamma_poly_brute(m, n).substitute({"u": 1, "v": 1})
+    gammas = gamma_polys_brute(m, 4)
+    next(gammas)  # gamma_0 = 1 has no row
+    for n, poly in enumerate(gammas, start=1):
+        flat = poly.substitute({"u": 1, "v": 1})
         reduced = flat.divide_by_monomial({"q": 1, "t": 1})
         coeffs = h_decompose(flat)
         rows.append([str(n), reduced.render(), h_comb_text(coeffs)])

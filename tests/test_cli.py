@@ -315,6 +315,33 @@ def test_every_cap_refusal_has_one_text(capsys, verb):
                    "objects, exceeding the cap of 11\n")
 
 
+@pytest.mark.parametrize("argv", [
+    # each once ended in a traceback: an OverflowError, a MemoryError, and a
+    # MemoryError after seconds of DP under a 1 GiB address-space limit
+    ["--name", "R", "--m", "1000000000000000000000", "--n", "3"],
+    ["--name", "gamma", "--m", "100000000000", "--n", "3"],
+    ["--name", "R", "--m", "100000", "--n", "24"],
+])
+def test_poly_refuses_a_dp_table_past_the_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "poly", *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == ""
+    assert err == ("catpark poly: the DP table would hold more than 100000000 "
+                   "objects, exceeding the cap of 100000000\n")
+
+
+@pytest.mark.parametrize("name,size", [
+    # two lengths' rows of m(n-1)+2 = 6 counts, 2 luck or 2^4 gamma states
+    ("R", 2 * 2 * 6), ("gamma", 2 * 2**4 * 6)])
+def test_poly_dp_cap_is_the_table_size(capsys, name, size):
+    argv = ["poly", "--name", name, "--m", "4", "--n", "2", "--max-objects"]
+    code, out, _ = run_cli(capsys, *argv, str(size))
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, str(size - 1))
+    assert code == 3 and out == "" and "the DP table would hold" in err
+
+
 def test_cap_refusal_past_the_digit_limit_is_one_line(capsys):
     # the projected count has about 4800 digits, more than Python writes
     code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "10000")

@@ -348,13 +348,14 @@ def test_convolution_identity_reports_a_broken_luck_polynomial(monkeypatch):
     2*q0*q1 from R_1(q0)R_2(q1) + R_2(q0)R_1(q1)."""
     import catpark.engine as engine
 
-    real = engine.r_poly_brute
+    real = engine.r_polys_brute
+    q = MultiPoly.variable(("q",), "q")
 
-    def broken(m, n):
-        poly = real(m, n)
-        return poly + MultiPoly.variable(("q",), "q") if n == 2 else poly
+    def broken(m, order):
+        return (poly + q if n == 2 else poly
+                for n, poly in enumerate(real(m, order)))
 
-    monkeypatch.setattr(engine, "r_poly_brute", broken)
+    monkeypatch.setattr(engine, "r_polys_brute", broken)
     check = verify_convolution_identity(2, 4)
     assert [index for index, _, _ in check.mismatches] == [
         (2, 3), (2, 4), (3, 3), (3, 4)]
@@ -365,6 +366,37 @@ def test_convolution_identity_reports_a_broken_luck_polynomial(monkeypatch):
         "q0^3 + q0^2*q1 + q0*q1^2 + q1^3 + 4*q0^2 + 4*q0*q1 + 4*q1^2"
         " + 7*q0 + 7*q1",
     )
+
+
+# each series check's brute side, with the DP it runs
+SERIES_CHECKS = [(verify_r_series, "luck"), (verify_gamma_series, "quad"),
+                 (verify_multi_stat_product, "multi"),
+                 (verify_convolution_identity, "luck")]
+
+
+@pytest.mark.parametrize("check,statistic", SERIES_CHECKS)
+@pytest.mark.parametrize("m,order", [(2, 0), (2, 1), (2, 2), (3, 6), (1, 9)])
+def test_series_check_runs_one_pass(transfer_steps, check, statistic, m, order):
+    """Order N reads the lengths 0..N from one pass: N-1 steps, k = 2..N."""
+    assert check(m, order).ok
+    assert transfer_steps == [(statistic, m, k) for k in range(2, order + 1)]
+
+
+# identity-orders' brute-vs-closed phase, as perfbench/workloads.py runs it
+IDENTITY_ORDERS_BRUTE = (
+    [(verify_r_series, m, order) for m, order in ((1, 12), (2, 10), (3, 9), (4, 8))]
+    + [(verify_gamma_series, m, order) for m, order in ((2, 9), (3, 8), (4, 7))]
+    + [(verify_multi_stat_product, m, order) for m, order in ((2, 7), (3, 6))]
+    + [(verify_convolution_identity, 3, 7)]
+    + [(verify_tensor_symmetry, m, n) for m, n in ((2, 7), (3, 6))]
+)
+
+
+def test_identity_orders_brute_phase_runs_84_steps(transfer_steps):
+    """One pass per check: 84 steps, where a DP per length ran 328."""
+    for check, m, order in IDENTITY_ORDERS_BRUTE:
+        assert check(m, order).ok
+    assert len(transfer_steps) == 84
 
 
 def test_convolution_identity_validates_only_its_inputs(monkeypatch):

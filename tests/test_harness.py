@@ -174,23 +174,31 @@ def test_explicit_zero_is_honoured():
 
 
 def test_hbasis_honours_max_n(monkeypatch):
-    lengths = []
-    real = harness.gamma_poly_brute
+    """One gamma pass up to max_n, read from gamma_0 = 1 to gamma_max_n."""
+    orders, lengths = [], []
+    real = harness.gamma_polys_brute
 
-    def spy(m, n, *args, **kwargs):
-        lengths.append(n)
-        return real(m, n, *args, **kwargs)
+    def spy(m, order):
+        orders.append(order)
+        for n, poly in enumerate(real(m, order)):
+            lengths.append(n)
+            yield poly
 
-    monkeypatch.setattr(harness, "gamma_poly_brute", spy)
+    monkeypatch.setattr(harness, "gamma_polys_brute", spy)
     report = run_verification("hbasis", m=2, max_n=2)
-    assert report.ok and lengths == [1, 2]
+    assert report.ok and orders == [2] and lengths == [0, 1, 2]
     assert [e.params for e in report.entries] == [{"m": 2, "max_n": 2}]
+    orders.clear()
     lengths.clear()
     report = run_verification("hbasis", m=3, max_n=0)
-    assert lengths == [] and report.entries[0].params == {"m": 3, "max_n": 0}
+    assert orders == [0] and lengths == [0]
+    assert report.entries[0].params == {"m": 3, "max_n": 0}
+    orders.clear()
+    lengths.clear()
     # reference vectors exist up to n = 4 only; the report says so
     report = run_verification("hbasis", m=4, max_n=9)
-    assert lengths == [1, 2, 3, 4] and report.entries[0].params == {"m": 4, "max_n": 4}
+    assert orders == [4] and lengths == [0, 1, 2, 3, 4]
+    assert report.entries[0].params == {"m": 4, "max_n": 4}
 
 
 def test_tensor_symmetry_honours_max_n(monkeypatch):
@@ -265,19 +273,31 @@ def test_lattice_walk_reports_the_constraint(monkeypatch):
                                                 "reason": "constraint"}
 
 
+def test_hbasis_runs_one_pass_of_each_kernel_per_m(transfer_steps):
+    """Per m, one luck pass to length 3 and one quad pass to length 4."""
+    assert run_verification("hbasis").ok
+    assert sorted(transfer_steps) == sorted(
+        [("luck", m, k) for m in (2, 3, 4) for k in (2, 3)]
+        + [("quad", m, k) for m in (2, 3, 4) for k in (2, 3, 4)])
+
+
 def test_hbasis_reads_each_luck_histogram_once(monkeypatch):
-    """One r_poly_brute per (m, length) pair: lengths 0..3 at m = 2, 3, 4."""
-    calls = []
-    real = harness.r_poly_brute
+    """One r_polys_brute pass per m, each length 0..3 read once, at
+    m = 2, 3, 4."""
+    passes, read = [], []
+    real = harness.r_polys_brute
 
-    def spy(m, n):
-        calls.append((m, n))
-        return real(m, n)
+    def spy(m, order):
+        passes.append(m)
+        for n, poly in enumerate(real(m, order)):
+            read.append((m, n))
+            yield poly
 
-    monkeypatch.setattr(harness, "r_poly_brute", spy)
+    monkeypatch.setattr(harness, "r_polys_brute", spy)
     report = run_verification("hbasis")
     assert report.ok and len(report.entries) == 3
-    assert sorted(calls) == [(m, n) for m in (2, 3, 4) for n in range(4)]
+    assert sorted(passes) == [2, 3, 4]
+    assert sorted(read) == [(m, n) for m in (2, 3, 4) for n in range(4)]
 
 
 def test_parking_honours_m(monkeypatch):

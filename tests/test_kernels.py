@@ -77,6 +77,51 @@ def test_multi_stat_histogram_against_oracle(m, n):
     assert kernels.multi_stat_histogram(m, n) == expected
 
 
+def oracle_histograms(m, n):
+    """The luck, four-statistic and multi-statistic histograms of the
+    length-n sequences, counted from the definitions; the empty length has
+    no four-statistic key."""
+    luck, quad, multi = [0] * (n + 1), Counter(), Counter()
+    for seq in kernels.iter_bounded(canonical_bounds(m, n)):
+        stats = oracle_stats(seq, m)
+        luck[stats[0]] += 1
+        if n:
+            quad[stats] += 1
+        multi[(stats[0],) + tuple(seq.count(j) for j in range(1, m + 1))] += 1
+    return luck, dict(quad), dict(multi)
+
+
+@pytest.mark.parametrize("m,n", GRID)
+def test_every_length_pass_against_single_lengths_and_oracle(m, n):
+    passes = zip(kernels.luck_histograms(m, n),
+                 kernels.stat_quad_histograms(m, n),
+                 kernels.multi_stat_histograms(m, n), strict=True)
+    for j, got in enumerate(passes):
+        assert got == oracle_histograms(m, j), (m, j)
+        assert got == (kernels.luck_histogram(m, j),
+                       kernels.stat_quad_histogram(m, j),
+                       kernels.multi_stat_histogram(m, j)), (m, j)
+    assert j == n
+
+
+def test_every_length_pass_of_the_empty_length(transfer_steps):
+    assert list(kernels.luck_histograms(3, 0)) == [[1]]
+    assert list(kernels.stat_quad_histograms(3, 0)) == [{}]
+    assert list(kernels.multi_stat_histograms(3, 0)) == [{(0, 0, 0, 0): 1}]
+    assert transfer_steps == []
+
+
+def test_every_length_pass_steps_once_per_position(transfer_steps):
+    """A pass to length n runs positions 2..n once each, one step per
+    length asked for."""
+    lengths = kernels.stat_quad_histograms(2, 6)
+    for _ in range(3):
+        next(lengths)
+    assert transfer_steps == [("quad", 2, 2)]
+    list(lengths)
+    assert transfer_steps == [("quad", 2, k) for k in range(2, 7)]
+
+
 def tree_multi_stat_poly(m, n):
     """Sum of q0^luck * prod_j qj^(freq of node j) over every parking
     distribution on the (m, n) tree, with luck read off the simulation."""

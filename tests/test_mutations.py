@@ -50,6 +50,13 @@ def _every_variable(m):
     return MultiPoly(engine.multi_stat_variables(m), {(1,) * (m + 1): 1})
 
 
+def _one_node_tree_as_product(real):
+    """multi_stat_polys_brute with the one-node tree's polynomial replaced
+    by q0*...*qm, the product formula's x^1 coefficient."""
+    return lambda m, order: (_every_variable(m) if n == 1 else poly
+                             for n, poly in enumerate(real(m, order)))
+
+
 # (scope, options, module, name, stand-in made from the real function,
 #  counterexample the failing entry reports); the count-reading scopes'
 #  stand-ins count one too many
@@ -170,11 +177,11 @@ SHARED_SCOPE_MUTATIONS = [
      {"literal_ok": False, "corrected_ok": False}),
     # the one-node tree's polynomial is the product's q0*...*qm: the order-1
     # gap is gone, and the product identity still holds
-    ("multistat", {"m": 2}, engine, "multi_stat_poly_brute",
-     lambda real: lambda m, n: _every_variable(m) if n == 1 else real(m, n),
+    ("multistat", {"m": 2}, engine, "multi_stat_polys_brute",
+     _one_node_tree_as_product,
      "multi-stat-product-order1", {"enumerated": None, "stated": None}),
-    ("multistat", {"m": 3}, engine, "multi_stat_poly_brute",
-     lambda real: lambda m, n: _every_variable(m) if n == 1 else real(m, n),
+    ("multistat", {"m": 3}, engine, "multi_stat_polys_brute",
+     _one_node_tree_as_product,
      "multi-stat-product-order1", {"enumerated": None, "stated": None}),
 ]
 

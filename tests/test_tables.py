@@ -97,6 +97,16 @@ def test_table_10_grid():
     assert grid[(4, 4)] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("table_id,passes", [
+    ("5", [("luck", m) for m in (2, 3, 4)]),
+    ("6", [("quad", 2)]), ("7", [("quad", 3)]), ("8", [("quad", 4)])])
+def test_polynomial_tables_run_one_pass_per_m(transfer_steps, table_id, passes):
+    """Each m's lengths 0..4 come from one pass: steps k = 2, 3, 4."""
+    build_table(table_id)
+    assert transfer_steps == [(statistic, m, k) for statistic, m in passes
+                              for k in (2, 3, 4)]
+
+
 def test_unknown_table_id():
     with pytest.raises(ValueError):
         build_table("11")
