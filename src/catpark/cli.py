@@ -31,10 +31,14 @@ formatted again and no list of all rows is held.  When stdout closes before
 the output is written, as under ``| head``, ``main`` says so in one line and
 exits 1.
 
-``main`` parses with one parser per process, built on its first call; when
-argv starts with a verb, that verb's own parser reads the rest, as the
-top-level parser would hand it on, and any other argv goes through the
-top-level parser.  ``build_parser()`` returns a fresh parser on every call.
+``main`` reads a plain argv -- a verb, then pairs of one of its flags,
+each given once, and a value not starting with "-" that the flag's int
+type converts and its choices hold -- straight from ``OPTIONS`` and
+``VERBS``, into the Namespace the parser would give, and builds no parser.
+Every other argv, help and usage errors among them, goes through the
+top-level parser, built once per process on its first use, so argparse
+alone writes help, usage errors and their exit code.  ``build_parser()``
+returns a fresh parser on every call.
 
 Every ``catpark`` call starts a fresh interpreter, which pays for each
 module it imports before the verb runs.  So the module imports at its top
@@ -64,13 +68,12 @@ from catpark.caterpillar import (
     to_lattice_path,
 )
 from catpark.decomposition import (
+    _checked_fixed_points,
+    _luck,
     decompose,
     eta,
     eta_inv,
-    f_stat,
-    g_stat,
     tau,
-    u_luck,
     u_omega,
 )
 from catpark.errors import CatparkError, EnumerationCapError, NonMembershipError
@@ -250,14 +253,12 @@ def cmd_stats(args, out):
     seq = _parse_seq(args.seq)
     if args.kind == "u":
         try:
-            stats = {
-                "luck": u_luck(seq, args.m),
-                "omega1": u_omega(seq, 1),
-                "f": f_stat(seq, args.m),
-                "g": g_stat(seq, args.m),
-            }
+            fixed = _checked_fixed_points(seq, args.m)
         except ValueError as exc:
             raise ValueError(f"--seq: {exc}")
+        # f and g are the first fixed points of types 1 and m
+        stats = {"luck": _luck(seq, args.m), "omega1": u_omega(seq, 1),
+                 "f": fixed[0], "g": fixed[-1]}
     else:
         tree = build_caterpillar(args.m, _backbone_length(seq, args.m))
         try:
@@ -484,28 +485,61 @@ def build_parser():
         for key in options.split():
             p.add_argument(key.rpartition(":")[2], **OPTIONS[key])
         p.set_defaults(fn=fn)
-    # verb -> its parser, for main to parse a verb's argv directly
-    parser.verbs = sub.choices
     return parser
 
 
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _plain_table(verb):
+    """What build_parser declares for verb, read from the tables: flag ->
+    (dest, type, choices), every dest's default with fn and command, and
+    the required flags."""
+    flags, defaults, required = {}, {"fn": VERBS[verb][1], "command": verb}, []
+    for key in VERBS[verb][2].split():
+        spec, flag = OPTIONS[key], key.rpartition(":")[2]
+        dest = flag[2:].replace("-", "_")
+        flags[flag] = (dest, spec.get("type"), spec.get("choices"))
+        defaults[dest] = spec.get("default")
+        if spec.get("required"):
+            required.append(flag)
+    return flags, defaults, required
+
+
+def _parse_plain(argv):
+    """The Namespace argparse gives a plain argv, else None.  Plain is a
+    verb, then pairs of one of its own flags, each at most once and every
+    required one given, and a value not starting with "-" that its int type
+    converts and its choices hold."""
+    if not argv or argv[0] not in VERBS or len(argv) % 2 == 0:
+        return None
+    flags, values, required = _plain_table(argv[0])
+    given = argv[1::2]
+    if len(set(given)) < len(given) or not all(f in given for f in required):
+        return None
+    values = dict(values)
+    for flag, value in zip(given, argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        dest, kind, choices = flags[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv):
-    """Parse argv with the parser of the verb argv[0] names, which is what
-    the top-level parser would hand it to, sparing a second parse.  Any
-    other argv goes through the top-level parser, and leftover arguments
-    get its error message, so stderr and exit codes stay argparse's own."""
-    parser = _parser()
-    verb = parser.verbs.get(argv[0]) if argv else None
-    if verb is None:
-        return parser.parse_args(argv)
-    args, extras = verb.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    """Parse a plain argv straight from the tables; any other argv (help,
+    usage errors, --flag=value, abbreviations, repeats, values starting
+    with "-") goes through the top-level parser, so help, error messages
+    and exit codes stay argparse's own."""
+    return _parse_plain(argv) or _parser().parse_args(argv)
 
 
 def main(argv=None):

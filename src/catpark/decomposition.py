@@ -156,14 +156,21 @@ def _luck(seq, m):
 # -- public entry points: validate once, then run on the core --------------
 
 
-def first_fixed_point(seq, m, l):
-    """Smallest k > 1 with m(k-2)+1+l <= seq[k] <= m(k-1)+1, else n+1."""
+def _checked_fixed_points(seq, m):
+    """_fixed_points of seq, checked to be nonempty and in bounds: what
+    first_fixed_point reads, and ``stats`` in the CLI for both its types."""
     _require_canonical(seq, m)
     if not seq:
         raise ValueError("sequence must be nonempty")
+    return _fixed_points(seq, m)
+
+
+def first_fixed_point(seq, m, l):
+    """Smallest k > 1 with m(k-2)+1+l <= seq[k] <= m(k-1)+1, else n+1."""
+    fixed = _checked_fixed_points(seq, m)
     if not 1 <= l <= m:
         raise ValueError(f"type must be in [1, {m}], got {l}")
-    return _fixed_points(seq, m)[l - 1]
+    return fixed[l - 1]
 
 
 def decompose(seq, m):

@@ -299,10 +299,16 @@ def joint_count_tensor(m, n):
     return JointCountTensor(m, n, {e: c for e, c in poly.items()})
 
 
-def verify_tensor_symmetry(m, n):
-    """Entries with equal coordinate sums must be equal."""
-    check = IdentityCheck("tensor-symmetry", {"m": m, "n": n})
-    tensor = joint_count_tensor(m, n)
+def joint_count_tensors(m, max_n):
+    """Yield joint_count_tensor(m, n) for n = 1..max_n, from one DP pass."""
+    polys = multi_stat_polys_brute(m, max_n)
+    next(polys)  # the empty length has no tree
+    return (JointCountTensor(m, n, dict(poly.items()))
+            for n, poly in enumerate(polys, start=1))
+
+
+def _symmetry_check(tensor):
+    check = IdentityCheck("tensor-symmetry", {"m": tensor.m, "n": tensor.n})
     by_sum = {}
     for key, count in sorted(tensor.entries.items()):
         by_sum.setdefault(sum(key), []).append((key, count))
@@ -311,6 +317,17 @@ def verify_tensor_symmetry(m, n):
         if len(counts) > 1:
             check.mismatches.append((total, got, None))
     return check
+
+
+def verify_tensor_symmetry(m, n):
+    """Entries with equal coordinate sums must be equal."""
+    return _symmetry_check(joint_count_tensor(m, n))
+
+
+def verify_tensor_symmetries(m, max_n):
+    """Yield verify_tensor_symmetry(m, n) for n = 1..max_n, from one DP
+    pass."""
+    return map(_symmetry_check, joint_count_tensors(m, max_n))
 
 
 # -- convolution identity ---------------------------------------------------

@@ -10,7 +10,8 @@ class EnumerationCapError(CatparkError):
     object cap.
 
     The message names the cap, not the projected count, which may have more
-    digits than Python writes by default; ``projected`` keeps the count."""
+    digits than Python writes by default; ``projected`` keeps the count, or
+    the lower bound past the cap at which the guard stopped counting."""
 
     def __init__(self, projected, cap, what="enumeration would yield"):
         super().__init__(

@@ -55,7 +55,7 @@ from catpark.engine import (
     verify_gamma_series,
     verify_multi_stat_product,
     verify_r_series,
-    verify_tensor_symmetry,
+    verify_tensor_symmetries,
     verify_thm_rec,
 )
 from catpark.kernels import fold_bounded
@@ -510,10 +510,10 @@ def _order_one_gap(m):
 
 @_per_m("tensor", "tensor-symmetry")
 def _check_tensor_symmetry(m, max_n):
-    for n in range(1, max_n + 1):
-        check = verify_tensor_symmetry(m, n)
+    for check in verify_tensor_symmetries(m, max_n):
         if not check.ok:
-            return "fail", {"n": n, "first": check.mismatches[0]}
+            return "fail", {"n": check.params["n"],
+                            "first": check.mismatches[0]}
     return "pass", None
 
 

@@ -12,9 +12,9 @@ enumerates.
 ``_raney_count`` is the one closed form of the counts: ``fuss_catalan`` is
 its canonical case (``fuss_catalan_upto`` walks its consecutive values by
 their ratio, for a series or ``poly --name B``), the CLI's ``count`` reads
-it, and so does
-``_require_under_cap``, the one cap guard of ``enumerate_u_pk``, the
-harness and the CLI.  The DP ``count_u_pk`` stays its oracle.
+it, and ``_require_under_cap``, the one cap guard of ``enumerate_u_pk``,
+the harness and the CLI, builds it only as far as the cap needs.  The DP
+``count_u_pk`` stays its oracle.
 ``_require_table_under_cap`` is the CLI's guard of the histogram DP.
 """
 
@@ -114,10 +114,24 @@ def _raney_count(n, family):
 
 def _require_under_cap(n, family, max_objects):
     """The one enumeration-cap guard: raise EnumerationCapError when the
-    family has more than max_objects distributions of length n."""
-    projected = _raney_count(n, family)
-    if projected > max_objects:
-        raise EnumerationCapError(projected, max_objects)
+    family has more than max_objects distributions of length n.
+
+    It never builds more of the Raney count s * binom(N, n) / N, N =
+    (m+1)n + s, than it needs: it takes binom(N, i) for i = 0, 1, ..., n,
+    each from the last, and refuses at the first i with s * binom(N, i) //
+    N past the cap.  That is a lower bound of the count, because s >= 1
+    makes N >= 2n + 1 and binom(N, i) grows with i up to N/2; at i = n it is
+    the count.  Since binom(N, i) >= 2^i there, a refusal comes within
+    about log2(max_objects * N) steps, however large n and m are.
+    """
+    s = family.m * family.k - family.r
+    total = (family.m + 1) * n + s
+    binom = 1
+    for i in range(n + 1):
+        binom = binom * (total - i + 1) // i if i else 1
+        at_least = s * binom // total
+        if at_least > max_objects:
+            raise EnumerationCapError(at_least, max_objects)
 
 
 def _require_table_under_cap(states, m, n, max_objects):

@@ -1,11 +1,14 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import catpark
-from catpark import cli, harness
+from catpark import cli, harness, sequences
 from catpark.caterpillar import enumerate_caterpillar_pk
 from catpark.cli import MAP_NAMES, POLY_NAMES, build_parser, main, seq_str
 from catpark.harness import CHECKS
@@ -200,6 +203,23 @@ def test_stats(capsys):
     assert data == {"luck": 1, "parked": True, "omega1": 2, "omega2": 1}
 
 
+def test_stats_checks_its_sequence_once(capsys, monkeypatch):
+    """One bounds check per stats call, with the messages of the checks
+    u_luck and f_stat made in turn."""
+    checked = []
+    real = sequences.is_u_pk
+    monkeypatch.setattr(sequences, "is_u_pk",
+                        lambda seq, fam: checked.append(seq) or real(seq, fam))
+    code, out, _ = run_cli(capsys, "stats", "--m", "3", "--seq", "1,2,5,10")
+    assert (code, out) == (0, "luck 2\nomega1 1\nf 2\ng 4\n")
+    assert checked == [(1, 2, 5, 10)]
+    assert run_cli(capsys, "stats", "--m", "2", "--seq", "") == (
+        2, "", "catpark stats: --seq: sequence must be nonempty\n")
+    assert run_cli(capsys, "stats", "--m", "2", "--seq", "-1") == (
+        2, "", "catpark stats: --seq: (-1,) is not within the canonical "
+               "bounds for m=2\n")
+
+
 def test_decompose(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--m", "3",
                            "--seq", "1,2,5,10,10,16")
@@ -345,6 +365,17 @@ def test_poly_dp_cap_is_the_table_size(capsys, name, size):
 def test_cap_refusal_past_the_digit_limit_is_one_line(capsys):
     # the projected count has about 4800 digits, more than Python writes
     code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "10000")
+    assert code == 3 and out == ""
+    assert err == ("catpark enumerate: enumeration would yield more than "
+                   "100000000 objects, exceeding the cap of 100000000\n")
+
+
+def test_cap_refusal_at_a_count_of_millions_of_digits_is_fast(capsys):
+    # the count has about 9 million digits; the guard stops past the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--m", "1000000000",
+                             "--n", "1000000", "--format", "csv")
+    assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err == ("catpark enumerate: enumeration would yield more than "
                    "100000000 objects, exceeding the cap of 100000000\n")
@@ -662,17 +693,100 @@ def test_parse_errors_match_the_top_level_parser(argv):
     assert _call(argv) == expected
 
 
-def test_a_verb_is_parsed_by_its_own_parser(monkeypatch):
-    """A verb's argv never reaches the top-level parser; other argv do."""
-    parser = cli._parser()
+def test_a_plain_argv_builds_no_parser(monkeypatch):
+    """A plain argv is read from the tables and builds no argparse parser;
+    any other form, such as --flag=value, goes through the top-level
+    parser, which builds one parser per verb under it."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
 
-    def refuse(argv):
-        raise AssertionError(argv)
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
     assert _call(["count", "--m", "2", "--n", "3"]) == (0, "12\n", "")
-    with pytest.raises(AssertionError):
-        _call(["--help"])
+    assert built == []
+    assert _call(["count", "--m=2", "--n", "3"]) == (0, "12\n", "")
+    assert len(built) == 1 + len(cli.VERBS)
+
+
+# int option values, --seq and --word values, and the forms a plain argv
+# does not take; each drawn argv gets at most one of those forms
+INT_VALUES = (None, "-1", "0", "1", "2", "7", "x", "", "3_0")
+SEQ_VALUES = (None, "", "0", "1,,2", "x", "3,1", "1,1,4")
+FORMS = (None, None, None, None, "repeat", "stray", "equals", "abbreviate")
+
+
+def _draw_argv(rng):
+    """A verb and a random subset of its options, in random order, from
+    VERBS and OPTIONS: each choice, or one bad value, and each int or text
+    value from its list; verify always names one scope, as the full suite
+    is the slow case."""
+    verb = rng.choice(list(cli.VERBS))
+    keys = cli.VERBS[verb][2].split()
+    rng.shuffle(keys)
+    argv = [verb]
+    for key in keys:
+        flag, spec = key.rpartition(":")[2], cli.OPTIONS[key]
+        if "choices" in spec:
+            values = (None, *spec["choices"], "bogus")
+        elif flag == "--scope":
+            values = (*CHECKS, "bogus")
+        elif spec.get("type") is int or flag == "--id":
+            values = INT_VALUES
+        else:
+            values = SEQ_VALUES
+        value = rng.choice(values)
+        if value is not None:
+            argv += [flag, value]
+    form = rng.choice(FORMS) if len(argv) > 1 else None
+    pair = rng.randrange(1, len(argv), 2) if form else None
+    if form == "repeat":
+        argv += [argv[pair], rng.choice(("1", "2", "text"))]
+    elif form == "stray":
+        argv.insert(rng.randrange(1, len(argv) + 1), "stray")
+    elif form == "equals":
+        argv[pair:pair + 2] = [f"{argv[pair]}={argv[pair + 1]}"]
+    elif form == "abbreviate":
+        argv[pair] = argv[pair][:-1]
+    return argv
+
+
+def _usage_free(err):
+    """The lines of stderr past argparse's usage text, if any leads it."""
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage:"):
+        lines = lines[1:]
+        while lines and lines[0].startswith(" "):
+            lines = lines[1:]
+    return lines
+
+
+def test_drawn_argv_parse_as_the_top_level_parser_and_exit_cleanly():
+    """Every argv the table path accepts gets the Namespace a fresh
+    top-level parser gives, and every argv ends in 0, 1, 2 or 3 with at
+    most one line of its own on stderr.  enumerate lists up to
+    --max-objects rows and verify's sweeps have no cost bound yet, so those
+    two verbs are parsed but not run when a value is 7 or 3_0."""
+    rng = random.Random(29)
+    plain = 0
+    for _ in range(3000):
+        argv = _draw_argv(rng)
+        namespace = cli._parse_plain(argv)
+        if namespace is not None:
+            plain += 1
+            assert namespace == build_parser().parse_args(argv), argv
+        values = {token.rpartition("=")[2] for token in argv}
+        if argv[0] in ("enumerate", "verify") and values & {"7", "3_0"}:
+            continue
+        code, out, err = _call(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert len(_usage_free(err)) <= 1 and "Traceback" not in err, argv
+        if code in (2, 3):
+            assert out == "", argv
+    assert plain > 300
 
 
 FORMAT_CHOICES = ("text", "csv", "json")
@@ -748,7 +862,9 @@ SURFACE = {
 def test_every_verb_keeps_its_options():
     """No verb gains, loses or reorders an option, nor changes one's dest,
     type, default, requiredness or choices."""
-    verbs = build_parser().verbs
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    verbs = subparsers.choices
     assert list(verbs) == list(SURFACE)
     for verb, options in SURFACE.items():
         actions = [a for a in verbs[verb]._actions if a.dest != "help"]

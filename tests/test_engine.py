@@ -13,6 +13,7 @@ from catpark.engine import (
     h_decompose,
     h_series,
     joint_count_tensor,
+    joint_count_tensors,
     multi_stat_poly_brute,
     multi_stat_variables,
     r_poly_brute,
@@ -22,6 +23,7 @@ from catpark.engine import (
     verify_gamma_series,
     verify_multi_stat_product,
     verify_r_series,
+    verify_tensor_symmetries,
     verify_tensor_symmetry,
     verify_thm_rec,
 )
@@ -311,6 +313,19 @@ def test_tensor_symmetry():
         assert verify_tensor_symmetry(2, n).ok
     for n in range(1, 5):
         assert verify_tensor_symmetry(3, n).ok
+
+
+@pytest.mark.parametrize("m,max_n", [(2, 0), (2, 6), (3, 5)])
+def test_tensor_pass_gives_every_length(m, max_n):
+    """One pass yields the tensor and the symmetry check of each length
+    1..max_n, as the per-length functions give them."""
+    lengths = range(1, max_n + 1)
+    assert list(joint_count_tensors(m, max_n)) == [
+        joint_count_tensor(m, n) for n in lengths]
+    assert [(c.name, c.params, c.mismatches)
+            for c in verify_tensor_symmetries(m, max_n)] == [
+        (c.name, c.params, c.mismatches)
+        for c in (verify_tensor_symmetry(m, n) for n in lengths)]
 
 
 @pytest.mark.parametrize("m,n", [(2, 12), (3, 9)])

@@ -203,13 +203,14 @@ def test_hbasis_honours_max_n(monkeypatch):
 
 def test_tensor_symmetry_honours_max_n(monkeypatch):
     lengths = []
-    real = harness.verify_tensor_symmetry
+    real = harness.verify_tensor_symmetries
 
-    def spy(m, n, *args, **kwargs):
-        lengths.append(n)
-        return real(m, n, *args, **kwargs)
+    def spy(m, max_n):
+        for check in real(m, max_n):
+            lengths.append(check.params["n"])
+            yield check
 
-    monkeypatch.setattr(harness, "verify_tensor_symmetry", spy)
+    monkeypatch.setattr(harness, "verify_tensor_symmetries", spy)
     report = run_verification("tensor", m=3, max_n=2)
     assert report.ok and lengths == [1, 2]
     assert [(e.identity, e.params) for e in report.entries] == [
@@ -220,6 +221,15 @@ def test_tensor_symmetry_honours_max_n(monkeypatch):
     # without --max-n each m keeps its own largest size
     report = run_verification("tensor", m=3)
     assert lengths == [1, 2, 3, 4] and report.entries[0].params == {"m": 3, "max_n": 4}
+
+
+def test_tensor_symmetry_runs_one_pass_per_m(transfer_steps):
+    """Per m, one multi-statistic pass to max_n; m = 2 also runs the
+    tensor-table's pass to length 4."""
+    assert run_verification("tensor", max_n=9).ok
+    assert sorted(transfer_steps) == sorted(
+        [("multi", 2, k) for k in (2, 3, 4)]
+        + [("multi", m, k) for m in (2, 3) for k in range(2, 10)])
 
 
 def test_lattice_honours_m(monkeypatch):

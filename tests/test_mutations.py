@@ -130,8 +130,8 @@ MUTATIONS = [
       "parked": False}),
     # tensor-symmetry alone, as the m = 3 run has no tensor-table: on the
     # (3, 2) tree the four keys of sum 5 each count one
-    ("tensor", {"m": 3, "max_n": 3}, engine, "joint_count_tensor",
-     lambda real: lambda m, n: _move_one_count(real(m, n)),
+    ("tensor", {"m": 3, "max_n": 3}, engine, "joint_count_tensors",
+     lambda real: lambda m, max_n: map(_move_one_count, real(m, max_n)),
      {"n": 2, "first": (5, [((1, 1, 1, 2), 0), ((1, 1, 2, 1), 2),
                             ((1, 2, 1, 1), 1), ((2, 1, 1, 1), 1)], None)}),
 ]

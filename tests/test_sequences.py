@@ -188,6 +188,25 @@ def test_cap_projection_matches_count(monkeypatch):
     assert exc.value.projected == total
 
 
+def test_cap_guard_refuses_exactly_past_the_cap():
+    """The guard refuses iff the Raney count exceeds the cap, on every
+    family with m <= 4, k <= 3, r < m and n <= 8, and a refusal's
+    projected count lies past the cap and at most at the count."""
+    for m in range(1, 5):
+        for k in range(1, 4):
+            for r in range(m):
+                fam = BoundFamily(m, k, r)
+                for n in range(9):
+                    count = sequences._raney_count(n, fam)
+                    for cap in {0, count // 2, count - 1, count, 2 * count}:
+                        if count <= cap:
+                            sequences._require_under_cap(n, fam, cap)
+                            continue
+                        with pytest.raises(EnumerationCapError) as exc:
+                            sequences._require_under_cap(n, fam, cap)
+                        assert cap < exc.value.projected <= count
+
+
 def test_every_yield_passes_membership():
     for m in (1, 2, 3):
         fam = canonical_family(m)
