@@ -12,16 +12,20 @@ Every entry is made by ``_report``, which times one callable returning
 callable that raises makes a fail entry naming the exception.
 ``_verdict`` turns an engine IdentityCheck into that pair.
 
-``DEFAULTS`` is the one table of what each per-m check runs: for each scope,
-the option it reads (order or max_n) and its default value per m.  The keys
-are the m values a check runs at without --m.  ``_settings`` resolves it
-into [(m, value)]: --m alone or every key, and the explicit option value
-(0 included) or the m's default; an m outside the table gets the scope's
-smallest default.  ``_per_m(scope, identity)`` builds the checks that
-report one body per m under {"m": m, option: value}.
+``SCOPES`` declares each scope once, as a ``Scope`` row: the option it
+reads (order or max_n; none for the errata); its default per m, whose keys
+are the m it runs at without --m and, for a strict scope, the only m it
+accepts; whether it walks every canonically bounded sequence, which puts
+it under the cap guard; and its entries, (settings, --m) -> [(identity,
+params, fn)].  ``_settings`` resolves a row into [{"m": m, option: value}]:
+--m alone or every key, and the explicit option value (0 included) or the
+m's default; an m outside the table gets the scope's smallest default.
+``_run`` reports each entry except one whose params name an m other than
+--m, so the errata and ``tensor-table`` run without --m or at --m 2 only.
 """
 
 import time
+from collections import namedtuple
 from functools import cache, partial
 from itertools import combinations_with_replacement
 
@@ -76,23 +80,6 @@ GAMMA_H_VECTORS = {
     3: [(1,), (1, 2), (1, 5, 9), (1, 8, 30, 52)],
     4: [(1,), (1, 3), (1, 7, 18), (1, 11, 56, 136)],
 }
-# scope -> (option, {m: default}); see the module docstring
-DEFAULTS = {
-    "counting": ("max_n", dict.fromkeys((1, 2, 3, 4), 6)),
-    "funceq": ("order", dict.fromkeys((1, 2, 3, 4), 12)),
-    "hseries": ("order", {2: 6, 3: 6}),
-    "recurrence": ("max_n", dict.fromkeys((1, 2, 3), 7)),
-    "involution": ("max_n", dict.fromkeys((1, 2, 3), 6)),
-    "gamma": ("order", {2: 5, 3: 4}),
-    "qluck": ("order", dict.fromkeys((1, 2, 3), 6)),
-    "hbasis": ("max_n", dict.fromkeys(GAMMA_H_VECTORS, 4)),
-    "eta": ("max_n", dict.fromkeys((1, 2, 3), 5)),
-    "theta": ("max_n", dict.fromkeys((1, 2, 3), 6)),
-    "lattice": ("max_n", dict.fromkeys((1, 2, 3), 5)),
-    "multistat": ("order", {1: 5, 2: 4, 3: 3}),
-    "tensor": ("max_n", {2: 5, 3: 4}),
-    "convolution": ("max_n", dict.fromkeys((1, 2, 3), 5)),
-}
 # (m, n) trees checked over every multiset of labels, and by enumeration
 PARKING_SMALL = ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
 PARKING_LARGER = ((2, 5), (3, 4))
@@ -136,6 +123,11 @@ class VerificationReport:
         return {"ok": self.ok, "checks": [e.to_dict() for e in self.entries]}
 
 
+# one row of SCOPES; see the module docstring
+Scope = namedtuple("Scope", "option defaults entries strict walks",
+                   defaults=(False, False))
+
+
 def _report(entries, identity, params, fn):
     """Time fn, which returns (status, counterexample), and append its entry.
     Every report entry's millis comes from here.  An exception from fn makes
@@ -156,34 +148,25 @@ def _verdict(check):
             check.mismatches[0] if check.mismatches else None)
 
 
-def _settings(scope, opts):
-    """[(m, value)] for scope; see the module docstring."""
-    option, defaults = DEFAULTS[scope]
-    m, value = opts.get("m"), opts.get(option)
-    fallback = min(defaults.values())
-    return [(k, defaults.get(k, fallback) if value is None else value)
-            for k in (defaults if m is None else (m,))]
+def _settings(row, opts):
+    """[{"m": m, option: value}] for row; see the module docstring."""
+    m, value = opts.get("m"), opts.get(row.option)
+    fallback = min(row.defaults.values())
+    return [{"m": k, row.option: (row.defaults.get(k, fallback)
+                                  if value is None else value)}
+            for k in (row.defaults if m is None else (m,))]
 
 
-def _per_m(scope, identity):
-    """Turn body(m, **{option: value}) -> (status, counterexample) into a
-    CHECKS callable that reports identity [m=m option=value] for each
-    (m, value) of _settings(scope)."""
-    option = DEFAULTS[scope][0]
-
-    def make(body):
-        def check(entries, opts):
-            for m, value in _settings(scope, opts):
-                _report(entries, identity, {"m": m, option: value},
-                        lambda: body(m, **{option: value}))
-        return check
-    return make
+def _each_m(identity, body):
+    """The entries of a scope that reports identity under each m's
+    settings, running body(m, option=value)."""
+    return lambda settings, m: [(identity, params, partial(body, **params))
+                                for params in settings]
 
 
 # -- individual checks -----------------------------------------------------
 
 
-@_per_m("counting", "counting")
 def check_counting(m, max_n):
     for n in range(max_n + 1):
         fam = canonical_family(m)
@@ -196,12 +179,10 @@ def check_counting(m, max_n):
     return "pass", None
 
 
-@_per_m("funceq", "functional-equation")
 def check_funceq(m, order):
     return _verdict(verify_functional_equation(m, order))
 
 
-@_per_m("hseries", "count-series-power")
 def check_hseries(m, order):
     for k in (1, 2, 3):
         for r in range(m):
@@ -211,7 +192,6 @@ def check_hseries(m, order):
     return "pass", None
 
 
-@_per_m("recurrence", "count-recurrence")
 def check_recurrence(m, max_n):
     """The two convolution recurrences satisfied by the (m,k,r) counts;
     each count is made once."""
@@ -235,7 +215,6 @@ def check_recurrence(m, max_n):
     return "pass", None
 
 
-@_per_m("involution", "luck-ones-involution")
 def check_involution(m, max_n):
     """One tau table per m: the walk runs by increasing length, so every
     component of p is already in it and each tau is one pass of _tau's
@@ -281,51 +260,48 @@ def check_involution(m, max_n):
     return "pass", None
 
 
-@_per_m("gamma", "joint-series")
 def check_gamma(m, order):
     return _verdict(verify_gamma_series(m, order))
 
 
-@_per_m("qluck", "q-luck-series")
 def check_qluck(m, order):
     return _verdict(verify_r_series(m, order))
 
 
-def check_hbasis(entries, opts):
-    for m, n_max in _settings("hbasis", opts):
-        n_max = min(n_max, 4)  # GAMMA_H_VECTORS holds data for n = 1..4 only
-
-        def run(m=m, n_max=n_max):
-            fam_counts = [count_for_bounds(
-                [m * i - 1 for i in range(1, r + 1)]) for r in range(n_max + 1)]
-            # one pass of each kernel, read a length at a time: the luck
-            # histograms C_(j, k) of the lengths j < n, and gamma_n
-            lucks = r_polys_brute(m, n_max)
-            gammas = gamma_polys_brute(m, n_max)
-            next(gammas)  # gamma_0 = 1
-            hists = []
-            for n in range(1, n_max + 1):
-                hists.append({k: c for (k,), c in next(lucks).items()})
-                flat = next(gammas).substitute({"u": 1, "v": 1})
-                coeffs = h_decompose(flat)
-                degrees = sorted(coeffs, reverse=True)
-                vector = tuple(coeffs[d] for d in degrees)
-                if vector != GAMMA_H_VECTORS[m][n - 1]:
-                    return "fail", {"n": n, "vector": vector,
-                                    "expected": GAMMA_H_VECTORS[m][n - 1]}
-                # cross-check: c_k = sum_r h_(r,1,1) * C_(n-r-1, k)
-                for k, c in coeffs.items():
-                    other = sum(fam_counts[r] * hists[n - r - 1].get(k, 0)
-                                for r in range(n))
-                    if other != c:
-                        return "fail", {"n": n, "degree": k, "coeff": c,
-                                        "convolution": other}
-            return "pass", None
-
-        _report(entries, "h-basis-decomposition", {"m": m, "max_n": n_max}, run)
+def _hbasis(settings, m):
+    # GAMMA_H_VECTORS holds data for n = 1..4 only; the report says so
+    return _each_m("h-basis-decomposition", check_hbasis)(
+        [{**params, "max_n": min(params["max_n"], 4)} for params in settings], m)
 
 
-@_per_m("eta", "component-rebuild-bijection")
+def check_hbasis(m, max_n):
+    fam_counts = [count_for_bounds(
+        [m * i - 1 for i in range(1, r + 1)]) for r in range(max_n + 1)]
+    # one pass of each kernel, read a length at a time: the luck
+    # histograms C_(j, k) of the lengths j < n, and gamma_n
+    lucks = r_polys_brute(m, max_n)
+    gammas = gamma_polys_brute(m, max_n)
+    next(gammas)  # gamma_0 = 1
+    hists = []
+    for n in range(1, max_n + 1):
+        hists.append({k: c for (k,), c in next(lucks).items()})
+        flat = next(gammas).substitute({"u": 1, "v": 1})
+        coeffs = h_decompose(flat)
+        degrees = sorted(coeffs, reverse=True)
+        vector = tuple(coeffs[d] for d in degrees)
+        if vector != GAMMA_H_VECTORS[m][n - 1]:
+            return "fail", {"n": n, "vector": vector,
+                            "expected": GAMMA_H_VECTORS[m][n - 1]}
+        # cross-check: c_k = sum_r h_(r,1,1) * C_(n-r-1, k)
+        for k, c in coeffs.items():
+            other = sum(fam_counts[r] * hists[n - r - 1].get(k, 0)
+                        for r in range(n))
+            if other != c:
+                return "fail", {"n": n, "degree": k, "coeff": c,
+                                "convolution": other}
+    return "pass", None
+
+
 def check_eta(m, max_n):
     """The walk folds _return_step along each p, which gives p's blocks,
     for eta's core and the block relations, and p's luck and multiplicity
@@ -386,7 +362,6 @@ def _theta_step(tree, state, v, piece):
     return p + (v,), parking, counts
 
 
-@_per_m("theta", "tree-iso-transport")
 def check_theta(m, max_n):
     """The walk merges the leaf labels into each p, so its row is theta(p),
     and it folds _theta_step along the way: each image comes with p, its
@@ -428,75 +403,75 @@ def check_theta(m, max_n):
     return "pass", None
 
 
-def check_parking(entries, opts):
-    """Subtree condition coincides with the parking process succeeding, on
-    the (m, n) shapes that --m and --max-n leave: is_tree_pk reads parent
-    links, and one _park_cars run per candidate the backbone mask alone."""
-    m, max_n = opts.get("m"), opts.get("max_n")
-
-    def keep(shapes):
-        return tuple(shape for shape in shapes if m in (None, shape[0])
-                     and (max_n is None or shape[1] <= max_n))
-
-    small, larger = keep(PARKING_SMALL), keep(PARKING_LARGER)
-
-    def run():
-        for m, n in small:
-            tree = build_caterpillar(m, n)
-            size = tree.node_count
-            for cand in combinations_with_replacement(range(1, size + 1), size):
-                cond = is_tree_pk(tree, cand)
-                parked = _park_cars(tree, (0, 0, True), cand)[2]
-                if cond != parked:
-                    return "fail", {"m": m, "n": n, "seq": cand,
-                                    "condition": cond, "parked": parked}
-        for m, n in larger:
-            tree = build_caterpillar(m, n)
-            for seq in enumerate_caterpillar_pk(m, n):
-                if not (is_tree_pk(tree, seq)
-                        and _park_cars(tree, (0, 0, True), seq)[2]):
-                    return "fail", {"m": m, "n": n, "seq": seq}
-        return "pass", None
-
-    _report(entries, "condition-vs-process", {"small": list(small),
-                                              "enumerated": list(larger)}, run)
+def _parking(settings, m):
+    """One entry over the (m, n) shapes whose n is at most their m's max_n."""
+    bound = {params["m"]: params["max_n"] for params in settings}
+    small, larger = ([(k, n) for k, n in shapes if n <= bound.get(k, -1)]
+                     for shapes in (PARKING_SMALL, PARKING_LARGER))
+    return [("condition-vs-process", {"small": small, "enumerated": larger},
+             partial(check_parking, small, larger))]
 
 
-def check_lattice(entries, opts):
-    settings = _settings("lattice", opts)
-
-    def run():
-        for m, n_max in settings:
-            fam = canonical_family(m)
-            for n in range(n_max + 1):
-                for p in enumerate_u_pk(n, fam):
-                    word = to_lattice_path(p, m)
-                    x = y = 0
-                    for ch in word:
-                        if ch == "N":
-                            if x > m * y:
-                                return "fail", {"m": m, "p": p,
-                                                "reason": "constraint"}
-                            y += 1
-                        else:
-                            x += 1
-                    if from_lattice_path(word, m) != p:
-                        return "fail", {"m": m, "p": p, "word": word}
-        return "pass", None
-
-    params = {"max_n": settings[0][1]}
-    if opts.get("m") is not None:
-        params = {"m": opts["m"], **params}
-    _report(entries, "lattice-codec", params, run)
+def check_parking(small, larger):
+    """Subtree condition coincides with the parking process succeeding:
+    is_tree_pk reads parent links, and one _park_cars run per candidate the
+    backbone mask alone."""
+    for m, n in small:
+        tree = build_caterpillar(m, n)
+        size = tree.node_count
+        for cand in combinations_with_replacement(range(1, size + 1), size):
+            cond = is_tree_pk(tree, cand)
+            parked = _park_cars(tree, (0, 0, True), cand)[2]
+            if cond != parked:
+                return "fail", {"m": m, "n": n, "seq": cand,
+                                "condition": cond, "parked": parked}
+    for m, n in larger:
+        tree = build_caterpillar(m, n)
+        for seq in enumerate_caterpillar_pk(m, n):
+            if not (is_tree_pk(tree, seq)
+                    and _park_cars(tree, (0, 0, True), seq)[2]):
+                return "fail", {"m": m, "n": n, "seq": seq}
+    return "pass", None
 
 
-def check_multistat(entries, opts):
-    for m, order in _settings("multistat", opts):
-        _report(entries, "multi-stat-product", {"m": m, "order": order},
-                lambda: _verdict(verify_multi_stat_product(m, order)))
-        if m >= 2 and order >= 1:  # the gap sits in the x^1 coefficient
-            _report(entries, "multi-stat-product-order1", {"m": m, "order": 1},
-                    lambda: _order_one_gap(m))
+def _lattice(settings, m):
+    """One entry over every m; its params name the m only under --m."""
+    params = settings[0] if m is not None else {"max_n": settings[0]["max_n"]}
+    return [("lattice-codec", params, partial(check_lattice, settings))]
+
+
+def check_lattice(settings):
+    for params in settings:
+        m = params["m"]
+        fam = canonical_family(m)
+        for n in range(params["max_n"] + 1):
+            for p in enumerate_u_pk(n, fam):
+                word = to_lattice_path(p, m)
+                x = y = 0
+                for ch in word:
+                    if ch == "N":
+                        if x > m * y:
+                            return "fail", {"m": m, "p": p,
+                                            "reason": "constraint"}
+                        y += 1
+                    else:
+                        x += 1
+                if from_lattice_path(word, m) != p:
+                    return "fail", {"m": m, "p": p, "word": word}
+    return "pass", None
+
+
+def _multistat(settings, m):
+    for params in settings:
+        yield "multi-stat-product", params, partial(check_multistat, **params)
+        if params["m"] >= 2 and params["order"] >= 1:
+            # the gap sits in the x^1 coefficient
+            yield ("multi-stat-product-order1", {"m": params["m"], "order": 1},
+                   partial(_order_one_gap, params["m"]))
+
+
+def check_multistat(m, order):
+    return _verdict(verify_multi_stat_product(m, order))
 
 
 def _order_one_gap(m):
@@ -508,8 +483,25 @@ def _order_one_gap(m):
              "stated": gap[1] if gap else None})
 
 
-@_per_m("tensor", "tensor-symmetry")
-def _check_tensor_symmetry(m, max_n):
+def _tensor(settings, m):
+    return [("tensor-table", {"m": 2, "n": 4}, check_tensor_table),
+            *_each_m("tensor-symmetry", check_tensor_symmetry)(settings, m)]
+
+
+def check_tensor_table():
+    tensor = joint_count_tensor(2, 4)
+    spot = {(1, 1, 2): 7, (2, 1, 1): 7, (1, 1, 4): 1, (3, 1, 1): 4,
+            (1, 1, 1): 0, (2, 2, 2): 1}
+    for key, want in spot.items():
+        if tensor.count(key) != want:
+            return "fail", {"entry": key, "got": tensor.count(key),
+                            "want": want}
+    if tensor.total() != fuss_catalan(2, 4):
+        return "fail", {"reason": "total"}
+    return "pass", None
+
+
+def check_tensor_symmetry(m, max_n):
     for check in verify_tensor_symmetries(m, max_n):
         if not check.ok:
             return "fail", {"n": check.params["n"],
@@ -517,29 +509,33 @@ def _check_tensor_symmetry(m, max_n):
     return "pass", None
 
 
-def check_tensor(entries, opts):
-    def run():
-        tensor = joint_count_tensor(2, 4)
-        spot = {(1, 1, 2): 7, (2, 1, 1): 7, (1, 1, 4): 1, (3, 1, 1): 4,
-                (1, 1, 1): 0, (2, 2, 2): 1}
-        for key, want in spot.items():
-            if tensor.count(key) != want:
-                return "fail", {"entry": key, "got": tensor.count(key),
-                                "want": want}
-        if tensor.total() != fuss_catalan(2, 4):
-            return "fail", {"reason": "total"}
-        return "pass", None
-
-    if opts.get("m") in (None, 2):
-        _report(entries, "tensor-table", {"m": 2, "n": 4}, run)
-    _check_tensor_symmetry(entries, opts)
+def _convolution(settings, m):
+    for params in settings:
+        k, n_max = params["m"], params["max_n"]
+        yield ("luck-convolution", {"m": k, "n_max": n_max, "t_max": k + 1},
+               partial(check_convolution, k, n_max))
 
 
-def check_convolution(entries, opts):
-    for m, n_max in _settings("convolution", opts):
-        _report(entries, "luck-convolution",
-                {"m": m, "n_max": n_max, "t_max": m + 1},
-                lambda: _verdict(verify_convolution_identity(m, n_max)))
+def check_convolution(m, n_max):
+    return _verdict(verify_convolution_identity(m, n_max))
+
+
+def _errata(settings, m):
+    """The printed m=2 claims; each name is read when its check runs."""
+    return [("stated-count-erratum", {"m": 2, "n": 3}, check_stated_count),
+            ("q-luck-exponent-erratum", {"m": 2},
+             lambda: _literal_erratum(verify_r_series, 4)),
+            ("joint-series-arguments-erratum", {"m": 2},
+             lambda: _literal_erratum(verify_gamma_series, 2))]
+
+
+def check_stated_count():
+    enumerated = sum(1 for _ in enumerate_u_pk(3, canonical_family(2)))
+    # the printed path-count claim: index n-1 at regularity m+1
+    stated = fuss_catalan(2 + 1, 3 - 1)
+    if enumerated == 12 and stated == 4:
+        return "erratum", {"enumerated": enumerated, "stated": stated}
+    return "fail", {"enumerated": enumerated, "stated": stated}
 
 
 def _literal_erratum(verify, order):
@@ -553,65 +549,65 @@ def _literal_erratum(verify, order):
     return "fail", {"literal_ok": literal.ok, "corrected_ok": corrected.ok}
 
 
-def check_errata(entries, opts):
-    def run_prop1():
-        enumerated = sum(1 for _ in enumerate_u_pk(3, canonical_family(2)))
-        # the printed path-count claim: index n-1 at regularity m+1
-        stated = fuss_catalan(2 + 1, 3 - 1)
-        if enumerated == 12 and stated == 4:
-            return "erratum", {"enumerated": enumerated, "stated": stated}
-        return "fail", {"enumerated": enumerated, "stated": stated}
-
-    _report(entries, "stated-count-erratum", {"m": 2, "n": 3}, run_prop1)
-    _report(entries, "q-luck-exponent-erratum", {"m": 2},
-            lambda: _literal_erratum(verify_r_series, 4))
-    _report(entries, "joint-series-arguments-erratum", {"m": 2},
-            lambda: _literal_erratum(verify_gamma_series, 2))
-
-
-CHECKS = {
-    "counting": check_counting,
-    "funceq": check_funceq,
-    "hseries": check_hseries,
-    "recurrence": check_recurrence,
-    "involution": check_involution,
-    "gamma": check_gamma,
-    "qluck": check_qluck,
-    "hbasis": check_hbasis,
-    "eta": check_eta,
-    "theta": check_theta,
-    "parking": check_parking,
-    "lattice": check_lattice,
-    "multistat": check_multistat,
-    "tensor": check_tensor,
-    "convolution": check_convolution,
-    "errata": check_errata,
+# scope -> its row, in report order; see the module docstring
+SCOPES = {
+    "counting": Scope("max_n", dict.fromkeys((1, 2, 3, 4), 6),
+                      _each_m("counting", check_counting), walks=True),
+    "funceq": Scope("order", dict.fromkeys((1, 2, 3, 4), 12),
+                    _each_m("functional-equation", check_funceq)),
+    "hseries": Scope("order", {2: 6, 3: 6},
+                     _each_m("count-series-power", check_hseries)),
+    "recurrence": Scope("max_n", dict.fromkeys((1, 2, 3), 7),
+                        _each_m("count-recurrence", check_recurrence)),
+    "involution": Scope("max_n", dict.fromkeys((1, 2, 3), 6),
+                        _each_m("luck-ones-involution", check_involution),
+                        walks=True),
+    "gamma": Scope("order", {2: 5, 3: 4}, _each_m("joint-series", check_gamma)),
+    "qluck": Scope("order", dict.fromkeys((1, 2, 3), 6),
+                   _each_m("q-luck-series", check_qluck)),
+    "hbasis": Scope("max_n", dict.fromkeys(GAMMA_H_VECTORS, 4), _hbasis,
+                    strict=True),
+    "eta": Scope("max_n", dict.fromkeys((1, 2, 3), 5),
+                 _each_m("component-rebuild-bijection", check_eta),
+                 walks=True),
+    "theta": Scope("max_n", dict.fromkeys((1, 2, 3), 6),
+                   _each_m("tree-iso-transport", check_theta), walks=True),
+    # each m's default is the largest n of its shapes
+    "parking": Scope("max_n", dict(sorted(PARKING_SMALL + PARKING_LARGER)),
+                     _parking, strict=True),
+    "lattice": Scope("max_n", dict.fromkeys((1, 2, 3), 5), _lattice,
+                     walks=True),
+    "multistat": Scope("order", {1: 5, 2: 4, 3: 3}, _multistat, strict=True),
+    "tensor": Scope("max_n", {2: 5, 3: 4}, _tensor, strict=True),
+    "convolution": Scope("max_n", dict.fromkeys((1, 2, 3), 5), _convolution),
+    "errata": Scope(None, {2: None}, _errata),
 }
 
 
-# Checks that walk every canonically bounded sequence of each length up to
-# their max_n: with enumerate_u_pk, or, for involution, eta and theta, with
-# fold_bounded, which has no cap of its own, so _check_caps is their guard.
-ENUMERATED = ("counting", "involution", "eta", "theta", "lattice")
+def _run(name, entries, opts):
+    """Report the entries of scope name; see the module docstring."""
+    row, m = SCOPES[name], opts.get("m")
+    for identity, params, fn in row.entries(_settings(row, opts), m):
+        if m in (None, params.get("m", m)):
+            _report(entries, identity, params, fn)
+
+
+# scope -> its check, called as check(entries, opts)
+CHECKS = {name: partial(_run, name) for name in SCOPES}
 
 
 def _check_caps(names, opts):
     """Raise, before any check runs, the EnumerationCapError that
     enumerate_u_pk would raise first in this run: the first n, in check
-    order, whose closed-form count exceeds DEFAULT_MAX_OBJECTS."""
+    order, whose closed-form count exceeds DEFAULT_MAX_OBJECTS.  It guards
+    the walking scopes, as fold_bounded has no cap of its own."""
     for name in names:
-        if name not in ENUMERATED:
-            continue
-        for m, max_n in _settings(name, opts):
-            fam = canonical_family(m)
-            for n in range(max_n + 1):
-                _require_under_cap(n, fam, DEFAULT_MAX_OBJECTS)
-
-
-# Checks that read per-m reference data run only at the m it covers.
-M_SUPPORT = {scope: DEFAULTS[scope][1]
-             for scope in ("hbasis", "multistat", "tensor")}
-M_SUPPORT["parking"] = dict.fromkeys(m for m, _ in PARKING_SMALL)
+        row = SCOPES[name]
+        if row.walks:
+            for params in _settings(row, opts):
+                fam = canonical_family(params["m"])
+                for n in range(params["max_n"] + 1):
+                    _require_under_cap(n, fam, DEFAULT_MAX_OBJECTS)
 
 
 def run_verification(scope="all", **opts):
@@ -621,15 +617,15 @@ def run_verification(scope="all", **opts):
     m (>= 1) to restrict every check to one regularity; an m other than 2
     leaves out the m=2 errata and tensor table.  The errata and
     ``tensor-table`` are fixed demonstrations that take no order or max_n.
-    Values out of range, an m that a selected check has no data for, or
-    --scope errata with an m other than 2 raise ValueError before any check
-    runs; messages name the matching CLI options.  A max_n at which an
-    enumeration would exceed DEFAULT_MAX_OBJECTS raises EnumerationCapError,
-    also before any check runs.
+    Values out of range, an m that a selected strict check has no data for,
+    or --scope errata with an m other than 2 raise ValueError before any
+    check runs; messages name the matching CLI options.  A max_n at which
+    an enumeration would exceed DEFAULT_MAX_OBJECTS raises
+    EnumerationCapError, also before any check runs.
     """
     if scope == "all":
-        names = list(CHECKS)
-    elif scope in CHECKS:
+        names = list(SCOPES)
+    elif scope in SCOPES:
         names = [scope]
     else:
         raise ValueError(
@@ -643,14 +639,16 @@ def run_verification(scope="all", **opts):
         if m < 1:
             raise ValueError(f"--m must be >= 1, got {m}")
         for name in names:
-            supported = M_SUPPORT.get(name)
-            if supported is not None and m not in supported:
+            row = SCOPES[name]
+            listed = ", ".join(map(str, row.defaults))
+            if m in row.defaults:
+                continue
+            if row.strict:
                 raise ValueError(f"--m {m} is not supported by check {name!r} "
-                                 f"(m in {', '.join(map(str, supported))})")
-        if m != 2:  # the errata demonstrate formulas printed for m=2
-            if scope == "errata":
-                raise ValueError(f"--scope errata runs at m=2 only, got --m {m}")
-            names = [name for name in names if name != "errata"]
+                                 f"(m in {listed})")
+            if row.option is None and name == scope:  # it would report nothing
+                raise ValueError(f"--scope {name} runs at m={listed} only, "
+                                 f"got --m {m}")
     _check_caps(names, opts)
     report = VerificationReport()
     for name in names:

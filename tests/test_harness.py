@@ -166,6 +166,57 @@ def test_every_entry_is_timed_once(monkeypatch):
         (e.identity, 1000) for e in report.entries]
 
 
+# every (scope, m) that the table lists: 45 pairs, 48 entries at order and
+# max_n 0
+SCOPE_M = [(name, m) for name, row in harness.SCOPES.items()
+           for m in row.defaults]
+ERRATA = ["stated-count-erratum", "q-luck-exponent-erratum",
+          "joint-series-arguments-erratum"]
+
+
+def test_the_table_lists_45_scope_m_pairs():
+    assert len(SCOPE_M) == 45
+    assert [m for name, m in SCOPE_M if name == "errata"] == [2]
+
+
+@pytest.mark.parametrize("scope, m", SCOPE_M)
+def test_every_scope_honours_m_and_an_explicit_zero(scope, m):
+    report = run_verification(scope, m=m, order=0, max_n=0)
+    assert report.ok
+    identities = [e.identity for e in report.entries]
+    if scope == "errata":
+        assert identities == ERRATA
+        return
+    if scope == "tensor":
+        assert identities[:-1] == (["tensor-table"] if m == 2 else [])
+    else:
+        assert len(identities) == 1
+    entry = report.entries[-1]
+    assert entry.status == "pass"
+    if scope == "parking":
+        assert entry.params == {"small": [], "enumerated": []}
+    elif scope == "convolution":
+        assert entry.params == {"m": m, "n_max": 0, "t_max": m + 1}
+    else:
+        assert entry.params == {"m": m, harness.SCOPES[scope].option: 0}
+
+
+@pytest.mark.parametrize("opts, count", [({}, 46), ({"m": 2}, 20)])
+def test_checks_run_as_bare_callables(monkeypatch, opts, count):
+    """perfbench times each scope by swapping its CHECKS value for a plain
+    (entries, opts) function without attributes: each is still called once,
+    in CHECKS order, and the run reads its rows from SCOPES."""
+    called = []
+    for name, check in list(CHECKS.items()):
+        def bare(entries, opts, name=name, check=check):
+            called.append(name)
+            check(entries, opts)
+        monkeypatch.setitem(CHECKS, name, bare)
+    report = run_verification("all", **opts)
+    assert called == list(CHECKS)
+    assert report.ok and len(report.entries) == count
+
+
 def test_explicit_zero_is_honoured():
     report = run_verification("counting", m=2, max_n=0)
     assert report.entries[0].params == {"m": 2, "max_n": 0}
@@ -329,14 +380,15 @@ def test_parking_honours_m(monkeypatch):
                                       ("tensor", 1), ("tensor", 4),
                                       ("parking", 4)])
 def test_unsupported_m_is_refused(scope, m):
-    """The refusal lists exactly the m the scope's table (for parking, its
+    """The refusal lists exactly the m the scope's row (for parking, its
     tree shapes) has."""
     listed = {"hbasis": "2, 3, 4", "multistat": "1, 2, 3", "tensor": "2, 3",
               "parking": "1, 2, 3"}[scope]
-    supported = tuple(harness.M_SUPPORT[scope])
-    assert ", ".join(map(str, supported)) == listed
-    if scope != "parking":
-        assert supported == tuple(harness.DEFAULTS[scope][1])
+    row = harness.SCOPES[scope]
+    assert row.strict
+    assert ", ".join(map(str, row.defaults)) == listed
+    if scope == "parking":
+        assert set(row.defaults) == {m for m, _ in harness.PARKING_SMALL}
     with pytest.raises(ValueError) as info:
         run_verification(scope, m=m)
     assert str(info.value) == (f"--m {m} is not supported by check "
@@ -572,7 +624,15 @@ def test_involution_reports_a_partner_never_enumerated(monkeypatch):
                                                 "tau": (1, 2)}
 
 
-@pytest.mark.parametrize("scope", harness.ENUMERATED)
+WALKING = ("counting", "involution", "eta", "theta", "lattice")
+
+
+def test_the_walking_scopes_are_the_capped_ones():
+    assert tuple(name for name, row in harness.SCOPES.items()
+                 if row.walks) == WALKING
+
+
+@pytest.mark.parametrize("scope", WALKING)
 def test_enumeration_cap_is_checked_before_any_check(monkeypatch, scope):
     """The cap refusal comes before the first check body, with the message
     enumerate_u_pk gives at the first n over the cap."""
