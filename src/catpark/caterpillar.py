@@ -22,6 +22,12 @@ given.  The public functions validate their input once, at the boundary,
 then run on the core: ``simulate`` checks the entries and ``theta_inv``
 checks the subtree condition.  A sweep whose objects are in range by
 construction, or already checked, calls the core directly.
+
+``is_tree_pk`` is the subtree condition, for ``theta_inv`` and for verify's
+``condition-vs-process`` check, its oracle.  Verify's theta sweep decides
+the condition without it: ``harness._theta_step`` folds it along each
+sorted image, closing each node once a larger label arrives, on trees
+whose every subtree is the label interval ending at its root.
 """
 
 from collections import namedtuple

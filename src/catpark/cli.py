@@ -5,10 +5,12 @@ verify.  Output formats are text (default), csv, and json; identical
 invocations produce identical bytes (verify timing fields excepted).
 
 Exit codes: 0 success, 1 verification failure or output closed early, 2
-usage error, 3 resource cap exceeded.  ``main`` checks --m >= 1, --n >= 0,
---max-objects >= 0 and --max-order >= 0 for every verb, and maps every
-ValueError or CatparkError an argument provokes to exit 2 with a one-line
-message, so no argv ends in a traceback.  Two tables declare the command
+usage error, 3 resource cap exceeded or resource exhausted.  ``main``
+checks --m >= 1, --n >= 0, --max-objects >= 0 and --max-order >= 0 for
+every verb, and maps every ValueError or CatparkError an argument provokes
+to exit 2 with a one-line message, so no argv ends in a traceback; a
+MemoryError, RecursionError or OverflowError from any verb is exit 3 with
+its line of ``errors.RESOURCE_FAILURES``.  Two tables declare the command
 line: ``OPTIONS`` holds each option once, and ``VERBS`` gives each verb its
 help, its handler and its options in ``--help`` order; ``build_parser``
 reads them.  The cap refusals of ``enumerate``, ``poly --name multi`` and
@@ -76,7 +78,13 @@ from catpark.decomposition import (
     tau,
     u_omega,
 )
-from catpark.errors import CatparkError, EnumerationCapError, NonMembershipError
+from catpark.errors import (
+    RESOURCE_ERRORS,
+    RESOURCE_FAILURES,
+    CatparkError,
+    EnumerationCapError,
+    NonMembershipError,
+)
 from catpark.sequences import (
     BoundFamily,
     DEFAULT_MAX_OBJECTS,
@@ -560,6 +568,11 @@ def main(argv=None):
         return EXIT_CLOSED
     except (EnumerationCapError, ResourceError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
+        return EXIT_RESOURCE
+    except RESOURCE_ERRORS as exc:
+        text = next(text for kind, text in RESOURCE_FAILURES.items()
+                    if isinstance(exc, kind))
+        sys.stderr.write(f"catpark {args.command}: {text}\n")
         return EXIT_RESOURCE
     except (CatparkError, ValueError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")

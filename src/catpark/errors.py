@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+# Python's own errors for an exhausted resource, each with the CLI's text
+# for it: a verify check that raises one gives no verdict, and every verb
+# exits 3.  Integer arithmetic overflows only where a size must fit a
+# machine index, so OverflowError is one of them.
+RESOURCE_FAILURES = {
+    MemoryError: "out of memory",
+    RecursionError: "recursion too deep",
+    OverflowError: "a size past this machine's limits",
+}
+RESOURCE_ERRORS = tuple(RESOURCE_FAILURES)
+
 
 class CatparkError(Exception):
     """Base class for all package-specific errors."""

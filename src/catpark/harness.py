@@ -9,7 +9,9 @@ stops reproducing.
 
 Every entry is made by ``_report``, which times one callable returning
 (status, counterexample); an entry's millis covers that call alone, and a
-callable that raises makes a fail entry naming the exception.
+callable that raises makes a fail entry naming the exception, unless it
+ran out of memory, recursion depth or machine-sized integers, which
+propagates to the caller (the CLI exits 3).
 ``_verdict`` turns an engine IdentityCheck into that pair.
 
 ``SCOPES`` declares each scope once, as a ``Scope`` row: the option it
@@ -28,6 +30,7 @@ import time
 from collections import namedtuple
 from functools import cache, partial
 from itertools import combinations_with_replacement
+from operator import ge
 
 from catpark.caterpillar import (
     _park_cars,
@@ -62,6 +65,7 @@ from catpark.engine import (
     verify_tensor_symmetries,
     verify_thm_rec,
 )
+from catpark.errors import RESOURCE_ERRORS
 from catpark.kernels import fold_bounded
 from catpark.sequences import (
     DEFAULT_MAX_OBJECTS,
@@ -131,10 +135,14 @@ Scope = namedtuple("Scope", "option defaults entries strict walks",
 def _report(entries, identity, params, fn):
     """Time fn, which returns (status, counterexample), and append its entry.
     Every report entry's millis comes from here.  An exception from fn makes
-    a fail entry whose counterexample names its type and message."""
+    a fail entry whose counterexample names its type and message, except an
+    exhausted resource (errors.RESOURCE_ERRORS), which is no verdict and
+    propagates."""
     start = time.perf_counter()
     try:
         status, counterexample = fn()
+    except RESOURCE_ERRORS:
+        raise
     except Exception as exc:
         status, counterexample = "fail", {"exception": type(exc).__name__,
                                           "message": str(exc)}
@@ -342,60 +350,155 @@ def check_eta(m, max_n):
     return "pass", None
 
 
-def _theta_step(tree, state, v, piece):
-    """check_theta's fold step: append v to p and park the cars of its
-    piece in order with _park_cars.
+def _require_interval_subtrees(tree):
+    """Raise ValueError unless every label's subtree, by parent links, is
+    the label interval ending at it: each parent label exceeds its child's,
+    and a subtree of s nodes rooted at label holds label-s+1..label."""
+    least = list(range(tree.node_count + 1))
+    sizes = [1] * (tree.node_count + 1)
+    # ascending labels = children before parents, once each parent check holds
+    for label in range(1, tree.node_count + 1):
+        if label - least[label] + 1 != sizes[label]:
+            raise ValueError(f"the subtree of {label} is not the labels "
+                             f"{least[label]}..{label}")
+        up = tree.parent[label]
+        if up:
+            if up <= label:
+                raise ValueError(f"parent {up} of {label} is not above it")
+            least[up] = min(least[up], least[label])
+            sizes[up] += sizes[label]
 
-    state is (p, _park_cars's state, counts of the labels 1..m in the
-    image).  Only the labels up to m are counted; as the image is sorted,
-    a piece starting above m holds none.
+
+def _theta_fold(tree, rows):
+    """(step, start) of check_theta's fold, for kernels.fold_bounded, over
+    rows positions of p on tree; see _theta_step.  The step needs interval
+    subtrees, which this checks once per tree.  Its summaries of last
+    pieces live in this fold alone."""
+    _require_interval_subtrees(tree)
+    depth, node = 0, 1
+    while node:
+        depth, node = depth + 1, tree.parent[node]
+    zeros = (0,) * tree.m
+    start = ((), (0, 0, True), zeros, 0, zeros, True, (0,) * depth)
+    return partial(_theta_step, tree, rows, {}), start
+
+
+def _theta_step(tree, rows, summaries, state, v, piece):
+    """check_theta's fold step: append v to p, park the cars of its piece in
+    order with _park_cars, count, and decide is_tree_pk's subtree condition
+    node by node.
+
+    state is (p, _park_cars's state, the image's counts of the labels 1..m,
+    p's luck, p's counts of the values 1..m, the subtree flag, chain).  A
+    piece starting above m holds no label up to m, as the image is sorted;
+    v at position k is lucky when it is m(k-1)+1.  The sorted image also
+    makes a node's subtree count final once a larger label arrives, and, as
+    every subtree is the label interval ending at its root, the only open
+    nodes holding entries are prev = p's last value (1 before position 1)
+    and its ancestors: chain counts, for each of them from prev up to the
+    root, the image entries so far in its subtree.  A step before position
+    rows closes the nodes in [prev, v) and rebuilds chain for v.  The last
+    step closes every node from prev on by the summary of its piece, kept
+    in summaries under (prev, v): the flag of the nodes off prev's chain,
+    and how many entries each chain node needs besides the piece's.  Labels
+    outside the closed ranges clear the flag.
     """
-    p, parking, counts = state
+    p, parking, counts, luck, p_counts, ok, chain = state
+    m = tree.m
+    k = len(p)
     parking = _park_cars(tree, parking, piece)
-    if piece[0] <= tree.m:
+    if piece[0] <= m:
         counts = list(counts)
         for label in piece:
-            if label > tree.m:
+            if label > m:
                 break
             counts[label - 1] += 1
         counts = tuple(counts)
-    return p + (v,), parking, counts
+    if v <= m:
+        p_counts = p_counts[:v - 1] + (p_counts[v - 1] + 1,) + p_counts[v:]
+    luck += v == m * k + 1
+    prev = p[-1] if p else 1
+    if k + 1 == rows:
+        summary = summaries.get((prev, v))
+        if summary is None:
+            received = {}
+            for label in piece:
+                received[label] = received.get(label, 0) + 1
+            flag, need = _theta_close(
+                tree, received, range(prev, tree.node_count + 1), prev)
+            summary = summaries[prev, v] = flag and not received, need
+        flag, need = summary
+        return (p + (v,), parking, counts, luck, p_counts,
+                ok and flag and all(map(ge, chain, need)), ())
+    received = {}
+    node, below = prev, 0
+    for total in chain:  # a chain node's own count, its child's taken off
+        received[node] = total - below
+        node, below = tree.parent[node], total
+    for label in piece:
+        received[label] = received.get(label, 0) + 1
+    flag, _ = _theta_close(tree, received, range(prev, v), 0)
+    chain = []
+    node, total = v, 0
+    while node:
+        total += received.pop(node, 0)
+        chain.append(total)
+        node = tree.parent[node]
+    return (p + (v,), parking, counts, luck, p_counts,
+            ok and flag and not received, tuple(chain))
+
+
+def _theta_close(tree, received, labels, node):
+    """is_tree_pk's pass over labels, ascending, on the counts received:
+    each label's count, popped, goes to its parent.  Returns whether every
+    label off node's chain got its subtree's size, and, for each label on
+    it, how many it lacks; node 0 has no chain."""
+    ok, need = True, []
+    for label in labels:
+        got = received.pop(label, 0)
+        if label == node:
+            need.append(tree.subtree_size[label] - got)
+            node = tree.parent[label]
+        elif got < tree.subtree_size[label]:
+            ok = False
+        up = tree.parent[label]
+        if up:
+            received[up] = received.get(up, 0) + got
+    return ok, tuple(need)
 
 
 def check_theta(m, max_n):
     """The walk merges the leaf labels into each p, so its row is theta(p),
     and it folds _theta_step along the way: each image comes with p, its
-    parking run and its counts of the labels 1..m, every prefix parked
-    once.  Per image, one is_tree_pk is the distribution check, with the
-    parking run's all-parked flag; _theta_inv must give back p; the run's
-    luck must equal p's, and the counts p's plus one leaf for 2..m.
+    parking run, its counts of the labels 1..m, p's luck and counts of the
+    values 1..m, and the fold's subtree flag, every prefix stepped once.
+    Per image, the flag with the parking run's all-parked flag is the
+    distribution check, so is_tree_pk runs in check_parking only;
+    _theta_inv must give back p; the run's luck must equal p's, and the
+    image's counts p's plus one leaf for 2..m.
     """
     fam = canonical_family(m)
-    start = ((), (0, 0, True), (0,) * m)
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
         leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
+        step, start = _theta_fold(tree, n)
         total = 0
-        for image, (p, (_, luck, parked), counts) in fold_bounded(
-                fam.bounds(n), leaves, partial(_theta_step, tree), start):
+        for image, (p, (_, luck, parked), counts, p_luck, p_counts, parks,
+                    _) in fold_bounded(fam.bounds(n), leaves, step, start):
             total += 1
-            try:
-                parks = is_tree_pk(tree, image)
-            except ValueError:
-                parks = False
             if not (parks and parked):
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "image not a distribution"}
             if _theta_inv(image, leaves) != p:
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "roundtrip"}
-            if luck != _luck(p, m):
+            if luck != p_luck:
                 return "fail", {"n": n, "p": p, "reason": "luck transport"}
-            if counts[0] != u_omega(p, 1):
+            if counts[0] != p_counts[0]:
                 return "fail", {"n": n, "p": p, "reason": "omega_1 transport"}
             for j in range(2, m + 1):
-                if counts[j - 1] != u_omega(p, j) + leaf:
+                if counts[j - 1] != p_counts[j - 1] + leaf:
                     return "fail", {"n": n, "p": p,
                                     "reason": f"omega_{j} transport"}
         if total != fuss_catalan(m, n):

@@ -186,7 +186,7 @@ class TruncatedSeries:
             self.order,
         )
 
-    def shifted(self, k=1):
+    def shifted(self, k):
         """Multiply by x^k (coefficients above the order fall off)."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"shift must be an integer >= 0, got {k!r}")

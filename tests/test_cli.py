@@ -390,6 +390,29 @@ def test_cap_refusal_at_large_m_is_fast(capsys):
     assert code == 3 and out == "" and "exceeding the cap of 10" in err
 
 
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("module,name,error,argv,text", [
+    # a verify check, a verb handler's map, and a verb's own arithmetic
+    (harness, "verify_functional_equation", MemoryError,
+     ["verify", "--scope", "funceq", "--m", "2"], "out of memory"),
+    (cli, "tau", RecursionError, ["map", "--name", "tau", "--m", "2",
+                                  "--seq", "1,1,4"], "recursion too deep"),
+    (cli, "_raney_count", OverflowError, ["count", "--m", "2", "--n", "3"],
+     "a size past this machine's limits"),
+])
+def test_an_exhausted_resource_is_exit_3_in_one_line(capsys, monkeypatch,
+                                                     module, name, error,
+                                                     argv, text):
+    monkeypatch.setattr(module, name, _raise(error))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"catpark {argv[0]}: {text}\n")
+
+
 def test_verify_scope_funceq(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "funceq",
                            "--order", "12")

@@ -6,8 +6,15 @@ from types import SimpleNamespace
 import pytest
 
 from catpark import decomposition, harness, kernels
-from catpark.caterpillar import _park, build_caterpillar, non_backbone_labels, theta
-from catpark.decomposition import tau
+from catpark.caterpillar import (
+    CaterpillarTree,
+    _park,
+    build_caterpillar,
+    is_tree_pk,
+    non_backbone_labels,
+    theta,
+)
+from catpark.decomposition import _luck, tau, u_omega
 from catpark.engine import IdentityCheck
 from catpark.errors import EnumerationCapError
 from catpark.harness import CHECKS, run_verification
@@ -320,6 +327,28 @@ def test_a_check_that_raises_is_a_fail_entry(monkeypatch):
         "millis": report.entries[0].millis}]
 
 
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("error", (MemoryError, RecursionError,
+                                   OverflowError))
+def test_a_check_that_runs_out_of_a_resource_gives_no_entry(monkeypatch,
+                                                            error):
+    """An exhausted resource is no verdict: it leaves _report and
+    run_verification, and no fail entry is made of it."""
+    monkeypatch.setattr(harness, "verify_functional_equation", _raise(error))
+    entries = []
+    with pytest.raises(error):
+        harness._report(entries, "functional-equation", {}, partial(
+            harness.check_funceq, 2, 3))
+    assert entries == []
+    with pytest.raises(error):
+        run_verification("funceq", m=2)
+
+
 def test_lattice_walk_reports_the_constraint(monkeypatch):
     """The x <= m*y walk runs before the decoder, so a word that breaks it
     is reported as a constraint failure rather than a decoder error."""
@@ -499,36 +528,73 @@ def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
     assert report.entries[0].counterexample["n"] == 2
 
 
+def test_theta_reports_an_image_with_a_label_past_the_tree(monkeypatch):
+    """The walk merges one more leaf, past the last node, into every image:
+    its car parks off the tree, so only the fold's flag refuses it."""
+    real = harness.non_backbone_labels
+
+    def extra_leaf(m, n):
+        return real(m, n) + (m * n - m + 2,)
+
+    monkeypatch.setattr(harness, "non_backbone_labels", extra_leaf)
+    report = run_verification("theta", m=2, max_n=3)
+    assert report.entries[0].counterexample == {
+        "n": 1, "p": (1,), "image": (1, 2), "reason": "image not a distribution"}
+
+
+def test_theta_flag_clears_on_a_label_before_the_last_step_past_v():
+    """A piece before the last step holds labels up to v only; any other
+    label lands in no node the step closes or keeps open."""
+    step, start = harness._theta_fold(build_caterpillar(2, 3), 2)
+    assert step(start, 1, (1,))[5] is True
+    assert step(start, 1, (1, 2))[5] is False
+
+
+def test_theta_flag_clears_on_an_image_one_entry_short():
+    """Two positions of p on the (2, 3) tree, every leaf merged in: each
+    image misses one entry, and only the root, on every chain, sees it."""
+    tree = build_caterpillar(2, 3)
+    step, start = harness._theta_fold(tree, 2)
+    images = list(kernels.fold_bounded([1, 3], non_backbone_labels(2, 3),
+                                       step, start))
+    assert [image for image, _ in images] == [
+        (1, 1, 2, 4), (1, 2, 2, 4), (1, 2, 3, 4)]
+    assert [state[5] for _, state in images] == [False] * 3
+
+
 def test_theta_checks_each_object_once(monkeypatch):
-    """One is_tree_pk and one entry check per tree distribution visited."""
+    """One _theta_inv per tree distribution visited; the fold decides the
+    subtree condition, so no is_tree_pk or entry check runs per image."""
     from catpark import caterpillar
 
     calls = {}
     _count_calls(monkeypatch, calls, harness, "is_tree_pk")
+    _count_calls(monkeypatch, calls, caterpillar, "is_tree_pk")
     _count_calls(monkeypatch, calls, caterpillar, "_validate_entries")
+    _count_calls(monkeypatch, calls, harness, "_theta_inv")
     report = run_verification("theta", max_n=4)
     assert report.ok and len(report.entries) == 3
     objects = sum(fuss_catalan(m, n) for m in (1, 2, 3) for n in range(1, 5))
-    assert calls == {"harness.is_tree_pk": objects,
-                     "caterpillar._validate_entries": objects}
+    assert calls == {"harness._theta_inv": objects}
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_theta_fold_against_theta_and_park(m):
     """check_theta's folded state on every image, n <= 6, against the
     definitions: enumerate_u_pk's p order, theta and the walker's rows,
-    _park's run, and the counts of the labels 1..m."""
+    _park's run, the counts of the labels 1..m, is_tree_pk, and p's luck
+    and counts of the values 1..m."""
     fam = canonical_family(m)
-    start = ((), (0, 0, True), (0,) * m)
     for n in range(1, 7):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
-        folded = list(kernels.fold_bounded(
-            fam.bounds(n), leaves, partial(harness._theta_step, tree), start))
+        step, start = harness._theta_fold(tree, n)
+        folded = list(kernels.fold_bounded(fam.bounds(n), leaves, step, start))
         assert [state[0] for _, state in folded] == list(enumerate_u_pk(n, fam))
         assert ([image for image, _ in folded]
                 == list(kernels.iter_bounded(fam.bounds(n), leaves)))
-        for image, (p, (occupied, luck, parked), counts) in folded:
+        for image, (p, (occupied, luck, parked), counts, p_luck, p_counts,
+                    flag, _) in folded:
             assert image == theta(p, m, n)
             outcome = _park(tree, image)
             assert parked == outcome.all_parked
@@ -536,6 +602,17 @@ def test_theta_fold_against_theta_and_park(m):
             assert occupied == sum(1 << node for node in outcome.assignment
                                    if node)
             assert counts == tuple(image.count(j) for j in range(1, m + 1))
+            assert flag is is_tree_pk(tree, image) is True
+            assert p_luck == _luck(p, m)
+            assert p_counts == tuple(u_omega(p, j) for j in range(1, m + 1))
+
+
+def _every_preference_list(tree):
+    """The fold of check_theta's step over every nondecreasing preference
+    list with one entry per node, and no labels merged in."""
+    step, start = harness._theta_fold(tree, tree.node_count)
+    return kernels.fold_bounded([tree.node_count] * tree.node_count, (),
+                                step, start)
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
@@ -544,15 +621,44 @@ def test_theta_step_against_park_where_cars_fall_out(m, n):
     here preferences run over every node, and the step must agree with
     _park on the cars that fall out too."""
     tree = build_caterpillar(m, n)
-    start = ((), (0, 0, True), (0,) * m)
-    step = partial(harness._theta_step, tree)
     fallen = 0
-    for prefs, (_, (_, luck, parked), _) in kernels.fold_bounded(
-            [tree.node_count] * tree.node_count, (), step, start):
+    for prefs, (_, (_, luck, parked), *_) in _every_preference_list(tree):
         outcome = _park(tree, prefs)
         assert (parked, luck) == (outcome.all_parked, len(outcome.lucky_set))
         fallen += not parked
     assert fallen
+
+
+# interval subtrees, but no caterpillar: 1 hangs from 2, 3 from 4, and 2
+# and 4 from the root 5.  The last step of (1, 2, 2, 3, 5) finds node 4, on
+# the open chain of 3, one entry short; on a caterpillar only the root of a
+# short image can be
+FORKED = CaterpillarTree(1, 5, 5, (0, 2, 5, 4, 5, 0), (), 0, (0, 1, 2, 1, 2, 5))
+
+
+@pytest.mark.parametrize("tree", [
+    *(build_caterpillar(m, n) for m, n in [(1, 4), (2, 3), (2, 4), (3, 3)]),
+    FORKED], ids=["1-4", "2-3", "2-4", "3-3", "forked"])
+def test_theta_subtree_flag_against_is_tree_pk_off_the_walk(tree):
+    """The fold's subtree flag is is_tree_pk on every sorted preference
+    list, the many that are no distribution included."""
+    flags = []
+    for prefs, state in _every_preference_list(tree):
+        assert state[5] is is_tree_pk(tree, prefs)
+        flags.append(state[5])
+    assert True in flags and False in flags
+
+
+def test_theta_fold_refuses_subtrees_that_are_not_label_intervals():
+    """1 and 2 hang from 3 and 4, 3 from 4: the subtree of 3 is {1, 3}.
+    Then a node that is its own parent."""
+    tree = CaterpillarTree(1, 4, 4, (0, 3, 4, 4, 0), (1, 2, 3, 4), 0b11110,
+                           (0, 1, 1, 2, 4))
+    with pytest.raises(ValueError, match="subtree of 3 is not the labels 1..3"):
+        harness._theta_fold(tree, 4)
+    tree = CaterpillarTree(1, 2, 2, (0, 2, 2), (2,), 0b100, (0, 1, 2))
+    with pytest.raises(ValueError, match="parent 2 of 2 is not above it"):
+        harness._theta_fold(tree, 2)
 
 
 def test_involution_checks_each_image_once(monkeypatch):

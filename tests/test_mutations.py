@@ -57,95 +57,141 @@ def _one_node_tree_as_product(real):
                              for n, poly in enumerate(real(m, order)))
 
 
-# (scope, options, module, name, stand-in made from the real function,
-#  counterexample the failing entry reports); the count-reading scopes'
+def _theta_state_at(index, change):
+    """The stand-in for harness._theta_step whose state after p = (1, 1, 3)
+    has field index replaced by change(field)."""
+    def mutate(real):
+        def step(*args):
+            state = real(*args)
+            if state[0] != (1, 1, 3):
+                return state
+            return state[:index] + (change(state[index]),) + state[index + 1:]
+        return step
+    return mutate
+
+
+# pytest.param(scope, options, module, name, stand-in made from the real
+#  function, counterexample the failing entry reports, id=the scope, and
+#  the name when several rows share the scope); the count-reading scopes'
 #  stand-ins count one too many
 MUTATIONS = [
-    ("counting", {"m": 2, "max_n": 4}, harness, "count_u_pk",
-     lambda real: lambda n, family: real(n, family) + (n == 3),
-     {"m": 2, "n": 3, "dp": 13, "closed": 12, "enumerated": 12}),
-    ("recurrence", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
-     lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
-     {"k": 1, "r": 0, "n": 2, "lhs": 8, "rhs": 9}),
-    ("hbasis", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
-     lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
-     {"n": 3, "degree": 0, "coeff": 3, "convolution": 4}),
-    ("hseries", {"m": 2, "order": 4}, engine, "count_u_pk",
-     lambda real: lambda n, family: real(n, family) + (n == 2),
-     {"k": 1, "r": 0, "first": (2, "8", "7")}),
+    pytest.param(
+        "counting", {"m": 2, "max_n": 4}, harness, "count_u_pk",
+        lambda real: lambda n, family: real(n, family) + (n == 3),
+        {"m": 2, "n": 3, "dp": 13, "closed": 12, "enumerated": 12},
+        id="counting"),
+    pytest.param(
+        "recurrence", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
+        lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
+        {"k": 1, "r": 0, "n": 2, "lhs": 8, "rhs": 9}, id="recurrence"),
+    # one half of the luck/ones exchange broken: tau(1, 1, 3) = (1, 3, 3)
+    # counts one lucky position too many
+    pytest.param(
+        "involution", {"m": 2, "max_n": 4}, harness, "_luck",
+        lambda real: lambda seq, m: real(seq, m) + (seq == (1, 3, 3)),
+        {"n": 3, "p": (1, 1, 3), "tau": (1, 3, 3),
+         "reason": "statistic exchange"}, id="involution"),
+    pytest.param(
+        "hbasis", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
+        lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
+        {"n": 3, "degree": 0, "coeff": 3, "convolution": 4}, id="hbasis"),
+    pytest.param(
+        "hseries", {"m": 2, "order": 4}, engine, "count_u_pk",
+        lambda real: lambda n, family: real(n, family) + (n == 2),
+        {"k": 1, "r": 0, "first": (2, "8", "7")}, id="hseries"),
     # the closed series read r_series_closed; each stand-in builds some of
     # its series in the uncorrected 1/(1 - q*x*B) form, or in a wrong variable
-    ("gamma", {"m": 2, "order": 3}, engine, "r_series_closed",
-     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
-         real(m, order, variables, qvar, literal=literal or qvar == "t"),
-     (3, "q*t^3*u^4*v^4 + 2*q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
+    pytest.param(
+        "gamma", {"m": 2, "order": 3}, engine, "r_series_closed",
+        lambda real: lambda m, order, variables=("q",), qvar="q",
+        literal=False: real(m, order, variables, qvar,
+                            literal=literal or qvar == "t"),
+        (3, "q*t^3*u^4*v^4 + 2*q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
+            " + q*t^2*u^3*v^4 + q^3*t*u^2*v^2 + q^2*t*u^2*v^3"
+            " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2",
+         "q*t^3*u^4*v^4 + q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
          " + q*t^2*u^3*v^4 + q^3*t*u^2*v^2 + q^2*t*u^2*v^3"
-         " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2",
-      "q*t^3*u^4*v^4 + q*t^2*u^4*v^4 + q^2*t^2*u^3*v^3"
-      " + q*t^2*u^3*v^4 + q^3*t*u^2*v^2 + q^2*t*u^2*v^3"
-      " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2")),
-    ("qluck", {"m": 2, "order": 3}, engine, "r_series_closed",
-     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
-         real(m, order, variables, qvar, literal=True),
-     (2, "q^2 + 2*q", "q^2 + q")),
-    ("multistat", {"m": 1, "order": 3}, engine, "r_series_closed",
-     lambda real: lambda m, order, variables=("q",), qvar="q", literal=False:
-         real(m, order, variables, "q0" if qvar == "q1" else qvar, literal),
-     (2, "q0^2*q1 + q0*q1^2", "2*q0^2*q1")),
+         " + 3*q*t*u^2*v^4 + 2*q^2*t*u^2*v^2"), id="gamma"),
+    pytest.param(
+        "qluck", {"m": 2, "order": 3}, engine, "r_series_closed",
+        lambda real: lambda m, order, variables=("q",), qvar="q",
+        literal=False: real(m, order, variables, qvar, literal=True),
+        (2, "q^2 + 2*q", "q^2 + q"), id="qluck"),
+    pytest.param(
+        "multistat", {"m": 1, "order": 3}, engine, "r_series_closed",
+        lambda real: lambda m, order, variables=("q",), qvar="q",
+        literal=False: real(m, order, variables,
+                            "q0" if qvar == "q1" else qvar, literal),
+        (2, "q0^2*q1 + q0*q1^2", "2*q0^2*q1"), id="multistat"),
     # tree-iso-transport, one row per reason, each at p = (1, 1, 3), whose
-    # image on the (2, 3) tree is (1, 1, 2, 3, 4)
-    ("theta", {"m": 2, "max_n": 4}, harness, "is_tree_pk",
-     lambda real: lambda tree, seq: real(tree, seq) and seq != (1, 1, 2, 3, 4),
-     {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4),
-      "reason": "image not a distribution"}),
-    ("theta", {"m": 2, "max_n": 4}, harness, "_theta_inv",
-     lambda real: lambda seq, leaves: (real(seq, leaves)[::-1]
-                                       if seq == (1, 1, 2, 3, 4)
-                                       else real(seq, leaves)),
-     {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4), "reason": "roundtrip"}),
-    ("theta", {"m": 2, "max_n": 4}, harness, "_luck",
-     lambda real: lambda seq, m: real(seq, m) + (seq == (1, 1, 3)),
-     {"n": 3, "p": (1, 1, 3), "reason": "luck transport"}),
-    ("theta", {"m": 2, "max_n": 4}, harness, "u_omega",
-     lambda real: lambda seq, j: real(seq, j) + (seq == (1, 1, 3) and j == 2),
-     {"n": 3, "p": (1, 1, 3), "reason": "omega_2 transport"}),
-    ("theta", {"m": 2, "max_n": 4}, harness, "fuss_catalan",
-     lambda real: lambda m, n: real(m, n) + (n == 3),
-     {"n": 3, "reason": "count"}),
+    # image on the (2, 3) tree is (1, 1, 2, 3, 4).  The fold restates
+    # is_tree_pk's subtree condition, _luck and u_omega in the state fields
+    # 5, 3 and 4 (p's counts of 1 and 2); their rows keep those names
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
+        _theta_state_at(5, lambda flag: False),
+        {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4),
+         "reason": "image not a distribution"}, id="theta-is_tree_pk"),
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_theta_inv",
+        lambda real: lambda seq, leaves: (real(seq, leaves)[::-1]
+                                          if seq == (1, 1, 2, 3, 4)
+                                          else real(seq, leaves)),
+        {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4),
+         "reason": "roundtrip"}, id="theta-_theta_inv"),
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
+        _theta_state_at(3, lambda luck: luck + 1),
+        {"n": 3, "p": (1, 1, 3), "reason": "luck transport"},
+        id="theta-_luck"),
+    # the image's count of label 1, field 2, one too many
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
+        _theta_state_at(2, lambda counts: (counts[0] + 1, counts[1])),
+        {"n": 3, "p": (1, 1, 3), "reason": "omega_1 transport"},
+        id="theta-omega_1"),
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
+        _theta_state_at(4, lambda counts: (counts[0], counts[1] + 1)),
+        {"n": 3, "p": (1, 1, 3), "reason": "omega_2 transport"},
+        id="theta-u_omega"),
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "fuss_catalan",
+        lambda real: lambda m, n: real(m, n) + (n == 3),
+        {"n": 3, "reason": "count"}, id="theta-fuss_catalan"),
     # the parking step counts a leaf car that parks at its preference as
     # lucky: on the (2, 2) tree, car 3 of (1, 1, 2)
-    ("theta", {"m": 2, "max_n": 4}, harness, "_park_cars", _lucky_leaves,
-     {"n": 2, "p": (1, 1), "reason": "luck transport"}),
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_park_cars", _lucky_leaves,
+        {"n": 2, "p": (1, 1), "reason": "luck transport"},
+        id="theta-_park_cars"),
     # condition-vs-process on the four-node path: a process where a car
     # whose node is taken exits at once, and a condition that accepts one
     # non-distribution
-    ("parking", {"m": 1, "max_n": 4}, harness, "_park_cars",
-     lambda real: lambda tree, state, cars: real(
-         _without_backbone(tree), state, cars),
-     {"m": 1, "n": 4, "seq": (1, 1, 1, 1), "condition": True,
-      "parked": False}),
-    ("parking", {"m": 1, "max_n": 4}, harness, "is_tree_pk",
-     lambda real: lambda tree, seq: real(tree, seq) or seq == (1, 2, 4, 4),
-     {"m": 1, "n": 4, "seq": (1, 2, 4, 4), "condition": True,
-      "parked": False}),
+    pytest.param(
+        "parking", {"m": 1, "max_n": 4}, harness, "_park_cars",
+        lambda real: lambda tree, state, cars: real(
+            _without_backbone(tree), state, cars),
+        {"m": 1, "n": 4, "seq": (1, 1, 1, 1), "condition": True,
+         "parked": False}, id="parking-_park_cars"),
+    pytest.param(
+        "parking", {"m": 1, "max_n": 4}, harness, "is_tree_pk",
+        lambda real: lambda tree, seq: real(tree, seq) or seq == (1, 2, 4, 4),
+        {"m": 1, "n": 4, "seq": (1, 2, 4, 4), "condition": True,
+         "parked": False}, id="parking-is_tree_pk"),
     # tensor-symmetry alone, as the m = 3 run has no tensor-table: on the
     # (3, 2) tree the four keys of sum 5 each count one
-    ("tensor", {"m": 3, "max_n": 3}, engine, "joint_count_tensors",
-     lambda real: lambda m, max_n: map(_move_one_count, real(m, max_n)),
-     {"n": 2, "first": (5, [((1, 1, 1, 2), 0), ((1, 1, 2, 1), 2),
-                            ((1, 2, 1, 1), 1), ((2, 1, 1, 1), 1)], None)}),
+    pytest.param(
+        "tensor", {"m": 3, "max_n": 3}, engine, "joint_count_tensors",
+        lambda real: lambda m, max_n: map(_move_one_count, real(m, max_n)),
+        {"n": 2, "first": (5, [((1, 1, 1, 2), 0), ((1, 1, 2, 1), 2),
+                               ((1, 2, 1, 1), 1), ((2, 1, 1, 1), 1)], None)},
+        id="tensor"),
 ]
 
 
-def _row_id(row):
-    """The scope, and the patched name when several rows share the scope."""
-    scope, name = row[0], row[3]
-    shared = sum(other[0] == scope for other in MUTATIONS) > 1
-    return f"{scope}-{name}" if shared else scope
-
-
 @pytest.mark.parametrize("scope,opts,module,name,mutate,counterexample",
-                         MUTATIONS, ids=list(map(_row_id, MUTATIONS)))
+                         MUTATIONS)
 def test_mutation_is_caught(monkeypatch, scope, opts, module, name, mutate,
                             counterexample):
     assert run_verification(scope, **opts).ok
