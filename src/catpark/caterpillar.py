@@ -17,11 +17,13 @@ least free one: ``_park_cars`` takes it off a bitmask, never reading parent.
 The module has two layers.  The private core (``_park_cars``, ``_park``,
 ``_theta_inv``) does no argument checks and assumes its input is in range:
 ``_park_cars`` and ``_park`` take preferences within 1..node_count,
-``_theta_inv`` a parking distribution on the tree whose leaf labels it is
-given.  The public functions validate their input once, at the boundary,
-then run on the core: ``simulate`` checks the entries and ``theta_inv``
-checks the subtree condition.  A sweep whose objects are in range by
-construction, or already checked, calls the core directly.
+``_theta_inv`` a sorted parking distribution on the tree whose leaf labels
+it is given.  The public functions validate their input once, at the
+boundary, then run on the core: ``simulate`` checks the entries and
+``theta_inv`` checks the subtree condition, then sorts.  A sweep whose
+objects are in range by construction, or already checked, calls the core
+directly; verify's theta sweep hands ``_theta_inv`` the walker's images,
+which come sorted.
 
 ``is_tree_pk`` is the subtree condition, for ``theta_inv`` and for verify's
 ``condition-vs-process`` check, its oracle.  Verify's theta sweep decides
@@ -215,14 +217,14 @@ def theta(seq, m, n):
 
 
 def _theta_inv(seq, leaves):
-    """sorted(seq) less one copy of each leaf label; seq must hold them all,
-    as every parking distribution does (a leaf's subtree is the leaf).
-    One merge pass: leaves ascend, so the first copy of the next leaf
-    label in sorted(seq) is the one to skip."""
+    """seq less one copy of each leaf label.  seq must be sorted and hold
+    every leaf label, as every parking distribution does (a leaf's subtree
+    is the leaf).  One merge pass: leaves ascend, so the first copy of the
+    next leaf label in seq is the one to skip."""
     out = []
     rest = iter(leaves)
     skip = next(rest, None)
-    for v in sorted(seq):
+    for v in seq:
         if v == skip:
             skip = next(rest, None)
         else:
@@ -231,11 +233,12 @@ def _theta_inv(seq, leaves):
 
 
 def theta_inv(seq, m, n):
-    """Remove one copy of every leaf label; inverse of theta."""
+    """Remove one copy of every leaf label; inverse of theta.  seq may come
+    in any order; the preimage is sorted."""
     tree = build_caterpillar(m, n)
     if not is_tree_pk(tree, seq):
         raise ValueError(f"{seq} is not a parking distribution on the ({m},{n}) tree")
-    return _theta_inv(seq, non_backbone_labels(m, n))
+    return _theta_inv(sorted(seq), non_backbone_labels(m, n))
 
 
 def enumerate_caterpillar_pk(m, n, max_objects=DEFAULT_MAX_OBJECTS,

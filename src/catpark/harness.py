@@ -373,40 +373,55 @@ def _theta_fold(tree, rows):
     """(step, start) of check_theta's fold, for kernels.fold_bounded, over
     rows positions of p on tree; see _theta_step.  The step needs interval
     subtrees, which this checks once per tree.  Its summaries of last
-    pieces live in this fold alone."""
+    pieces and its parking runs live in this fold alone."""
     _require_interval_subtrees(tree)
     depth, node = 0, 1
     while node:
         depth, node = depth + 1, tree.parent[node]
     zeros = (0,) * tree.m
     start = ((), (0, 0, True), zeros, 0, zeros, True, (0,) * depth)
-    return partial(_theta_step, tree, rows, {}), start
+    return partial(_theta_step, tree, rows, {}, {}), start
 
 
-def _theta_step(tree, rows, summaries, state, v, piece):
+def _theta_step(tree, rows, summaries, runs, state, v, piece):
     """check_theta's fold step: append v to p, park the cars of its piece in
     order with _park_cars, count, and decide is_tree_pk's subtree condition
     node by node.
 
     state is (p, _park_cars's state, the image's counts of the labels 1..m,
-    p's luck, p's counts of the values 1..m, the subtree flag, chain).  A
-    piece starting above m holds no label up to m, as the image is sorted;
+    p's luck, p's counts of the values 1..m, the subtree flag, chain).  The
+    piece is fold_bounded's for v after prev = p's last value (1 before
+    position 1), fixed by (prev, v) and whether v is the last position, and
+    every car in it prefers a label at least prev.  _park_cars reads no
+    taken node below a car's preference, so the piece's run depends only on
+    the taken nodes from prev on: runs keeps it, from those nodes and no
+    luck, under (taken nodes >> prev, prev, v, last), and the step puts back
+    the nodes below prev and adds the luck.
+
+    A piece starting above m holds no label up to m, as the image is sorted;
     v at position k is lucky when it is m(k-1)+1.  The sorted image also
     makes a node's subtree count final once a larger label arrives, and, as
     every subtree is the label interval ending at its root, the only open
-    nodes holding entries are prev = p's last value (1 before position 1)
-    and its ancestors: chain counts, for each of them from prev up to the
-    root, the image entries so far in its subtree.  A step before position
-    rows closes the nodes in [prev, v) and rebuilds chain for v.  The last
-    step closes every node from prev on by the summary of its piece, kept
-    in summaries under (prev, v): the flag of the nodes off prev's chain,
-    and how many entries each chain node needs besides the piece's.  Labels
-    outside the closed ranges clear the flag.
+    nodes holding entries are prev and its ancestors: chain counts, for
+    each of them from prev up to the root, the image entries so far in its
+    subtree.  A step before position rows closes the nodes in [prev, v) and
+    rebuilds chain for v.  The last step closes every node from prev on by
+    the summary of its piece, kept in summaries under (prev, v): the flag of
+    the nodes off prev's chain, and how many entries each chain node needs
+    besides the piece's.  Labels outside the closed ranges clear the flag.
     """
-    p, parking, counts, luck, p_counts, ok, chain = state
+    p, (occupied, run_luck, parked), counts, luck, p_counts, ok, chain = state
     m = tree.m
     k = len(p)
-    parking = _park_cars(tree, parking, piece)
+    prev = p[-1] if p else 1
+    last = k + 1 == rows
+    key = occupied >> prev, prev, v, last
+    run = runs.get(key)
+    if run is None:
+        run = runs[key] = _park_cars(tree, (key[0] << prev, 0, True), piece)
+    high, more_luck, all_parked = run
+    parking = (occupied & ((1 << prev) - 1) | high, run_luck + more_luck,
+               parked and all_parked)
     if piece[0] <= m:
         counts = list(counts)
         for label in piece:
@@ -417,8 +432,7 @@ def _theta_step(tree, rows, summaries, state, v, piece):
     if v <= m:
         p_counts = p_counts[:v - 1] + (p_counts[v - 1] + 1,) + p_counts[v:]
     luck += v == m * k + 1
-    prev = p[-1] if p else 1
-    if k + 1 == rows:
+    if last:
         summary = summaries.get((prev, v))
         if summary is None:
             received = {}

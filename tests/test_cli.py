@@ -158,6 +158,11 @@ def test_map_theta_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "map", "--name", "theta-inv", "--m", "2",
                            "--seq", "1,1,2,3,4")
     assert code == 0 and out == "1,1,3\n"
+    # the map sorts after its subtree check, so any order of a distribution
+    # gives the preimage of the sorted one
+    code, out, _ = run_cli(capsys, "map", "--name", "theta-inv", "--m", "2",
+                           "--seq", "4,2,1,2,1")
+    assert code == 0 and out == "1,1,2\n"
 
 
 def test_map_paths(capsys):

@@ -1,6 +1,7 @@
 """Verification harness: statuses, scoping, and report structure."""
 
 from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -618,15 +619,54 @@ def _every_preference_list(tree):
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
 def test_theta_step_against_park_where_cars_fall_out(m, n):
     """Every image is a distribution, so on the walk above every car parks;
-    here preferences run over every node, and the step must agree with
-    _park on the cars that fall out too."""
+    here preferences run over every node, and the step's taken nodes, luck
+    and all-parked flag, put together from its memoized runs, must agree
+    with _park on the cars that fall out too.  Then p of each length up to
+    n + 1 over every node with the leaves merged in: a last piece carries
+    the leaves from v on and a piece before it does not, so a memo that
+    ignored the last position would hand one piece's run to the other."""
     tree = build_caterpillar(m, n)
+    leaves = non_backbone_labels(m, n)
+    folds = [_every_preference_list(tree)]
+    for rows in range(1, n + 2):
+        step, start = harness._theta_fold(tree, rows)
+        folds.append(kernels.fold_bounded([tree.node_count] * rows, leaves,
+                                          step, start))
     fallen = 0
-    for prefs, (_, (_, luck, parked), *_) in _every_preference_list(tree):
+    for prefs, (_, run, *_) in chain.from_iterable(folds):
         outcome = _park(tree, prefs)
-        assert (parked, luck) == (outcome.all_parked, len(outcome.lucky_set))
-        fallen += not parked
+        assert run == (sum(1 << node for node in outcome.assignment if node),
+                       len(outcome.lucky_set), outcome.all_parked), prefs
+        fallen += not run[2]
     assert fallen
+
+
+def test_theta_parks_each_piece_once_per_reachable_occupancy(monkeypatch):
+    """Each fold parks a piece once per (taken nodes from prev on, prev, v,
+    last position) and keeps the run: every _park_cars call of the theta
+    scope is one entry of a fold's memo, and on the (3, 6) tree the memo
+    holds far fewer entries than the fold takes steps."""
+    runs, steps = {}, {}
+    real_fold = harness._theta_fold
+
+    def fold(tree, rows):
+        step, start = real_fold(tree, rows)
+        key = tree.m, tree.n
+        runs[key], steps[key] = step.args[3], 0
+
+        def counted(*args):
+            steps[key] += 1
+            return step(*args)
+        return counted, start
+
+    calls = {}
+    _count_calls(monkeypatch, calls, harness, "_park_cars")
+    monkeypatch.setattr(harness, "_theta_fold", fold)
+    assert run_verification("theta").ok
+    assert len(runs) == 18  # n = 1..6 at m = 1..3
+    assert calls["harness._park_cars"] == sum(map(len, runs.values()))
+    assert [len(runs[m, 6]) for m in (1, 2, 3)] == [51, 146, 291]
+    assert steps[3, 6] > fuss_catalan(3, 6) > 20 * len(runs[3, 6])
 
 
 # interval subtrees, but no caterpillar: 1 hangs from 2, 3 from 4, and 2

@@ -45,6 +45,12 @@ def _lucky_leaves(real):
     return step
 
 
+def _with_a_phantom_count(tensor):
+    """The tensor with one count at the all-zero key, which no distribution
+    has (every one parks a lucky car) and no spot entry reads."""
+    return tensor._replace(entries={**tensor.entries, (0,) * (tensor.m + 1): 1})
+
+
 def _every_variable(m):
     """The monomial q0*q1*...*qm."""
     return MultiPoly(engine.multi_stat_variables(m), {(1,) * (m + 1): 1})
@@ -179,6 +185,13 @@ MUTATIONS = [
         lambda real: lambda tree, seq: real(tree, seq) or seq == (1, 2, 4, 4),
         {"m": 1, "n": 4, "seq": (1, 2, 4, 4), "condition": True,
          "parked": False}, id="parking-is_tree_pk"),
+    # the enumerated (2, 5) shape: a listing that swaps each row's last
+    # entry, the root's, for a 1 leaves leaf 8 of its first row without a car
+    pytest.param(
+        "parking", {"m": 2, "max_n": 5}, harness, "enumerate_caterpillar_pk",
+        lambda real: lambda m, n: ((1,) + row[:-1] for row in real(m, n)),
+        {"m": 2, "n": 5, "seq": (1, 1, 1, 1, 1, 1, 2, 4, 6)},
+        id="parking-enumerated"),
     # tensor-symmetry alone, as the m = 3 run has no tensor-table: on the
     # (3, 2) tree the four keys of sum 5 each count one
     pytest.param(
@@ -201,48 +214,60 @@ def test_mutation_is_caught(monkeypatch, scope, opts, module, name, mutate,
     assert report.entries[0].counterexample == counterexample
 
 
-# Scopes that report several entries: (scope, options, module, name,
-# stand-in, the identity that must fail, its counterexample); every other
-# entry keeps its status.  An erratum row removes the mismatch that the
-# entry demonstrates.
+# Scopes that report several entries: pytest.param(scope, options, module,
+# name, stand-in, the identity that must fail, its counterexample, id=the
+# identity, and the options or reason when several rows share it); every
+# other entry keeps its status.  An erratum row removes the mismatch that
+# the entry demonstrates.
 SHARED_SCOPE_MUTATIONS = [
-    ("tensor", {"m": 2, "max_n": 2}, harness, "joint_count_tensor",
-     lambda real: lambda m, n: _move_one_count(real(m, n)),
-     "tensor-table", {"entry": (1, 1, 2), "got": 6, "want": 7}),
+    pytest.param(
+        "tensor", {"m": 2, "max_n": 2}, harness, "joint_count_tensor",
+        lambda real: lambda m, n: _move_one_count(real(m, n)),
+        "tensor-table", {"entry": (1, 1, 2), "got": 6, "want": 7},
+        id="tensor-table"),
+    # every spot entry holds, but the total counts one too many
+    pytest.param(
+        "tensor", {"m": 2, "max_n": 2}, harness, "joint_count_tensor",
+        lambda real: lambda m, n: _with_a_phantom_count(real(m, n)),
+        "tensor-table", {"reason": "total"}, id="tensor-table-total"),
     # one row too many in the enumerated count of the (2, 3) sequences
-    ("errata", {}, harness, "enumerate_u_pk",
-     lambda real: lambda n, family: chain(real(n, family), [()]),
-     "stated-count-erratum", {"enumerated": 13, "stated": 4}),
+    pytest.param(
+        "errata", {}, harness, "enumerate_u_pk",
+        lambda real: lambda n, family: chain(real(n, family), [()]),
+        "stated-count-erratum", {"enumerated": 13, "stated": 4},
+        id="stated-count-erratum"),
     # a printed series whose corrected form is checked in its literal form
-    ("errata", {}, harness, "verify_r_series",
-     lambda real: lambda m, order, literal=False: real(m, order, literal=True),
-     "q-luck-exponent-erratum", {"literal_ok": False, "corrected_ok": False}),
-    ("errata", {}, harness, "verify_gamma_series",
-     lambda real: lambda m, order, literal=False: real(m, order, literal=True),
-     "joint-series-arguments-erratum",
-     {"literal_ok": False, "corrected_ok": False}),
+    pytest.param(
+        "errata", {}, harness, "verify_r_series",
+        lambda real: lambda m, order, literal=False: real(m, order,
+                                                         literal=True),
+        "q-luck-exponent-erratum", {"literal_ok": False, "corrected_ok": False},
+        id="q-luck-exponent-erratum"),
+    pytest.param(
+        "errata", {}, harness, "verify_gamma_series",
+        lambda real: lambda m, order, literal=False: real(m, order,
+                                                         literal=True),
+        "joint-series-arguments-erratum",
+        {"literal_ok": False, "corrected_ok": False},
+        id="joint-series-arguments-erratum"),
     # the one-node tree's polynomial is the product's q0*...*qm: the order-1
     # gap is gone, and the product identity still holds
-    ("multistat", {"m": 2}, engine, "multi_stat_polys_brute",
-     _one_node_tree_as_product,
-     "multi-stat-product-order1", {"enumerated": None, "stated": None}),
-    ("multistat", {"m": 3}, engine, "multi_stat_polys_brute",
-     _one_node_tree_as_product,
-     "multi-stat-product-order1", {"enumerated": None, "stated": None}),
+    pytest.param(
+        "multistat", {"m": 2}, engine, "multi_stat_polys_brute",
+        _one_node_tree_as_product,
+        "multi-stat-product-order1", {"enumerated": None, "stated": None},
+        id="multi-stat-product-order1-m2"),
+    pytest.param(
+        "multistat", {"m": 3}, engine, "multi_stat_polys_brute",
+        _one_node_tree_as_product,
+        "multi-stat-product-order1", {"enumerated": None, "stated": None},
+        id="multi-stat-product-order1-m3"),
 ]
-
-
-def _shared_id(row):
-    """The failing identity, and the options when several rows share it."""
-    identity = row[5]
-    if sum(other[5] == identity for other in SHARED_SCOPE_MUTATIONS) > 1:
-        return "-".join([identity, *(f"{k}{v}" for k, v in row[1].items())])
-    return identity
 
 
 @pytest.mark.parametrize(
     "scope,opts,module,name,mutate,identity,counterexample",
-    SHARED_SCOPE_MUTATIONS, ids=list(map(_shared_id, SHARED_SCOPE_MUTATIONS)))
+    SHARED_SCOPE_MUTATIONS)
 def test_mutation_fails_one_entry(monkeypatch, scope, opts, module, name,
                                   mutate, identity, counterexample):
     before = run_verification(scope, **opts)

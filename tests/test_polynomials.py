@@ -293,6 +293,16 @@ def test_constructor_refuses_an_exponent_out_of_range(exps):
         MultiPoly(VARS4, {(0, 0) + exps + (0,): 1})
 
 
+def test_constructor_names_which_end_of_the_range_an_exponent_misses():
+    """A vector with a zero entry and one past the top is too large, not
+    negative; one with a negative entry is negative, whatever else it
+    holds."""
+    with pytest.raises(ValueError, match=rf"exponent above {LIMIT} in"):
+        MultiPoly(("q", "t"), {(0, LIMIT + 1): 1})
+    with pytest.raises(ValueError, match="negative exponent in"):
+        MultiPoly(("q", "t"), {(-1, LIMIT + 1): 1})
+
+
 def test_divide_by_monomial_refuses_a_borrow():
     # the t field is short by one and the q field is large: a carry-free
     # subtraction would borrow from q and leave t at 2**32 - 1

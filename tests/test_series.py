@@ -26,6 +26,23 @@ def test_reciprocal_drops_cancelled_coefficients():
     assert inv.coefficient(2) == MultiPoly.zero(())
 
 
+def test_series_equal_only_in_variables_and_order_differ():
+    """Equality asks for the same variables, order and every coefficient."""
+    base = TruncatedSeries(("q",), [1, 2], 3)
+    assert base == TruncatedSeries(("q",), [1, 2, 0], 3)
+    assert base != TruncatedSeries(("q",), [1, 3], 3)
+    assert base != TruncatedSeries(("q",), [1, 2], 4)
+    assert base != TruncatedSeries(("t",), [1, 2], 3)
+
+
+def test_repr_elides_only_past_the_fourth_coefficient():
+    """The repr shows the coefficients of x^0..x^3 and marks any more."""
+    assert repr(TruncatedSeries((), [1, 2, 3, 4], 3)) == (
+        "TruncatedSeries(order=3, [1, 2, 3, 4])")
+    assert repr(TruncatedSeries((), [1, 2, 3, 4, 5], 4)) == (
+        "TruncatedSeries(order=4, [1, 2, 3, 4, ...])")
+
+
 def test_reciprocal_requires_unit_constant_term():
     with pytest.raises(ValueError):
         TruncatedSeries((), [2, 1], 3).reciprocal()
