@@ -27,9 +27,11 @@ which come sorted.
 
 ``is_tree_pk`` is the subtree condition, for ``theta_inv`` and for verify's
 ``condition-vs-process`` check, its oracle.  Verify's theta sweep decides
-the condition without it: ``harness._theta_step`` folds it along each
-sorted image, closing each node once a larger label arrives, on trees
-whose every subtree is the label interval ending at its root.
+the condition without it, from the caterpillar's shape: every subtree is
+one leaf or the label prefix 1..b of a backbone node b, so a sorted image
+with one entry per node, each a label, is a distribution exactly when its
+entry b is at most b at each backbone label b and it holds every leaf
+label (``harness._sorted_tree_pk``).
 """
 
 from collections import namedtuple

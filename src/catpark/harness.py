@@ -30,7 +30,7 @@ import time
 from collections import namedtuple
 from functools import cache, partial
 from itertools import combinations_with_replacement
-from operator import ge
+from operator import itemgetter, le
 
 from catpark.caterpillar import (
     _park_cars,
@@ -350,72 +350,75 @@ def check_eta(m, max_n):
     return "pass", None
 
 
-def _require_interval_subtrees(tree):
-    """Raise ValueError unless every label's subtree, by parent links, is
-    the label interval ending at it: each parent label exceeds its child's,
-    and a subtree of s nodes rooted at label holds label-s+1..label."""
-    least = list(range(tree.node_count + 1))
-    sizes = [1] * (tree.node_count + 1)
+def _sorted_tree_pk(tree):
+    """is_tree_pk for sorted images on tree, as a test built once per tree.
+
+    One ascending pass over the parent links sizes every subtree and raises
+    ValueError unless each parent label exceeds its child's and every
+    subtree is one node or the labels 1..L of its root L, as on a
+    caterpillar.  A sorted image holds at least L entries up to L exactly
+    when its entry L is at most L, so the test takes an image with one entry
+    per node, each in 1..node_count, whose entry L is at most L for every
+    such prefix and which holds every other one-node subtree's label."""
+    top = tree.node_count
+    sizes = [1] * (top + 1)
+    prefixes, leaves = [], set()
     # ascending labels = children before parents, once each parent check holds
-    for label in range(1, tree.node_count + 1):
-        if label - least[label] + 1 != sizes[label]:
-            raise ValueError(f"the subtree of {label} is not the labels "
-                             f"{least[label]}..{label}")
+    for label in range(1, top + 1):
+        size = sizes[label]
+        if size == label:
+            prefixes.append(label)
+        elif size == 1:
+            leaves.add(label)
+        else:
+            raise ValueError(f"the subtree of {label} is neither one node "
+                             f"nor the labels 1..{label}")
         up = tree.parent[label]
         if up:
             if up <= label:
                 raise ValueError(f"parent {up} of {label} is not above it")
-            least[up] = min(least[up], least[label])
-            sizes[up] += sizes[label]
+            sizes[up] += size
+    # the prefixes' entries, and the last one, at most node_count: the rest
+    # of the test implies that bound, but the second index keeps at's result
+    # a tuple on the one-node tree, whose only prefix is 1
+    at = itemgetter(*[label - 1 for label in prefixes], -1)
+    bounds = (*prefixes, top)
+    return lambda image: (len(image) == top and image[0] > 0
+                          and all(map(le, at(image), bounds))
+                          and leaves.issubset(image))
 
 
 def _theta_fold(tree, rows):
     """(step, start) of check_theta's fold, for kernels.fold_bounded, over
-    rows positions of p on tree; see _theta_step.  The step needs interval
-    subtrees, which this checks once per tree.  Its summaries of last
-    pieces and its parking runs live in this fold alone."""
-    _require_interval_subtrees(tree)
-    depth, node = 0, 1
-    while node:
-        depth, node = depth + 1, tree.parent[node]
+    rows positions of p on tree; see _theta_step.  Its parking runs live in
+    this fold alone."""
     zeros = (0,) * tree.m
-    start = ((), (0, 0, True), zeros, 0, zeros, True, (0,) * depth)
-    return partial(_theta_step, tree, rows, {}, {}), start
+    start = ((), (0, 0, True), zeros, 0, zeros)
+    return partial(_theta_step, tree, rows, {}), start
 
 
-def _theta_step(tree, rows, summaries, runs, state, v, piece):
+def _theta_step(tree, rows, runs, state, v, piece):
     """check_theta's fold step: append v to p, park the cars of its piece in
-    order with _park_cars, count, and decide is_tree_pk's subtree condition
-    node by node.
+    order with _park_cars, and count.
 
     state is (p, _park_cars's state, the image's counts of the labels 1..m,
-    p's luck, p's counts of the values 1..m, the subtree flag, chain).  The
-    piece is fold_bounded's for v after prev = p's last value (1 before
-    position 1), fixed by (prev, v) and whether v is the last position, and
-    every car in it prefers a label at least prev.  _park_cars reads no
-    taken node below a car's preference, so the piece's run depends only on
-    the taken nodes from prev on: runs keeps it, from those nodes and no
-    luck, under (taken nodes >> prev, prev, v, last), and the step puts back
-    the nodes below prev and adds the luck.
+    p's luck, p's counts of the values 1..m).  The piece is fold_bounded's
+    for v after prev = p's last value (1 before position 1), fixed by (prev,
+    v) and whether v is the last position, and every car in it prefers a
+    label at least prev.  _park_cars reads no taken node below a car's
+    preference, so the piece's run depends only on the taken nodes from
+    prev on: runs keeps it, from those nodes and no luck, under (taken nodes
+    >> prev, prev, v, last), and the step puts back the nodes below prev and
+    adds the luck.
 
     A piece starting above m holds no label up to m, as the image is sorted;
-    v at position k is lucky when it is m(k-1)+1.  The sorted image also
-    makes a node's subtree count final once a larger label arrives, and, as
-    every subtree is the label interval ending at its root, the only open
-    nodes holding entries are prev and its ancestors: chain counts, for
-    each of them from prev up to the root, the image entries so far in its
-    subtree.  A step before position rows closes the nodes in [prev, v) and
-    rebuilds chain for v.  The last step closes every node from prev on by
-    the summary of its piece, kept in summaries under (prev, v): the flag of
-    the nodes off prev's chain, and how many entries each chain node needs
-    besides the piece's.  Labels outside the closed ranges clear the flag.
+    v at position k is lucky when it is m(k-1)+1.
     """
-    p, (occupied, run_luck, parked), counts, luck, p_counts, ok, chain = state
+    p, (occupied, run_luck, parked), counts, luck, p_counts = state
     m = tree.m
     k = len(p)
     prev = p[-1] if p else 1
-    last = k + 1 == rows
-    key = occupied >> prev, prev, v, last
+    key = occupied >> prev, prev, v, k + 1 == rows
     run = runs.get(key)
     if run is None:
         run = runs[key] = _park_cars(tree, (key[0] << prev, 0, True), piece)
@@ -432,76 +435,31 @@ def _theta_step(tree, rows, summaries, runs, state, v, piece):
     if v <= m:
         p_counts = p_counts[:v - 1] + (p_counts[v - 1] + 1,) + p_counts[v:]
     luck += v == m * k + 1
-    if last:
-        summary = summaries.get((prev, v))
-        if summary is None:
-            received = {}
-            for label in piece:
-                received[label] = received.get(label, 0) + 1
-            flag, need = _theta_close(
-                tree, received, range(prev, tree.node_count + 1), prev)
-            summary = summaries[prev, v] = flag and not received, need
-        flag, need = summary
-        return (p + (v,), parking, counts, luck, p_counts,
-                ok and flag and all(map(ge, chain, need)), ())
-    received = {}
-    node, below = prev, 0
-    for total in chain:  # a chain node's own count, its child's taken off
-        received[node] = total - below
-        node, below = tree.parent[node], total
-    for label in piece:
-        received[label] = received.get(label, 0) + 1
-    flag, _ = _theta_close(tree, received, range(prev, v), 0)
-    chain = []
-    node, total = v, 0
-    while node:
-        total += received.pop(node, 0)
-        chain.append(total)
-        node = tree.parent[node]
-    return (p + (v,), parking, counts, luck, p_counts,
-            ok and flag and not received, tuple(chain))
-
-
-def _theta_close(tree, received, labels, node):
-    """is_tree_pk's pass over labels, ascending, on the counts received:
-    each label's count, popped, goes to its parent.  Returns whether every
-    label off node's chain got its subtree's size, and, for each label on
-    it, how many it lacks; node 0 has no chain."""
-    ok, need = True, []
-    for label in labels:
-        got = received.pop(label, 0)
-        if label == node:
-            need.append(tree.subtree_size[label] - got)
-            node = tree.parent[label]
-        elif got < tree.subtree_size[label]:
-            ok = False
-        up = tree.parent[label]
-        if up:
-            received[up] = received.get(up, 0) + got
-    return ok, tuple(need)
+    return p + (v,), parking, counts, luck, p_counts
 
 
 def check_theta(m, max_n):
     """The walk merges the leaf labels into each p, so its row is theta(p),
     and it folds _theta_step along the way: each image comes with p, its
-    parking run, its counts of the labels 1..m, p's luck and counts of the
-    values 1..m, and the fold's subtree flag, every prefix stepped once.
-    Per image, the flag with the parking run's all-parked flag is the
-    distribution check, so is_tree_pk runs in check_parking only;
-    _theta_inv must give back p; the run's luck must equal p's, and the
-    image's counts p's plus one leaf for 2..m.
+    parking run, its counts of the labels 1..m, and p's luck and counts of
+    the values 1..m, every prefix stepped once.  Per image, _sorted_tree_pk's
+    test, built once per tree, and the parking run's all-parked flag each
+    state that it is a distribution, so is_tree_pk runs in check_parking
+    only; _theta_inv must give back p; the run's luck must equal p's, and
+    the image's counts p's plus one leaf for 2..m.
     """
     fam = canonical_family(m)
     for n in range(1, max_n + 1):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
         leaf = 1 if n >= 2 else 0  # the one-node tree has no leaves
+        parks = _sorted_tree_pk(tree)
         step, start = _theta_fold(tree, n)
         total = 0
-        for image, (p, (_, luck, parked), counts, p_luck, p_counts, parks,
-                    _) in fold_bounded(fam.bounds(n), leaves, step, start):
+        walk = fold_bounded(fam.bounds(n), leaves, step, start)
+        for image, (p, (_, luck, parked), counts, p_luck, p_counts) in walk:
             total += 1
-            if not (parks and parked):
+            if not (parks(image) and parked):
                 return "fail", {"n": n, "p": p, "image": image,
                                 "reason": "image not a distribution"}
             if _theta_inv(image, leaves) != p:

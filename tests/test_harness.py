@@ -1,7 +1,7 @@
 """Verification harness: statuses, scoping, and report structure."""
 
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from types import SimpleNamespace
 
 import pytest
@@ -87,6 +87,23 @@ DEFAULT_REPORT = [
 ]
 
 
+# (identity, params["m"]) -> counterexample of every erratum entry of the
+# default report: each printed claim next to what enumeration finds
+DEFAULT_ERRATA = {
+    ("multi-stat-product-order1", 2): {"enumerated": "q0*q1",
+                                       "stated": "q0*q1*q2"},
+    ("multi-stat-product-order1", 3): {"enumerated": "q0*q1",
+                                       "stated": "q0*q1*q2*q3"},
+    ("stated-count-erratum", 2): {"enumerated": 12, "stated": 4},
+    ("q-luck-exponent-erratum", 2): {"n": 2, "enumerated": "q^2 + 2*q",
+                                     "stated": "q^2 + q"},
+    ("joint-series-arguments-erratum", 2): {
+        "n": 2,
+        "enumerated": "q*t^2*u^3*v^3 + q^2*t*u^2*v^2 + q*t*u^2*v^3",
+        "stated": "q*t^2*u^3*v^3 + q^2*t*u^2*v^3 + q*t*u^2*v^2"},
+}
+
+
 @pytest.fixture(scope="module")
 def default_report():
     return run_verification("all")
@@ -95,6 +112,9 @@ def default_report():
 def test_default_report_is_pinned(default_report):
     assert [(e.identity, e.params, e.status)
             for e in default_report.entries] == DEFAULT_REPORT
+    assert {(e.identity, e.params["m"]): e.counterexample
+            for e in default_report.entries
+            if e.status == "erratum"} == DEFAULT_ERRATA
 
 
 def test_full_run_is_green(default_report):
@@ -531,7 +551,7 @@ def test_theta_reports_an_image_that_is_not_a_distribution(monkeypatch):
 
 def test_theta_reports_an_image_with_a_label_past_the_tree(monkeypatch):
     """The walk merges one more leaf, past the last node, into every image:
-    its car parks off the tree, so only the fold's flag refuses it."""
+    its car parks off the tree, so only the subtree test refuses it."""
     real = harness.non_backbone_labels
 
     def extra_leaf(m, n):
@@ -543,29 +563,29 @@ def test_theta_reports_an_image_with_a_label_past_the_tree(monkeypatch):
         "n": 1, "p": (1,), "image": (1, 2), "reason": "image not a distribution"}
 
 
-def test_theta_flag_clears_on_a_label_before_the_last_step_past_v():
-    """A piece before the last step holds labels up to v only; any other
-    label lands in no node the step closes or keeps open."""
-    step, start = harness._theta_fold(build_caterpillar(2, 3), 2)
-    assert step(start, 1, (1,))[5] is True
-    assert step(start, 1, (1, 2))[5] is False
-
-
-def test_theta_flag_clears_on_an_image_one_entry_short():
+def test_theta_subtree_test_refuses_an_image_one_entry_short():
     """Two positions of p on the (2, 3) tree, every leaf merged in: each
-    image misses one entry, and only the root, on every chain, sees it."""
-    tree = build_caterpillar(2, 3)
-    step, start = harness._theta_fold(tree, 2)
-    images = list(kernels.fold_bounded([1, 3], non_backbone_labels(2, 3),
-                                       step, start))
-    assert [image for image, _ in images] == [
-        (1, 1, 2, 4), (1, 2, 2, 4), (1, 2, 3, 4)]
-    assert [state[5] for _, state in images] == [False] * 3
+    image misses one entry, which only the subtree test's length sees."""
+    test = harness._sorted_tree_pk(build_caterpillar(2, 3))
+    images = list(kernels.iter_bounded([1, 3], non_backbone_labels(2, 3)))
+    assert images == [(1, 1, 2, 4), (1, 2, 2, 4), (1, 2, 3, 4)]
+    assert [test(image) for image in images] == [False] * 3
+
+
+# sorted images with one entry per node of the (2, 3) tree, whose leaves are
+# 2 and 4, that each fail one part of the subtree test alone: leaf 4 has no
+# entry, the last entry is past the root 5, and the first is below 1
+@pytest.mark.parametrize("image", [
+    (1, 1, 2, 3, 5), (1, 2, 3, 4, 6), (0, 1, 2, 3, 4)],
+    ids=["missing-leaf", "past-the-tree", "below-1"])
+def test_theta_subtree_test_refuses_an_image_that_is_no_distribution(image):
+    assert harness._sorted_tree_pk(build_caterpillar(2, 3))(image) is False
 
 
 def test_theta_checks_each_object_once(monkeypatch):
-    """One _theta_inv per tree distribution visited; the fold decides the
-    subtree condition, so no is_tree_pk or entry check runs per image."""
+    """One _theta_inv per tree distribution visited; the subtree test
+    decides the condition, so no is_tree_pk or entry check runs per
+    image."""
     from catpark import caterpillar
 
     calls = {}
@@ -583,19 +603,20 @@ def test_theta_checks_each_object_once(monkeypatch):
 def test_theta_fold_against_theta_and_park(m):
     """check_theta's folded state on every image, n <= 6, against the
     definitions: enumerate_u_pk's p order, theta and the walker's rows,
-    _park's run, the counts of the labels 1..m, is_tree_pk, and p's luck
-    and counts of the values 1..m."""
+    _park's run, the counts of the labels 1..m, p's luck and counts of the
+    values 1..m, and the subtree test against is_tree_pk."""
     fam = canonical_family(m)
     for n in range(1, 7):
         tree = build_caterpillar(m, n)
         leaves = non_backbone_labels(m, n)
+        test = harness._sorted_tree_pk(tree)
         step, start = harness._theta_fold(tree, n)
         folded = list(kernels.fold_bounded(fam.bounds(n), leaves, step, start))
         assert [state[0] for _, state in folded] == list(enumerate_u_pk(n, fam))
         assert ([image for image, _ in folded]
                 == list(kernels.iter_bounded(fam.bounds(n), leaves)))
-        for image, (p, (occupied, luck, parked), counts, p_luck, p_counts,
-                    flag, _) in folded:
+        for image, (p, (occupied, luck, parked), counts, p_luck,
+                    p_counts) in folded:
             assert image == theta(p, m, n)
             outcome = _park(tree, image)
             assert parked == outcome.all_parked
@@ -603,9 +624,9 @@ def test_theta_fold_against_theta_and_park(m):
             assert occupied == sum(1 << node for node in outcome.assignment
                                    if node)
             assert counts == tuple(image.count(j) for j in range(1, m + 1))
-            assert flag is is_tree_pk(tree, image) is True
             assert p_luck == _luck(p, m)
             assert p_counts == tuple(u_omega(p, j) for j in range(1, m + 1))
+            assert test(image) is is_tree_pk(tree, image) is True
 
 
 def _every_preference_list(tree):
@@ -652,7 +673,7 @@ def test_theta_parks_each_piece_once_per_reachable_occupancy(monkeypatch):
     def fold(tree, rows):
         step, start = real_fold(tree, rows)
         key = tree.m, tree.n
-        runs[key], steps[key] = step.args[3], 0
+        runs[key], steps[key] = step.args[2], 0
 
         def counted(*args):
             steps[key] += 1
@@ -669,36 +690,42 @@ def test_theta_parks_each_piece_once_per_reachable_occupancy(monkeypatch):
     assert steps[3, 6] > fuss_catalan(3, 6) > 20 * len(runs[3, 6])
 
 
-# interval subtrees, but no caterpillar: 1 hangs from 2, 3 from 4, and 2
-# and 4 from the root 5.  The last step of (1, 2, 2, 3, 5) finds node 4, on
-# the open chain of 3, one entry short; on a caterpillar only the root of a
-# short image can be
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_theta_subtree_flag_against_is_tree_pk_off_the_walk(m, n):
+    """The subtree test is is_tree_pk on every sorted preference list, the
+    many that are no distribution included; the ones it passes are the
+    sorted theta images, as many as the bounded sequences."""
+    tree = build_caterpillar(m, n)
+    test = harness._sorted_tree_pk(tree)
+    size = tree.node_count
+    passed = 0
+    for prefs in combinations_with_replacement(range(1, size + 1), size):
+        assert test(prefs) is is_tree_pk(tree, prefs)
+        passed += test(prefs)
+    assert passed == fuss_catalan(m, n)
+
+
+# every subtree a label interval, but no caterpillar: 1 hangs from 2, 3 from
+# 4, and 2 and 4 from the root 5, so the subtree of 4 is {3, 4}
 FORKED = CaterpillarTree(1, 5, 5, (0, 2, 5, 4, 5, 0), (), 0, (0, 1, 2, 1, 2, 5))
 
 
-@pytest.mark.parametrize("tree", [
-    *(build_caterpillar(m, n) for m, n in [(1, 4), (2, 3), (2, 4), (3, 3)]),
-    FORKED], ids=["1-4", "2-3", "2-4", "3-3", "forked"])
-def test_theta_subtree_flag_against_is_tree_pk_off_the_walk(tree):
-    """The fold's subtree flag is is_tree_pk on every sorted preference
-    list, the many that are no distribution included."""
-    flags = []
-    for prefs, state in _every_preference_list(tree):
-        assert state[5] is is_tree_pk(tree, prefs)
-        flags.append(state[5])
-    assert True in flags and False in flags
-
-
 def test_theta_fold_refuses_subtrees_that_are_not_label_intervals():
-    """1 and 2 hang from 3 and 4, 3 from 4: the subtree of 3 is {1, 3}.
-    Then a node that is its own parent."""
+    """The subtree test refuses a tree with a subtree that is neither one
+    node nor a label prefix: 1 and 2 hang from 3 and 4, 3 from 4, so the
+    subtree of 3 is {1, 3}; then FORKED.  Then a node that is its own
+    parent."""
     tree = CaterpillarTree(1, 4, 4, (0, 3, 4, 4, 0), (1, 2, 3, 4), 0b11110,
                            (0, 1, 1, 2, 4))
-    with pytest.raises(ValueError, match="subtree of 3 is not the labels 1..3"):
-        harness._theta_fold(tree, 4)
+    with pytest.raises(ValueError, match="subtree of 3 is neither one node "
+                                         "nor the labels 1..3"):
+        harness._sorted_tree_pk(tree)
+    with pytest.raises(ValueError, match="subtree of 4 is neither one node "
+                                         "nor the labels 1..4"):
+        harness._sorted_tree_pk(FORKED)
     tree = CaterpillarTree(1, 2, 2, (0, 2, 2), (2,), 0b100, (0, 1, 2))
     with pytest.raises(ValueError, match="parent 2 of 2 is not above it"):
-        harness._theta_fold(tree, 2)
+        harness._sorted_tree_pk(tree)
 
 
 def test_involution_checks_each_image_once(monkeypatch):

@@ -63,6 +63,17 @@ def _one_node_tree_as_product(real):
                              for n, poly in enumerate(real(m, order)))
 
 
+def _refusing(image):
+    """The stand-in for harness._sorted_tree_pk whose test also refuses
+    image."""
+    def mutate(real):
+        def build(tree):
+            test = real(tree)
+            return lambda seq: seq != image and test(seq)
+        return build
+    return mutate
+
+
 def _theta_state_at(index, change):
     """The stand-in for harness._theta_step whose state after p = (1, 1, 3)
     has field index replaced by change(field)."""
@@ -101,6 +112,27 @@ MUTATIONS = [
         "hbasis", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
         lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
         {"n": 3, "degree": 0, "coeff": 3, "convolution": 4}, id="hbasis"),
+    # the h_0 coefficient one too many, so the one-node tree's vector is off
+    pytest.param(
+        "hbasis", {"m": 2, "max_n": 4}, harness, "h_decompose",
+        lambda real: lambda poly: {d: c + (d == 0)
+                                   for d, c in real(poly).items()},
+        {"n": 1, "vector": (2,), "expected": (1,)}, id="hbasis-h_decompose"),
+    # component-rebuild-bijection, one row per statistic the image must
+    # carry over from p's blocks, each read one too high on every image of
+    # length 3, whose blocks are shorter; then one image too few
+    pytest.param(
+        "eta", {"m": 2, "max_n": 4}, harness, "u_omega",
+        lambda real: lambda seq, j: real(seq, j) + (j == 1 and len(seq) == 3),
+        {"n": 3, "p": (1, 1, 1), "reason": "omega_1"}, id="eta-omega_1"),
+    pytest.param(
+        "eta", {"m": 2, "max_n": 4}, harness, "u_omega",
+        lambda real: lambda seq, j: real(seq, j) + (j == 2 and len(seq) == 3),
+        {"n": 3, "p": (1, 1, 1), "reason": "omega_2"}, id="eta-omega_2"),
+    pytest.param(
+        "eta", {"m": 2, "max_n": 4}, harness, "count_u_pk",
+        lambda real: lambda n, family: real(n, family) + (n == 3),
+        {"n": 3, "reason": "not surjective"}, id="eta-count_u_pk"),
     pytest.param(
         "hseries", {"m": 2, "order": 4}, engine, "count_u_pk",
         lambda real: lambda n, family: real(n, family) + (n == 2),
@@ -130,12 +162,13 @@ MUTATIONS = [
                             "q0" if qvar == "q1" else qvar, literal),
         (2, "q0^2*q1 + q0*q1^2", "2*q0^2*q1"), id="multistat"),
     # tree-iso-transport, one row per reason, each at p = (1, 1, 3), whose
-    # image on the (2, 3) tree is (1, 1, 2, 3, 4).  The fold restates
-    # is_tree_pk's subtree condition, _luck and u_omega in the state fields
-    # 5, 3 and 4 (p's counts of 1 and 2); their rows keep those names
+    # image on the (2, 3) tree is (1, 1, 2, 3, 4).  _sorted_tree_pk restates
+    # is_tree_pk for sorted images, and the fold _luck and u_omega in the
+    # state fields 3 and 4 (p's counts of 1 and 2); their rows keep those
+    # names
     pytest.param(
-        "theta", {"m": 2, "max_n": 4}, harness, "_theta_step",
-        _theta_state_at(5, lambda flag: False),
+        "theta", {"m": 2, "max_n": 4}, harness, "_sorted_tree_pk",
+        _refusing((1, 1, 2, 3, 4)),
         {"n": 3, "p": (1, 1, 3), "image": (1, 1, 2, 3, 4),
          "reason": "image not a distribution"}, id="theta-is_tree_pk"),
     pytest.param(
@@ -171,6 +204,20 @@ MUTATIONS = [
         "theta", {"m": 2, "max_n": 4}, harness, "_park_cars", _lucky_leaves,
         {"n": 2, "p": (1, 1), "reason": "luck transport"},
         id="theta-_park_cars"),
+    # the parking step whose all-parked flag is that of cars that never
+    # climb, its taken nodes and luck kept: car 2 of (1, 1, 2) on the (2, 2)
+    # tree finds node 1 taken
+    pytest.param(
+        "theta", {"m": 2, "max_n": 4}, harness, "_park_cars",
+        lambda real: lambda tree, state, cars: real(tree, state, cars)[:2] + (
+            real(_without_backbone(tree), state, cars)[2],),
+        {"n": 2, "p": (1, 1), "image": (1, 1, 2),
+         "reason": "image not a distribution"}, id="theta-all-parked"),
+    # a decoder that reads each entry one too low
+    pytest.param(
+        "lattice", {"m": 2, "max_n": 3}, harness, "from_lattice_path",
+        lambda real: lambda word, m: tuple(v - 1 for v in real(word, m)),
+        {"m": 2, "p": (1,), "word": "N"}, id="lattice"),
     # condition-vs-process on the four-node path: a process where a car
     # whose node is taken exits at once, and a condition that accepts one
     # non-distribution
