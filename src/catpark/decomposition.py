@@ -17,10 +17,11 @@ so a sweep that walks its sequences never cuts them again.  The public
 functions validate their input once, at the boundary, then run on the core
 without re-checking its output.
 ``_assemble`` places in-bounds blocks so that the result is in bounds and
-its fixed points are the forced cuts, which is what makes it decompose back
-into them.  That is checked in public ``recompose``, the boundary for
-blocks from outside; in verify's sweeps, once per tau and eta image; and
-in the tests, over every small block tuple.
+its fixed points are the forced cuts, 2 plus the running total of the block
+lengths, which is what makes it decompose back into them.  That is checked
+in public ``recompose``, the boundary for blocks from outside; in verify's
+sweeps, where each eta image is bound-checked and each tau image must be a
+sequence the walk reaches; and in the tests, over every small block tuple.
 
 The involution tau swaps the first and last components (recursing into
 each), exchanging the luck statistic with the multiplicity of 1.  Its core
@@ -34,10 +35,11 @@ goes back on the stack, with its cut, under the missing end blocks.
 Public ``tau`` passes a fresh table, so each call stands alone; a sweep
 that visits sequences by increasing length can keep one table and store
 each image it wants reused, so every tau it asks for is one assembly, and
-one cut unless the sweep folded the blocks along its walk.  Because tau is
-an involution, such a sweep computes each image once: tau(p) and
-tau(tau(p)) cover the orbit {p, tau(p)}, so the orbit's later member needs
-no visit of its own.
+one cut unless the sweep folded the blocks along its walk.  Verify's
+involution sweep folds them and asks for one tau per sequence it walks: it
+checks the orbit {p, tau(p)} when the walk reaches the later member, whose
+image must be the earlier one, so no member of an orbit is cut, bound-checked
+or has its statistics counted again.
 
 The map eta rebuilds a distribution from the per-component multiplicities
 of 1 and transports every other entry upward by a component-dependent
@@ -46,6 +48,7 @@ offset.
 
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate
 from operator import eq
 
 from catpark.errors import InvalidCompositionError, NonMembershipError
@@ -133,20 +136,20 @@ def _cut(seq, cuts):
 
 
 def _assemble(components, m):
-    """Place the blocks after a leading 1; return (sequence, forced cuts).
+    """Place the blocks after a leading 1 and return the sequence.
 
-    Block j >= 1 starts at the position its predecessors' lengths force and
-    is shifted up by m(start-2) + j, which makes its first entry a fresh
-    fixed point of type j.
+    Block j >= 1 starts at the position its predecessors' lengths force,
+    2 + their total length, and is shifted up by m(start-2) + j, which
+    makes its first entry a fresh fixed point of type j; an empty block
+    adds nothing.
     """
-    out = [1, *components[0]]
-    cuts = []
+    out = (1, *components[0])
     for j in range(1, m + 1):
-        start = len(out) + 1
-        cuts.append(start)
-        shift = m * (start - 2) + j
-        out.extend([v + shift for v in components[j]])
-    return tuple(out), tuple(cuts)
+        block = components[j]
+        if block:
+            shift = m * (len(out) - 1) + j
+            out += tuple([v + shift for v in block])
+    return out
 
 
 def _luck(seq, m):
@@ -205,9 +208,12 @@ def recompose(components, m):
             raise InvalidCompositionError(
                 f"component {comp} is not within the canonical bounds for m={m}"
             )
-    result, cuts = _assemble(components, m)
+    result = _assemble(components, m)
     if not is_u_pk(result, fam):
         raise InvalidCompositionError(f"recomposed {result} violates the bounds")
+    # the forced cuts: 2 plus the running total of the block lengths
+    cuts = tuple(accumulate(map(len, components[1:m]),
+                            initial=2 + len(components[0])))
     if _fixed_points(result, m) != cuts:
         raise InvalidCompositionError(
             f"recomposed {result} does not decompose back into {components}"
@@ -245,7 +251,7 @@ def _tau(seq, m, images, comps=None):
             if first is None:
                 stack.append((comps[0], None))
             continue
-        image = _assemble((last,) + comps[1:m] + (first,), m)[0]
+        image = _assemble((last,) + comps[1:m] + (first,), m)
         if stack:
             images[s] = image
     return image
@@ -349,7 +355,7 @@ def _eta_inv(seq, m):
         else:
             raise NonMembershipError(f"entry {e} of {seq} fits no component")
     # each component is all 1s or stayed in bounds at every insertion
-    return _assemble(tuple(tuple(c) for c in comps), m)[0]
+    return _assemble(tuple(tuple(c) for c in comps), m)
 
 
 def eta_inv(seq, m):

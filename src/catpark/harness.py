@@ -227,44 +227,57 @@ def check_involution(m, max_n):
     """One tau table per m: the walk runs by increasing length, so every
     component of p is already in it and each tau is one pass of _tau's
     loop.  The walk folds _return_step along each p, which hands p's
-    blocks to _tau and gives p's luck and multiplicity of 1, so p is never
-    cut; tau(p) is one assembly, and tau(q) one cut and one assembly.
+    blocks to _tau and gives p's luck and multiplicity of 1, so no p is
+    cut, bound-checked or counted again: each visit is one assembly.
 
-    Each orbit {p, q = tau(p)} is computed once, from its first member p:
-    q gets the one is_u_pk bound check, tau(q) is computed only when q != p
-    and must give back p, and luck and the multiplicity of 1 must swap.
-    That settles q too, so a q after p in the walk is held in a pending set
-    and skipped when the walk reaches it; one still pending when its length
-    is done was never enumerated and fails.  Below max_n the table keeps
-    both images of the orbit; images of the top length are never stored,
-    which keeps the table small.
+    Each orbit {p, q = tau(p)} is checked at its later member.  A p with
+    q > p waits in pending under q, with its luck and ones, and a q that
+    another sequence already claimed fails.  The walk reaching q shows that
+    q is in bounds, and q's own image must be p, with luck and ones swapped.
+    A fixed point must have luck equal to ones.  A q < p that is not
+    pending fails, and so does a q still pending when its length is done,
+    which the walk never reached; only these two fail paths run is_u_pk,
+    to tell an image out of bounds.  Below max_n the table keeps each p's
+    image; images of the top length are never stored, which keeps the
+    table small.
     """
     fam = canonical_family(m)
     step = partial(_return_step, m)
+
+    def unmatched(n, p, q):  # p's image q, whose orbit the walk never closed
+        if is_u_pk(q, fam):
+            return "fail", {"n": n, "p": p, "tau": q}
+        return "fail", {"n": n, "p": p, "tau": q, "reason": "bounds"}
+
     images = {(): ()}
     for n in range(max_n + 1):
-        pending = set()
+        pending = {}
         for p, state in fold_bounded(fam.bounds(n), (), step, _RETURN_START):
-            if p in pending:
-                pending.remove(p)
-                continue
             q = _tau(p, m, images, _return_blocks(state, m))
-            if not is_u_pk(q, fam):
-                return "fail", {"n": n, "p": p, "tau": q, "reason": "bounds"}
-            if q != p and _tau(q, m, images) != p:
-                return "fail", {"n": n, "p": p, "tau": q}
             luck, ones = state[1], state[2]
-            if luck != u_omega(q, 1) or ones != _luck(q, m):
+            claim = pending.pop(p, None)
+            if claim is not None:
+                earlier, its_luck, its_ones = claim
+                if q != earlier:
+                    return "fail", {"n": n, "p": earlier, "tau": p}
+                if luck != its_ones or ones != its_luck:
+                    return "fail", {"n": n, "p": earlier, "tau": p,
+                                    "reason": "statistic exchange"}
+            elif q > p:
+                if q in pending:
+                    return "fail", {"n": n, "p": p, "tau": q,
+                                    "reason": "not injective"}
+                pending[q] = p, luck, ones
+            elif q < p:
+                return unmatched(n, p, q)
+            elif luck != ones:
                 return "fail", {"n": n, "p": p, "tau": q,
                                 "reason": "statistic exchange"}
-            if q > p:
-                pending.add(q)
             if n < max_n:
                 images[p] = q
-                images[q] = p
         if pending:
             q = min(pending)
-            return "fail", {"n": n, "p": _tau(q, m, images), "tau": q}
+            return unmatched(n, pending[q][0], q)
     return "pass", None
 
 

@@ -1,7 +1,7 @@
 """First-return decomposition, tau, eta, and the sequence statistics."""
 
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -440,11 +440,16 @@ def test_tau_and_eta_validate_once(monkeypatch):
                 assert checked == [p]
 
 
+def _forced_cuts(blocks):
+    """The cuts the block lengths force: 2 plus the running total."""
+    return tuple(accumulate(map(len, blocks[:-1]), initial=2))[1:]
+
+
 def test_assemble_builds_what_cut_takes_apart():
     """The invariant the unchecked core relies on, over every in-bounds block
     tuple of total length <= 6: the assembled sequence is in bounds, its
-    fixed points are the cuts _assemble returns, and cutting there gives the
-    blocks back."""
+    fixed points are the cuts the block lengths force, and cutting there
+    gives the blocks back."""
     for m in (1, 2, 3):
         fam = canonical_family(m)
         by_length = [list(enumerate_u_pk(n, fam)) for n in range(7)]
@@ -454,7 +459,8 @@ def test_assemble_builds_what_cut_takes_apart():
                       for n in range(7 - sum(map(len, t)))
                       for block in by_length[n]]
         for blocks in tuples:
-            result, cuts = decomposition._assemble(blocks, m)
+            result = decomposition._assemble(blocks, m)
+            cuts = _forced_cuts(blocks)
             assert is_u_pk(result, fam), (m, blocks)
             assert decomposition._fixed_points(result, m) == cuts, (m, blocks)
             assert decomposition._cut(result, cuts) == blocks, (m, blocks)
@@ -489,9 +495,9 @@ def test_cut_point_check_matches_decompose_and_compare(monkeypatch):
     accepts.
 
     Every enumerated p, cut at every admissible cut vector, gives blocks
-    that p translates block by block.  With an assembler that returns p and
-    those cuts, recompose's fixed-point comparison must agree with the old
-    check: p decomposes back into the blocks.
+    that p translates block by block, and whose lengths force those cuts.
+    With an assembler that returns p, recompose's fixed-point comparison
+    must agree with the old check: p decomposes back into the blocks.
     """
     accepted = rejected = 0
     for m in (1, 2, 3):
@@ -500,10 +506,11 @@ def test_cut_point_check_matches_decompose_and_compare(monkeypatch):
             for p in enumerate_u_pk(n, fam):
                 for cuts in combinations_with_replacement(range(2, n + 2), m):
                     comps = _blocks(p, cuts)
+                    assert _forced_cuts(comps) == cuts
                     if not all(is_u_pk(c, fam) for c in comps):
                         continue  # recompose rejects these up front
                     monkeypatch.setattr(decomposition, "_assemble",
-                                        lambda c, m, r=(p, cuts): r)
+                                        lambda c, m, r=p: r)
                     old = is_u_pk(p, fam) and _old_decompose(p, m) == comps
                     try:
                         new = recompose(comps, m) == p
@@ -522,8 +529,8 @@ def test_recompose_check_catches_a_wrong_shift(monkeypatch):
     real = decomposition._assemble
 
     def off_by_one(components, m):
-        result, cuts = real(components, m)
-        return result[:-1] + (result[-1] + 1,), cuts
+        result = real(components, m)
+        return result[:-1] + (result[-1] + 1,)
 
     assert recompose(((), (1,), (1,)), 2) == (1, 2, 5)
     monkeypatch.setattr(decomposition, "_assemble", off_by_one)

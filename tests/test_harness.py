@@ -15,7 +15,7 @@ from catpark.caterpillar import (
     non_backbone_labels,
     theta,
 )
-from catpark.decomposition import _luck, tau, u_omega
+from catpark.decomposition import _luck, decompose, tau, u_omega
 from catpark.engine import IdentityCheck
 from catpark.errors import EnumerationCapError
 from catpark.harness import CHECKS, run_verification
@@ -691,7 +691,7 @@ def test_theta_parks_each_piece_once_per_reachable_occupancy(monkeypatch):
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
-def test_theta_subtree_flag_against_is_tree_pk_off_the_walk(m, n):
+def test_sorted_tree_pk_is_is_tree_pk_on_sorted_lists(m, n):
     """The subtree test is is_tree_pk on every sorted preference list, the
     many that are no distribution included; the ones it passes are the
     sorted theta images, as many as the bounded sequences."""
@@ -729,42 +729,61 @@ def test_theta_fold_refuses_subtrees_that_are_not_label_intervals():
 
 
 def test_involution_checks_each_image_once(monkeypatch):
-    """One is_u_pk per computed tau image, that is one per tau orbit; the
-    core checks nothing it assembles."""
-    orbits = sum(1 for m in (1, 2, 3) for n in range(6)
-                 for p in enumerate_u_pk(n, canonical_family(m))
-                 if tau(p, m) <= p)
+    """Each image is checked at its own visit, from the walk's fold: a
+    passing sweep bound-checks, cuts, scans for fixed points and counts a
+    statistic of no sequence."""
     calls = {}
-    _count_calls(monkeypatch, calls, harness, "is_u_pk")
-    _count_calls(monkeypatch, calls, decomposition, "is_u_pk")
+    for name in ("is_u_pk", "_luck", "u_omega"):
+        _count_calls(monkeypatch, calls, harness, name)
+    for name in ("is_u_pk", "_cut", "_fixed_points"):
+        _count_calls(monkeypatch, calls, decomposition, name)
     report = run_verification("involution", max_n=5)
     assert report.ok and len(report.entries) == 3
-    assert calls == {"harness.is_u_pk": orbits}
+    assert calls == {}
 
 
 def test_involution_skips_the_second_tau_exactly_at_fixed_points(monkeypatch):
-    """Each visited p costs _tau(p) and, only when q = tau(p) differs from
-    p, _tau(q); a fixed point is not recomputed."""
+    """Each visited p costs one _tau, a fixed point or not, handed p's
+    blocks from the walk's fold; no image is computed a second time, and
+    each is public tau's."""
     calls = []
     real = harness._tau
 
-    def spy(seq, m, images, *comps):
-        image = real(seq, m, images, *comps)
-        calls.append((seq, image))
+    def spy(seq, m, images, comps):
+        image = real(seq, m, images, comps)
+        calls.append((m, seq, comps, image))
         return image
 
     monkeypatch.setattr(harness, "_tau", spy)
     assert run_verification("involution", max_n=5).ok
-    fixed = pairs = i = 0
-    while i < len(calls):
-        p, q = calls[i]
-        if q == p:
-            assert i + 1 == len(calls) or calls[i + 1][0] != p
-            fixed, i = fixed + 1, i + 1
-        else:
-            assert calls[i + 1] == (q, p)
-            pairs, i = pairs + 1, i + 2
-    assert fixed and pairs
+    assert [(m, p) for m, p, _, _ in calls] == [
+        (m, p) for m in (1, 2, 3) for n in range(6)
+        for p in enumerate_u_pk(n, canonical_family(m))]
+    fixed = 0
+    for m, p, comps, image in calls:
+        assert comps == (decompose(p, m).components if p else ((),) * (m + 1))
+        assert image == tau(p, m)
+        fixed += image == p
+    assert 0 < fixed < len(calls)
+
+
+def test_involution_catches_two_sequences_with_one_image(monkeypatch):
+    """p1 < p2 < q, where tau(p1) = q and p2 is a fixed point, all with one
+    lucky position per 1.  Sending p2 to q and q to p2 keeps every
+    exchange, and q's image is the later claimant, so only refusing a
+    second claim on q fails the sweep."""
+    p1, p2, q = (1, 1, 2, 7), (1, 1, 4, 7), (1, 1, 5, 6)
+    assert tau(p1, 2) == q and tau(p2, 2) == p2
+    assert {(_luck(s, 2), u_omega(s, 1)) for s in (p1, p2, q)} == {(2, 2)}
+    swap = {p2: q, q: p2}
+    real = harness._tau
+    monkeypatch.setattr(harness, "_tau", lambda seq, m, images, *comps:
+                        swap.get(seq) or real(seq, m, images, *comps))
+    report = run_verification("involution", m=2, max_n=4)
+    assert [(e.identity, e.status) for e in report.entries] == [
+        ("luck-ones-involution", "fail")]
+    assert report.entries[0].counterexample == {
+        "n": 4, "p": p2, "tau": q, "reason": "not injective"}
 
 
 def test_involution_catches_a_broken_skipped_partner(monkeypatch):

@@ -2,6 +2,7 @@
 it patches where the check reads it and the counterexample it must
 report."""
 
+from functools import reduce
 from itertools import chain
 
 import pytest
@@ -87,6 +88,22 @@ def _theta_state_at(index, change):
     return mutate
 
 
+def _return_state_at(prefix, index):
+    """The stand-in for harness._return_step whose state after prefix, at
+    m = 2, counts one more in field index: 1 for luck, 2 for the 1s."""
+    def mutate(real):
+        target = reduce(lambda state, v: real(2, state, v, (v,)), prefix,
+                        harness._RETURN_START)
+
+        def step(m, state, v, piece):
+            state = real(m, state, v, piece)
+            if state != target:
+                return state
+            return state[:index] + (state[index] + 1,) + state[index + 1:]
+        return step
+    return mutate
+
+
 # pytest.param(scope, options, module, name, stand-in made from the real
 #  function, counterexample the failing entry reports, id=the scope, and
 #  the name when several rows share the scope); the count-reading scopes'
@@ -101,13 +118,24 @@ MUTATIONS = [
         "recurrence", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
         lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
         {"k": 1, "r": 0, "n": 2, "lhs": 8, "rhs": 9}, id="recurrence"),
-    # one half of the luck/ones exchange broken: tau(1, 1, 3) = (1, 3, 3)
-    # counts one lucky position too many
+    # one half of the luck/ones exchange broken at a time: the fold counts
+    # one lucky position, then one 1, too many in tau(1, 1, 3) = (1, 3, 3);
+    # then one lucky position too many in the fixed point (1, 2)
     pytest.param(
-        "involution", {"m": 2, "max_n": 4}, harness, "_luck",
-        lambda real: lambda seq, m: real(seq, m) + (seq == (1, 3, 3)),
+        "involution", {"m": 2, "max_n": 4}, harness, "_return_step",
+        _return_state_at((1, 3, 3), 1),
         {"n": 3, "p": (1, 1, 3), "tau": (1, 3, 3),
          "reason": "statistic exchange"}, id="involution"),
+    pytest.param(
+        "involution", {"m": 2, "max_n": 4}, harness, "_return_step",
+        _return_state_at((1, 3, 3), 2),
+        {"n": 3, "p": (1, 1, 3), "tau": (1, 3, 3),
+         "reason": "statistic exchange"}, id="involution-ones"),
+    pytest.param(
+        "involution", {"m": 2, "max_n": 4}, harness, "_return_step",
+        _return_state_at((1, 2), 1),
+        {"n": 2, "p": (1, 2), "tau": (1, 2), "reason": "statistic exchange"},
+        id="involution-fixed-point"),
     pytest.param(
         "hbasis", {"m": 2, "max_n": 4}, harness, "count_for_bounds",
         lambda real: lambda bounds: real(bounds) + (len(bounds) == 2),
