@@ -83,6 +83,7 @@ from catpark.errors import (
     RESOURCE_FAILURES,
     CatparkError,
     EnumerationCapError,
+    LaneError,
     NonMembershipError,
 )
 from catpark.sequences import (
@@ -566,7 +567,7 @@ def main(argv=None):
         _silence_stdout()
         sys.stderr.write(f"catpark {args.command}: output closed early\n")
         return EXIT_CLOSED
-    except (EnumerationCapError, ResourceError) as exc:
+    except (EnumerationCapError, LaneError, ResourceError) as exc:
         sys.stderr.write(f"catpark {args.command}: {exc}\n")
         return EXIT_RESOURCE
     except RESOURCE_ERRORS as exc:

@@ -32,6 +32,11 @@ class EnumerationCapError(CatparkError):
         self.cap = cap
 
 
+class LaneError(CatparkError):
+    """A verify run's child process ended before it reported every scope of
+    its lane."""
+
+
 class NonMembershipError(CatparkError):
     """Input is not a member of the domain an inverse map expects."""
 

@@ -24,10 +24,25 @@ params, fn)].  ``_settings`` resolves a row into [{"m": m, option: value}]:
 m's default; an m outside the table gets the scope's smallest default.
 ``_run`` reports each entry except one whose params name an m other than
 --m, so the errata and ``tensor-table`` run without --m or at --m 2 only.
+A row's cost predicts its time from its settings, in microseconds as
+measured at the defaults: a walking row's is its weight per sequence times
+the sequences it walks, and any other row's its weight per m.  Only the
+ratios matter; ``_split`` reads them.
+
+A run of two or more scopes, where two or more CPUs are usable, runs in two
+processes: this one and one child made with os.fork, each with its lane of
+scopes (``_split``, before the fork, so the split repeats).  The report's
+order and content do not change, and each entry's millis is timed in the
+process that ran it; see ``_Lanes``.
 """
 
+import marshal
+import os
+import select
+import signal
+import threading
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import cache, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter, le
@@ -65,7 +80,7 @@ from catpark.engine import (
     verify_tensor_symmetries,
     verify_thm_rec,
 )
-from catpark.errors import RESOURCE_ERRORS
+from catpark.errors import RESOURCE_ERRORS, LaneError
 from catpark.kernels import fold_bounded
 from catpark.sequences import (
     DEFAULT_MAX_OBJECTS,
@@ -128,8 +143,20 @@ class VerificationReport:
 
 
 # one row of SCOPES; see the module docstring
-Scope = namedtuple("Scope", "option defaults entries strict walks",
+Scope = namedtuple("Scope", "option defaults entries cost strict walks",
                    defaults=(False, False))
+
+
+def _walked(weight):
+    """The cost of a walking row: weight per sequence it walks."""
+    return lambda settings: weight * sum(
+        fuss_catalan(params["m"], n)
+        for params in settings for n in range(params["max_n"] + 1))
+
+
+def _per_m(weight):
+    """The cost of any other row: weight per m it runs."""
+    return lambda settings: weight * len(settings)
 
 
 def _report(entries, identity, params, fn):
@@ -327,7 +354,9 @@ def check_eta(m, max_n):
     """The walk folds _return_step along each p, which gives p's blocks,
     for eta's core and the block relations, and p's luck and multiplicity
     of 1, so p is never cut; each image gets one is_u_pk bound check before
-    it goes into _eta_inv.
+    it goes into _eta_inv.  _eta_inv giving back every p makes eta
+    injective, so the images number the walked p, and eta is onto exactly
+    when those number count_u_pk.
 
     Besides the bijection, each p is checked against the criterion behind
     the paper's m-statistic extension: a statistic is its value on one
@@ -338,7 +367,7 @@ def check_eta(m, max_n):
     fam = canonical_family(m)
     step = partial(_return_step, m)
     for n in range(1, max_n + 1):
-        seen = set()
+        walked = 0
         for p, state in fold_bounded(fam.bounds(n), (), step, _RETURN_START):
             comps = _return_blocks(state, m)
             image = _eta(comps, m)
@@ -346,7 +375,7 @@ def check_eta(m, max_n):
                 return "fail", {"n": n, "p": p, "eta": image, "reason": "bounds"}
             if _eta_inv(image, m) != p:
                 return "fail", {"n": n, "p": p, "eta": image}
-            seen.add(image)
+            walked += 1
             luck, ones = state[1], state[2]
             if luck != 1 + _luck(comps[m], m):
                 return "fail", {"n": n, "p": p, "reason": "luck of last block"}
@@ -358,7 +387,7 @@ def check_eta(m, max_n):
             for j in range(2, m + 2):
                 if u_omega(image, j) != u_omega(comps[j - 1], 1):
                     return "fail", {"n": n, "p": p, "reason": f"omega_{j}"}
-        if len(seen) != count_u_pk(n, fam):
+        if walked != count_u_pk(n, fam):
             return "fail", {"n": n, "reason": "not surjective"}
     return "pass", None
 
@@ -640,40 +669,53 @@ def _literal_erratum(verify, order):
 # scope -> its row, in report order; see the module docstring
 SCOPES = {
     "counting": Scope("max_n", dict.fromkeys((1, 2, 3, 4), 6),
-                      _each_m("counting", check_counting), walks=True),
+                      _each_m("counting", check_counting), _walked(0.26),
+                      walks=True),
     "funceq": Scope("order", dict.fromkeys((1, 2, 3, 4), 12),
-                    _each_m("functional-equation", check_funceq)),
+                    _each_m("functional-equation", check_funceq), _per_m(290)),
     "hseries": Scope("order", {2: 6, 3: 6},
-                     _each_m("count-series-power", check_hseries)),
+                     _each_m("count-series-power", check_hseries),
+                     _per_m(1240)),
     "recurrence": Scope("max_n", dict.fromkeys((1, 2, 3), 7),
-                        _each_m("count-recurrence", check_recurrence)),
+                        _each_m("count-recurrence", check_recurrence),
+                        _per_m(450)),
     "involution": Scope("max_n", dict.fromkeys((1, 2, 3), 6),
                         _each_m("luck-ones-involution", check_involution),
-                        walks=True),
-    "gamma": Scope("order", {2: 5, 3: 4}, _each_m("joint-series", check_gamma)),
+                        _walked(3.9), walks=True),
+    "gamma": Scope("order", {2: 5, 3: 4}, _each_m("joint-series", check_gamma),
+                   _per_m(790)),
     "qluck": Scope("order", dict.fromkeys((1, 2, 3), 6),
-                   _each_m("q-luck-series", check_qluck)),
+                   _each_m("q-luck-series", check_qluck), _per_m(270)),
     "hbasis": Scope("max_n", dict.fromkeys(GAMMA_H_VECTORS, 4), _hbasis,
-                    strict=True),
+                    _per_m(490), strict=True),
     "eta": Scope("max_n", dict.fromkeys((1, 2, 3), 5),
                  _each_m("component-rebuild-bijection", check_eta),
-                 walks=True),
+                 _walked(13), walks=True),
     "theta": Scope("max_n", dict.fromkeys((1, 2, 3), 6),
-                   _each_m("tree-iso-transport", check_theta), walks=True),
+                   _each_m("tree-iso-transport", check_theta), _walked(5.0),
+                   walks=True),
     # each m's default is the largest n of its shapes
     "parking": Scope("max_n", dict(sorted(PARKING_SMALL + PARKING_LARGER)),
-                     _parking, strict=True),
+                     _parking, _per_m(3900), strict=True),
     "lattice": Scope("max_n", dict.fromkeys((1, 2, 3), 5), _lattice,
-                     walks=True),
-    "multistat": Scope("order", {1: 5, 2: 4, 3: 3}, _multistat, strict=True),
-    "tensor": Scope("max_n", {2: 5, 3: 4}, _tensor, strict=True),
-    "convolution": Scope("max_n", dict.fromkeys((1, 2, 3), 5), _convolution),
-    "errata": Scope(None, {2: None}, _errata),
+                     _walked(4.2), walks=True),
+    "multistat": Scope("order", {1: 5, 2: 4, 3: 3}, _multistat, _per_m(1020),
+                       strict=True),
+    "tensor": Scope("max_n", {2: 5, 3: 4}, _tensor, _per_m(530), strict=True),
+    "convolution": Scope("max_n", dict.fromkeys((1, 2, 3), 5), _convolution,
+                         _per_m(1210)),
+    "errata": Scope(None, {2: None}, _errata, _per_m(1110)),
 }
 
 
 def _run(name, entries, opts):
-    """Report the entries of scope name; see the module docstring."""
+    """Report the entries of scope name; see the module docstring.  In a run
+    of two lanes, opts holds the run's _Lanes under "lanes", which gives
+    them."""
+    lanes = opts.get("lanes")
+    if lanes is not None:
+        entries.extend(lanes.take(name))
+        return
     row, m = SCOPES[name], opts.get("m")
     for identity, params, fn in row.entries(_settings(row, opts), m):
         if m in (None, params.get("m", m)):
@@ -698,6 +740,143 @@ def _check_caps(names, opts):
                     _require_under_cap(n, fam, DEFAULT_MAX_OBJECTS)
 
 
+def _split(names, opts):
+    """(this process's scopes, the child's), each in report order: longest
+    predicted cost first, each scope goes to the less loaded lane, this
+    process's on a tie.  It reads only the scopes and their settings."""
+    load, child = [0, 0], set()
+    costs = {name: SCOPES[name].cost(_settings(SCOPES[name], opts))
+             for name in names}
+    for name in sorted(names, key=costs.get, reverse=True):
+        lane = load[1] < load[0]
+        load[lane] += costs[name]
+        if lane:
+            child.add(name)
+    return ([name for name in names if name not in child],
+            [name for name in names if name in child])
+
+
+def _send(fd, outcome):
+    """Write outcome to fd as one frame: its marshal bytes behind their
+    length."""
+    body = marshal.dumps(outcome)
+    data = memoryview(len(body).to_bytes(8, "little") + body)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _serve(names, opts, fd):
+    """The child's lane: run names in report order and send each scope's
+    outcome to fd, its entries as a list of field tuples, or for an
+    exhausted resource (kind's index in RESOURCE_ERRORS, message), which ends
+    the lane.  It never returns and writes nothing to stdout or stderr: it
+    leaves through os._exit, which runs none of the parent's clean-up."""
+    status = 1
+    try:
+        for name in names:
+            entries = []
+            try:
+                _run(name, entries, opts)
+            except RESOURCE_ERRORS as exc:
+                kind = next(i for i, error in enumerate(RESOURCE_ERRORS)
+                            if isinstance(exc, error))
+                _send(fd, (kind, str(exc)))
+                break
+            _send(fd, [(e.identity, e.status, e.params, e.counterexample,
+                        e.millis) for e in entries])
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Lanes:
+    """One run's scopes in two processes, this one and a forked child, each
+    with its lane from _split.  The child runs its lane in report order and
+    sends each scope's outcome down a pipe (_serve), and this process, which
+    calls every check in report order, takes them in that order.  take runs
+    one of this process's scopes when its check is called, unless it already
+    ran; at one of the child's scopes whose outcome has not come, it runs
+    this process's next scope meanwhile, and it waits only when none is
+    left.  An exhausted resource in either lane is raised when the run
+    reaches its scope, and a child that ends before reporting a scope raises
+    LaneError there.  close kills the child if it still runs, and reaps it.
+    """
+
+    def __init__(self, own, opts, pid, fd):
+        self.pending, self.opts, self.pid, self.fd = deque(own), opts, pid, fd
+        self.done = {}  # scope -> its entries, or the exception to raise
+
+    def take(self, name):
+        """The entries of scope name."""
+        if self.pending and self.pending[0] == name:
+            self._run_next()
+        if name not in self.done:  # the child's
+            while self.pending and not select.select([self.fd], [], [], 0)[0]:
+                self._run_next()
+            self.done[name] = self._receive(name)
+        outcome = self.done.pop(name)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def _run_next(self):
+        name, entries = self.pending.popleft(), []
+        try:
+            _run(name, entries, self.opts)
+        except RESOURCE_ERRORS as exc:
+            entries = exc
+        self.done[name] = entries
+
+    def _receive(self, name):
+        """The child's next outcome, which is scope name's."""
+        size = int.from_bytes(self._read(8, name), "little")
+        outcome = marshal.loads(self._read(size, name))
+        if isinstance(outcome, tuple):
+            kind, message = outcome
+            return RESOURCE_ERRORS[kind](message)
+        return [ReportEntry(*fields) for fields in outcome]
+
+    def _read(self, size, name):
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self.fd, size - len(data))
+            if not chunk:
+                raise LaneError(f"the child process running scope {name!r} "
+                                "ended before reporting it")
+            data += chunk
+        return data
+
+    def close(self):
+        """Kill the child if it still runs, and reap it."""
+        os.close(self.fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _lanes(names, opts):
+    """The run's _Lanes, or None to run every scope here: for fewer than two
+    scopes or usable CPUs (none counted where os.sched_getaffinity is
+    missing, as off Linux), while another thread runs, which a fork would
+    not copy, or when the fork fails."""
+    if (len(names) < 2 or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1):
+        return None
+    own, theirs = _split(names, opts)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run every scope here
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        os.close(read)
+        _serve(theirs, opts, write)
+    os.close(write)
+    return _Lanes(own, opts, pid, read)
+
+
 def run_verification(scope="all", **opts):
     """Run the selected checks and return a VerificationReport.
 
@@ -710,6 +889,15 @@ def run_verification(scope="all", **opts):
     check runs; messages name the matching CLI options.  A max_n at which
     an enumeration would exceed DEFAULT_MAX_OBJECTS raises
     EnumerationCapError, also before any check runs.
+
+    With two or more scopes selected and two or more CPUs usable, the scopes
+    run in two processes, this one and one forked child (see _Lanes); the
+    report's order and content do not change, and each entry's millis is
+    timed in the process that ran it.  Every check in CHECKS is still called
+    once per scope, in order, in this process.  An exhausted resource in the
+    child raises here with its type, and a child that ends before reporting
+    its scopes raises LaneError; whether the run returns or raises, no child
+    is left running.
     """
     if scope == "all":
         names = list(SCOPES)
@@ -739,6 +927,12 @@ def run_verification(scope="all", **opts):
                                  f"got --m {m}")
     _check_caps(names, opts)
     report = VerificationReport()
-    for name in names:
-        CHECKS[name](report.entries, opts)
+    lanes = _lanes(names, opts)
+    run_opts = opts if lanes is None else {**opts, "lanes": lanes}
+    try:
+        for name in names:
+            CHECKS[name](report.entries, run_opts)
+    finally:
+        if lanes is not None:
+            lanes.close()
     return report

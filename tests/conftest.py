@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import os
+
 import pytest
 
 from catpark import kernels
@@ -19,3 +21,21 @@ def transfer_steps(monkeypatch):
 
     monkeypatch.setattr(kernels, "_extend", spy)
     return steps
+
+
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Let a verify run of several scopes fork its second lane even where
+    one CPU is usable, and record the pid of each child it forks."""
+    children = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    return children

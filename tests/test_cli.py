@@ -402,20 +402,44 @@ def _raise(error):
 
 
 @pytest.mark.parametrize("module,name,error,argv,text", [
-    # a verify check, a verb handler's map, and a verb's own arithmetic
+    # a verify check, a verb handler's map, a verb's own arithmetic, and a
+    # check in the child's lane of a run of every scope
     (harness, "verify_functional_equation", MemoryError,
      ["verify", "--scope", "funceq", "--m", "2"], "out of memory"),
     (cli, "tau", RecursionError, ["map", "--name", "tau", "--m", "2",
                                   "--seq", "1,1,4"], "recursion too deep"),
     (cli, "_raney_count", OverflowError, ["count", "--m", "2", "--n", "3"],
      "a size past this machine's limits"),
+    (harness, "_tau", MemoryError, ["verify"], "out of memory"),
 ])
 def test_an_exhausted_resource_is_exit_3_in_one_line(capsys, monkeypatch,
-                                                     module, name, error,
-                                                     argv, text):
+                                                     two_lanes, module, name,
+                                                     error, argv, text):
+    assert "involution" in harness._split(list(CHECKS), {})[1]
     monkeypatch.setattr(module, name, _raise(error))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (3, "", f"catpark {argv[0]}: {text}\n")
+    assert len(two_lanes) == (argv == ["verify"])
+    with pytest.raises(ChildProcessError):  # no child is left behind
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_verify_child_that_ends_unreported_is_exit_3_in_one_line(
+        capsys, monkeypatch, two_lanes):
+    parent = os.getpid()
+
+    def end(*args):
+        assert os.getpid() != parent
+        os._exit(0)
+
+    monkeypatch.setattr(harness, "_tau", end)
+    code, out, err = run_cli(capsys, "verify", "--format", "json")
+    assert (code, out, err) == (3, "", "catpark verify: the child process "
+                                "running scope 'involution' ended before "
+                                "reporting it\n")
+    assert len(two_lanes) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_scope_funceq(capsys):

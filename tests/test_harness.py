@@ -1,5 +1,6 @@
 """Verification harness: statuses, scoping, and report structure."""
 
+import os
 from functools import partial
 from itertools import chain, combinations_with_replacement
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from catpark.caterpillar import (
 )
 from catpark.decomposition import _luck, decompose, tau, u_omega
 from catpark.engine import IdentityCheck
-from catpark.errors import EnumerationCapError
+from catpark.errors import EnumerationCapError, LaneError
 from catpark.harness import CHECKS, run_verification
 from catpark.sequences import canonical_family, enumerate_u_pk, fuss_catalan
 
@@ -243,6 +244,85 @@ def test_checks_run_as_bare_callables(monkeypatch, opts, count):
     report = run_verification("all", **opts)
     assert called == list(CHECKS)
     assert report.ok and len(report.entries) == count
+
+
+def _without_millis(entries):
+    return [{key: value for key, value in entry.to_dict().items()
+             if key != "millis"} for entry in entries]
+
+
+@pytest.mark.parametrize("opts", [{}, {"m": 2}])
+def test_two_lanes_report_the_single_scope_runs(two_lanes, opts):
+    """Entry for entry, apart from millis, a run of every scope in two
+    processes reports what each scope reports run alone in this one."""
+    report = run_verification("all", **opts)
+    assert len(two_lanes) == 1
+    alone = [entry for name in CHECKS
+             for entry in run_verification(name, **opts).entries]
+    assert len(two_lanes) == 1
+    assert _without_millis(report.entries) == _without_millis(alone)
+
+
+@pytest.mark.parametrize("opts", [{}, {"m": 2}, {"max_n": 7, "order": 2}])
+def test_the_split_repeats_and_keeps_report_order(opts):
+    names = list(harness.SCOPES)
+    own, theirs = harness._split(names, opts)
+    assert harness._split(names, opts) == (own, theirs)
+    assert own and theirs and sorted(own + theirs) == sorted(names)
+    for lane in (own, theirs):
+        assert lane == [name for name in names if name in lane]
+
+
+@pytest.mark.parametrize("cpus, scope, forks", [
+    ({0}, "all", 0), ({0, 1}, "counting", 0), ({0, 1}, "all", 1)])
+def test_only_several_scopes_and_cpus_fork(monkeypatch, cpus, scope, forks):
+    """One scope or one usable CPU runs in this process; a fork that fails
+    runs every scope here too."""
+    tried = []
+
+    def fork():
+        tried.append(scope)
+        raise BlockingIOError("no process to spare")
+
+    expected = run_verification(scope, max_n=2, order=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    report = run_verification(scope, max_n=2, order=2)
+    assert len(tried) == forks
+    assert _without_millis(report.entries) == _without_millis(expected.entries)
+
+
+def _exhausted(parent):
+    """A stand-in that raises RecursionError."""
+    def exhausted(*args):
+        raise RecursionError("deep")
+    return exhausted
+
+
+def _in_the_child(parent):
+    """A stand-in that ends the process it runs in, which must not be
+    parent."""
+    def end(*args):
+        assert os.getpid() != parent
+        os._exit(0)
+    return end
+
+
+@pytest.mark.parametrize("stand_in, error, text", [
+    (_exhausted, RecursionError, "deep"),
+    (_in_the_child, LaneError, "scope 'involution' ended before reporting"),
+], ids=["resource", "child-ended"])
+def test_a_failing_child_lane_raises_and_its_child_is_reaped(
+        two_lanes, monkeypatch, stand_in, error, text):
+    """An exhausted resource in the child raises with its type, and a child
+    that ends unreported raises LaneError; neither leaves a child behind."""
+    assert "involution" in harness._split(list(CHECKS), {})[1]
+    monkeypatch.setattr(harness, "_tau", stand_in(os.getpid()))
+    with pytest.raises(error, match=text):
+        run_verification("all")
+    assert len(two_lanes) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_explicit_zero_is_honoured():
@@ -742,7 +822,7 @@ def test_involution_checks_each_image_once(monkeypatch):
     assert calls == {}
 
 
-def test_involution_skips_the_second_tau_exactly_at_fixed_points(monkeypatch):
+def test_involution_runs_one_tau_per_walked_sequence(monkeypatch):
     """Each visited p costs one _tau, a fixed point or not, handed p's
     blocks from the walk's fold; no image is computed a second time, and
     each is public tau's."""

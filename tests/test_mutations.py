@@ -289,6 +289,27 @@ def test_mutation_is_caught(monkeypatch, scope, opts, module, name, mutate,
     assert report.entries[0].counterexample == counterexample
 
 
+# the MUTATIONS rows whose scope runs in the child's lane of a run of every
+# scope under the row's options; each strict scope accepts m = 2 and 3
+CHILD_LANE_MUTATIONS = [
+    row for row in MUTATIONS if row.values[1].get("m") in (2, 3)
+    and row.values[0] in harness._split(list(harness.SCOPES), row.values[1])[1]]
+
+
+@pytest.mark.parametrize("scope,opts,module,name,mutate,counterexample",
+                         CHILD_LANE_MUTATIONS)
+def test_a_child_lane_mutation_is_caught_in_a_run_of_every_scope(
+        monkeypatch, two_lanes, scope, opts, module, name, mutate,
+        counterexample):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    [alone] = run_verification(scope, **opts).entries
+    report = run_verification("all", **opts)
+    assert len(two_lanes) == 1
+    assert [entry.counterexample for entry in report.entries
+            if (entry.identity, entry.params)
+            == (alone.identity, alone.params)] == [counterexample]
+
+
 # Scopes that report several entries: pytest.param(scope, options, module,
 # name, stand-in, the identity that must fail, its counterexample, id=the
 # identity, and the options or reason when several rows share it); every
