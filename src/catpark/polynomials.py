@@ -20,12 +20,17 @@ vectors into keys and back.
 Every exponent is at most ``MAX_EXPONENT`` = 2**31 - 1, so the top bit of
 each field is a guard bit: a sum of two fields never carries into the next
 field, and it sets the guard bit exactly when it passes the limit.  The
-guard runs wherever keys are made: the validating constructor refuses an
-exponent above the limit, ``_nonzero`` (through which every product, power
-and ``TruncatedSeries.reciprocal`` passes its term maps) refuses a summed
-key with a guard bit set, and ``divide_by_monomial`` refuses a quotient key
-that is negative or has a guard bit set, which is exactly a field that
-borrowed.  Each raises ``ValueError``; no exponent ever carries silently.
+guard runs wherever keys are made.  The validating constructor refuses an
+exponent above the limit.  Every product, power and
+``TruncatedSeries.reciprocal`` bounds the total degree of the keys it
+makes from its factors' largest total degrees (a key's total degree is
+``key >> dshift``).  No field exceeds its key's total degree, so
+``_nonzero``, through which each passes its term maps, runs
+``_scan_guard`` over the keys, refusing one with a guard bit set, only
+when that bound passes the limit.  ``divide_by_monomial`` refuses a
+quotient key that is negative or has a guard bit set, which is exactly a
+field that borrowed.  Each raises ``ValueError``; no exponent ever
+carries silently.
 
 Inputs are validated once, at the public boundary.  ``MultiPoly(variables,
 terms)`` and the named constructors check every term: exponent vectors are
@@ -37,8 +42,10 @@ trusted ``MultiPoly._raw``, which checks nothing.  Its invariant:
 ``variables`` is a tuple, and ``terms`` is a fresh dict, owned by the new
 value, from packed keys of that width to nonzero ints.  Only this module
 and ``catpark.series`` may call ``_raw``, read ``_terms`` or use
-``_LAYOUTS``, ``_mul_into`` and ``_nonzero``, and only with values that
-already hold the invariant.
+``_LAYOUTS``, ``_degree``, ``_mul_into`` and ``_nonzero``, and only with
+values that already hold the invariant.  ``_nonzero`` hands back the very
+map it was given when no coefficient cancelled, so a product's fresh
+accumulator becomes its result's term map without a copy.
 
 ``+`` copies the larger term map and walks the smaller one, so adding a
 constant or a short polynomial to a long one costs only the short side,
@@ -250,10 +257,16 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self._terms, other._terms
+        if not (a and b):
+            return MultiPoly._raw(self.variables, {})
+        layout = _LAYOUTS[len(self.variables)]
         acc = {}
-        _mul_into(acc, self._terms, other._terms)
+        _mul_into(acc, a, b)
+        # the largest key of a term map has its largest total degree
+        degree = (max(a) >> layout.dshift) + (max(b) >> layout.dshift)
         return MultiPoly._raw(self.variables,
-                              _nonzero(acc, _LAYOUTS[len(self.variables)].guard))
+                              _nonzero(acc, layout.guard, degree))
 
     __rmul__ = __mul__
 
@@ -391,12 +404,19 @@ class MultiPoly:
         }
 
 
+def _degree(maps, dshift):
+    """The largest total degree of a key in the term maps, 0 if they hold
+    none.  Keys run in graded-lex order, so the largest key has it."""
+    return max(map(max, filter(None, maps)), default=0) >> dshift
+
+
 def _mul_into(acc, t1, t2):
     """Add the product of term maps t1 and t2 into the term map acc.
 
     Summed coefficients may cancel, so acc can hold zeros, and summed keys
     may carry a guard bit; the caller passes acc through ``_nonzero`` once,
-    after its last accumulation."""
+    after its last accumulation, with a bound on its keys' total degree:
+    the largest total degree of any t1 it summed plus that of any t2."""
     get = acc.get
     for k1, c1 in t1.items():
         for k2, c2 in t2.items():
@@ -404,12 +424,26 @@ def _mul_into(acc, t1, t2):
             acc[key] = get(key, 0) + c1 * c2
 
 
-def _nonzero(acc, guard):
-    """acc without its zero coefficients; raises ValueError if a key has a
-    bit of guard set, that is an exponent summed past MAX_EXPONENT."""
+def _nonzero(acc, guard, degree):
+    """acc as a term map: acc itself when no coefficient is 0, else a copy
+    without its zeros.
+
+    degree bounds the total degree of every key in acc.  A field never
+    exceeds its key's total degree, so a degree up to MAX_EXPONENT proves
+    that no key has a bit of guard set; only a larger one runs
+    ``_scan_guard`` over the keys, which raises ValueError if an exponent
+    was summed past MAX_EXPONENT."""
+    if degree > MAX_EXPONENT:
+        _scan_guard(acc, guard)
+    if 0 in acc.values():
+        return {k: c for k, c in acc.items() if c}
+    return acc
+
+
+def _scan_guard(acc, guard):
+    """Raises ValueError if a key of acc has a bit of guard set."""
     if reduce(or_, acc, 0) & guard:
         raise ValueError(f"a product exponent exceeds {MAX_EXPONENT}")
-    return {k: c for k, c in acc.items() if c}
 
 
 def _power(base, exponent):

@@ -13,12 +13,17 @@ and ``coeffs`` a tuple of exactly order+1 MultiPoly values over
 output coefficient into one term map through ``polynomials._mul_into``,
 whose keys are packed exponent vectors (see ``catpark.polynomials``), and
 wrap it with ``MultiPoly._raw`` once, under that module's invariant, after
-``polynomials._nonzero`` has dropped its zeros and checked its keys' guard
-bits: a product or reciprocal whose exponents would pass
-``polynomials.MAX_EXPONENT`` raises ``ValueError``.
+``polynomials._nonzero`` has dropped its zeros.  Each product bounds its
+keys' total degree once, before its loop: the sum of each factor's
+largest total degree over all its coefficients, and for a reciprocal the
+order times its input's largest.  ``_nonzero`` scans a term map's guard
+bits only when that bound passes ``polynomials.MAX_EXPONENT``, so a
+product or reciprocal whose exponents would pass it still raises
+``ValueError``.
 """
 
-from catpark.polynomials import MultiPoly, _LAYOUTS, _mul_into, _nonzero, _power
+from catpark.polynomials import (MultiPoly, _LAYOUTS, _degree, _mul_into,
+                                 _nonzero, _power)
 
 
 class TruncatedSeries:
@@ -143,14 +148,17 @@ class TruncatedSeries:
             return NotImplemented
         a = [c._terms for c in self.coeffs]
         b = [c._terms for c in other.coeffs]
-        guard = _LAYOUTS[len(self.variables)].guard
+        layout = _LAYOUTS[len(self.variables)]
+        guard = layout.guard
+        degree = _degree(a, layout.dshift) + _degree(b, layout.dshift)
         out = []
         for n in range(self.order + 1):
             acc = {}
             for i in range(n + 1):
                 if a[i] and b[n - i]:
                     _mul_into(acc, a[i], b[n - i])
-            out.append(MultiPoly._raw(self.variables, _nonzero(acc, guard)))
+            out.append(MultiPoly._raw(self.variables,
+                                      _nonzero(acc, guard, degree)))
         return TruncatedSeries._raw(self.variables, tuple(out), self.order)
 
     __rmul__ = __mul__
@@ -172,14 +180,18 @@ class TruncatedSeries:
                 f"reciprocal requires constant term 1, got {self.coeffs[0].render()}"
             )
         neg = [{k: -v for k, v in c._terms.items()} for c in self.coeffs]
-        guard = _LAYOUTS[len(self.variables)].guard
+        layout = _LAYOUTS[len(self.variables)]
+        guard = layout.guard
+        # inv[j] sums products of at most j of the input's coefficients, so
+        # no product below passes the order times their largest degree
+        degree = self.order * _degree(neg, layout.dshift)
         inv = [one]
         for j in range(1, self.order + 1):
             acc = {}
             for k in range(1, j + 1):
                 if neg[k] and inv[j - k]:
                     _mul_into(acc, neg[k], inv[j - k])
-            inv.append(_nonzero(acc, guard))
+            inv.append(_nonzero(acc, guard, degree))
         return TruncatedSeries._raw(
             self.variables,
             tuple(MultiPoly._raw(self.variables, t) for t in inv),

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from catpark import kernels
+from catpark import kernels, polynomials
 
 
 @pytest.fixture
@@ -39,3 +39,19 @@ def two_lanes(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
     return children
+
+
+@pytest.fixture
+def guard_scans(monkeypatch):
+    """Record the size of every term map ``polynomials._scan_guard`` looks
+    at: the exact scan a product runs only when its degree bound passes
+    MAX_EXPONENT."""
+    sizes = []
+    real = polynomials._scan_guard
+
+    def spy(acc, guard):
+        sizes.append(len(acc))
+        real(acc, guard)
+
+    monkeypatch.setattr(polynomials, "_scan_guard", spy)
+    return sizes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catpark import polynomials
 from catpark.polynomials import MultiPoly, complete_homogeneous
 
 QT = ("q", "t")
@@ -59,9 +60,15 @@ def test_divide_by_monomial_rejects_bad_exponents():
 
 
 def test_product_of_conjugates():
-    q = MultiPoly.variable(QT, "q")
-    t = MultiPoly.variable(QT, "t")
-    assert (q + t) * (q - t) == q * q - t * t
+    """Each product cancels a coefficient; its term map keeps no 0."""
+    for variables in (("q",), QT):
+        q = MultiPoly.variable(variables, "q")
+        t = MultiPoly.variable(variables, variables[-1])
+        for product, want in [((q + t) * (q - t), q * q - t * t),
+                              ((1 + q) * (1 - q), 1 - q**2),
+                              ((1 + q) ** 2 * (1 - q) ** 2, 1 - 2 * q**2 + q**4)]:
+            assert product == want
+            assert_term_map_invariant(product)
 
 
 def test_complete_homogeneous():
@@ -381,6 +388,13 @@ def test_substitute_and_embed_match_a_tuple_oracle(data):
     assert embedded.total_degree() == p.total_degree()
 
 
+def assert_term_map_invariant(poly):
+    """No coefficient in poly's term map is 0 and no key has a guard bit."""
+    guard = polynomials._LAYOUTS[len(poly.variables)].guard
+    assert all(poly._terms.values())
+    assert not any(key & guard for key in poly._terms)
+
+
 WIDE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 2**30 - 1))
 
 
@@ -395,8 +409,11 @@ def test_products_with_wide_exponents_match_the_tuple_oracle(data):
                            max_size=5)
     ta, tb = data.draw(maps), data.draw(maps)
     a, b = MultiPoly(variables, ta), MultiPoly(variables, tb)
-    assert dict((a * b).items()) == oracle_mul(ta, tb)
-    assert dict((a + b).items()) == oracle_add(ta, tb)
+    product, total = a * b, a + b
+    assert dict(product.items()) == oracle_mul(ta, tb)
+    assert dict(total.items()) == oracle_add(ta, tb)
+    assert_term_map_invariant(product)
+    assert_term_map_invariant(total)
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,3 +425,48 @@ def test_items_run_in_descending_graded_lex_order(data):
     exps = [e for e, _ in p.items()]
     assert exps == sorted(exps, key=lambda e: (sum(e), e), reverse=True)
     assert p.total_degree() == max((sum(e) for e in exps), default=0)
+
+
+# -- the degree bound that spares a product its guard scan ---------------------
+
+HALF = 2**30  # two fields of this size sum past the limit
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_factors_whose_degrees_sum_to_the_limit_run_no_guard_scan(width, guard_scans):
+    """The product's degree bound is exactly MAX_EXPONENT, so no key is
+    scanned; q ** MAX_EXPONENT ends on q^(2^30 - 1) * q^(2^30), the same."""
+    variables = VARS4[:width]
+    zero = (0,) * width
+    ta = {zero: 1, (HALF,) + zero[1:]: 2}
+    tb = {zero: 3, zero[1:] + (HALF - 1,): -1}
+    product = MultiPoly(variables, ta) * MultiPoly(variables, tb)
+    assert dict(product.items()) == oracle_mul(ta, tb)
+    top = MultiPoly.variable(variables, "q") ** LIMIT
+    assert dict(top.items()) == {(LIMIT,) + zero[1:]: 1}
+    assert guard_scans == []
+
+
+def test_a_degree_bound_past_the_limit_scans_fields_still_in_range(guard_scans):
+    """q^(2^30) * t^(2^30) has total degree 2^31: every key is scanned, and
+    the product, its fields in range, is the tuple-wise one."""
+    ta = {(0, 0): 1, (HALF, 0): 1}
+    tb = {(0, HALF): 5, (1, 1): -2}
+    assert dict((P(ta) * P(tb)).items()) == oracle_mul(ta, tb)
+    tc = {(HALF // 2, HALF // 2): 1, (0, 0): 1}
+    assert dict((P(tc) ** 2).items()) == oracle_pow(tc, 2, 2)
+    assert guard_scans == [4, 3]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_one_field_past_the_limit_is_still_refused(width, guard_scans):
+    variables = VARS4[:width]
+    zero = (0,) * width
+    big = MultiPoly(variables, {(HALF,) + zero[1:]: 1, zero: 1})
+    other = MultiPoly(variables, {(HALF,) + (5,) * (width - 1): 1})
+    with pytest.raises(ValueError, match=rf"a product exponent exceeds {LIMIT}"):
+        big * other
+    with pytest.raises(ValueError, match=rf"a product exponent exceeds {LIMIT}"):
+        big ** 2
+    assert len(guard_scans) == 2
+

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catpark import polynomials, series as series_module
-from catpark.engine import fuss_catalan_series, gamma_series_closed
+from catpark.engine import (fuss_catalan_series, gamma_series_closed,
+                            verify_multi_stat_product)
 from catpark.polynomials import MultiPoly
 from catpark.series import TruncatedSeries
 
@@ -241,6 +242,14 @@ def tuple_reciprocal(s):
     return inv
 
 
+def assert_term_map_invariant(series):
+    """No coefficient's term map holds a 0 or a key with a guard bit."""
+    guard = polynomials._LAYOUTS[len(series.variables)].guard
+    for c in series.coeffs:
+        assert all(c._terms.values())
+        assert not any(key & guard for key in c._terms)
+
+
 def wide_series(width, order, unit):
     exps = st.tuples(*[st.one_of(st.integers(0, 2), st.integers(0, 2**26))] * width)
     poly = st.dictionaries(exps, st.integers(-4, 4), max_size=3).map(
@@ -259,8 +268,11 @@ def test_products_and_reciprocals_match_the_tuple_oracle(data):
     b = data.draw(wide_series(width, order, unit=True))
     ta = [tuple_terms(c) for c in a.coeffs]
     tb = [tuple_terms(c) for c in b.coeffs]
-    assert [tuple_terms(c) for c in (a * b).coeffs] == tuple_series_mul(ta, tb)
-    assert [tuple_terms(c) for c in b.reciprocal().coeffs] == tuple_reciprocal(tb)
+    product, inverse = a * b, b.reciprocal()
+    assert [tuple_terms(c) for c in product.coeffs] == tuple_series_mul(ta, tb)
+    assert [tuple_terms(c) for c in inverse.coeffs] == tuple_reciprocal(tb)
+    assert_term_map_invariant(product)
+    assert_term_map_invariant(inverse)
 
 
 def test_series_products_refuse_an_exponent_past_the_limit():
@@ -273,3 +285,72 @@ def test_series_products_refuse_an_exponent_past_the_limit():
     with pytest.raises(ValueError):
         TruncatedSeries(("q",), [1, -big], 2).reciprocal()
     assert TruncatedSeries(("q",), [1, -big], 1).reciprocal().coefficient(1) == big
+
+
+def test_a_product_whose_x2_coefficient_cancels_keeps_no_zero():
+    """(1 + (q+t)x)(1 + (q-t)x): t cancels at x^1 and q*t at x^2."""
+    q, t = MultiPoly.variable(V, "q"), MultiPoly.variable(V, "t")
+    product = (TruncatedSeries(V, [1, q + t], 2)
+               * TruncatedSeries(V, [1, q - t], 2))
+    assert product.coeffs == (MultiPoly.const(V, 1), 2 * q, q**2 - t**2)
+    assert [len(c) for c in product.coeffs] == [1, 1, 2]
+    assert_term_map_invariant(product)
+
+
+# -- the degree bound that spares a product its guard scan ---------------------
+
+LIMIT = 2**31 - 1
+HALF = 2**30  # two fields of this size sum past the limit
+
+
+def monomial(variables, exps):
+    return MultiPoly(variables, {exps: 1})
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_series_whose_degrees_sum_to_the_limit_run_no_guard_scan(width, guard_scans):
+    """The largest degrees over all coefficients sum to MAX_EXPONENT; a
+    reciprocal's order times its largest degree is MAX_EXPONENT."""
+    variables, rest = VARS4[:width], (0,) * (width - 1)
+    a = TruncatedSeries(variables, [1, monomial(variables, (HALF,) + rest), 3], 2)
+    b = TruncatedSeries(variables, [1, monomial(variables, rest + (HALF - 1,))], 2)
+    ta = [tuple_terms(c) for c in a.coeffs]
+    tb = [tuple_terms(c) for c in b.coeffs]
+    assert [tuple_terms(c) for c in (a * b).coeffs] == tuple_series_mul(ta, tb)
+    top = TruncatedSeries(variables, [1, monomial(variables, (LIMIT,) + rest)], 1)
+    assert top.reciprocal().coefficient(1) == -top.coefficient(1)
+    assert guard_scans == []
+
+
+def test_a_series_degree_bound_past_the_limit_scans_fields_still_in_range(guard_scans):
+    """q^(2^30) x times t^(2^30) x, and the reciprocal of 1 + q^(2^29) t^(2^29) x
+    at order 2: every output coefficient is scanned and none is refused."""
+    a = TruncatedSeries(V, [1, monomial(V, (HALF, 0))], 2)
+    b = TruncatedSeries(V, [1, monomial(V, (0, HALF))], 2)
+    ta = [tuple_terms(c) for c in a.coeffs]
+    tb = [tuple_terms(c) for c in b.coeffs]
+    assert [tuple_terms(c) for c in (a * b).coeffs] == tuple_series_mul(ta, tb)
+    s = TruncatedSeries(V, [1, monomial(V, (HALF // 2, HALF // 2))], 2)
+    ts = [tuple_terms(c) for c in s.coeffs]
+    assert [tuple_terms(c) for c in s.reciprocal().coeffs] == tuple_reciprocal(ts)
+    assert guard_scans == [1, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_one_series_field_past_the_limit_is_still_refused(width, guard_scans):
+    variables, rest = VARS4[:width], (0,) * (width - 1)
+    big = monomial(variables, (HALF,) + rest)
+    wide = monomial(variables, (HALF,) + (3,) * (width - 1))
+    a = TruncatedSeries(variables, [1, big], 2)
+    with pytest.raises(ValueError, match=rf"a product exponent exceeds {LIMIT}"):
+        a * TruncatedSeries(variables, [1, wide], 2)
+    with pytest.raises(ValueError, match=rf"a product exponent exceeds {LIMIT}"):
+        TruncatedSeries(variables, [1, -wide], 2).reciprocal()
+    assert guard_scans
+
+
+def test_the_closed_forms_run_no_guard_scan(guard_scans):
+    """Every product of these closed forms is bounded far below the limit."""
+    gamma_series_closed(2, 16)
+    assert verify_multi_stat_product(3, 6).ok
+    assert guard_scans == []
