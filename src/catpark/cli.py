@@ -27,7 +27,8 @@ on stdout.  Every verb but ``enumerate`` writes its result through
 or lines of text.  ``enumerate`` streams: it asks the enumeration for rows
 as text already framed -- a line of commas for csv and text, an indented
 JSON array after a comma for json -- which come as strings of whole rows,
-one per parent prefix, and writes them joined up to ``WRITE_SIZE``
+one per (n-1)-prefix or, where ``kernels.iter_bounded`` keeps a list of
+tails, per (n-2)-prefix, and writes them joined up to ``WRITE_SIZE``
 characters at a time as they come, so no row is converted, joined or
 formatted again and no list of all rows is held.  When stdout closes before
 the output is written, as under ``| head``, ``main`` says so in one line and
@@ -233,8 +234,8 @@ def cmd_enumerate(args, out):
                  if args.format == "csv" else "")
         end = ""
     # whole batches joined up to WRITE_SIZE characters per write: a write
-    # per batch is slow on a real stdout, and one parent's batch can be
-    # large, so a count of batches would not bound what a write holds
+    # per batch is slow on a real stdout, and one (n-1)-prefix's batch can
+    # be large, so a count of batches would not bound what a write holds
     chunk, size = [start], len(start)
     for batch in rows:
         if size >= WRITE_SIZE:

@@ -6,19 +6,21 @@ which also carries a caller's state along each row.  All run under the
 suffix minima of the bounds, ``_caps``, as no entry can exceed a later
 bound.  Both walkers go depth first with an explicit stack and build each
 row as its parent prefix plus one precomputed piece from ``_pieces``, the
-one piece rule; the plain walker yields the rows that differ only in the
-last position as one batch per parent, and the folded one steps each
-prefix's state once, for every row below it.  Each row may carry merge
+one piece rule; the plain walker yields the rows below an (n-2)-prefix as
+one batch, that prefix before each of its two-position tails, listed once
+per last value that a second prefix ends at, while the lists and the batch
+fit ``BATCH_SIZE``, else one batch per parent, and the folded one steps
+each prefix's state once, for every row below it.  Each row may carry merge
 labels, which the tree enumeration uses for its leaf labels: a piece is the
 labels in [prev, v) followed by v, and a last-position piece also holds the
 labels >= v, so every row is the sorted merge without a sort.  Pieces are
 tuples, or, in the plain walk, text already joined by the caller's
 separator and framed by its head and tail: a first-position piece starts
 with the head, a last-position piece ends with the tail, so a text row
-comes out whole and is never converted, joined or framed again.  In text,
-a parent's batch is one string, its rows concatenated: the walker yields
-strings that, joined in order, are the framed rows, each string holding
-one or more whole rows, so a text caller writes what it reads.
+comes out whole and is never converted, joined or framed again.  In text, a
+batch is one string, its rows concatenated: the walker yields strings that,
+joined in order, are the framed rows, each string holding one or more whole
+rows, so a text caller writes what it reads.
 
 The three histogram kernels -- luck, the four statistics (luck, freq of 1,
 first window hit, first top hit), and (luck, freq of 1, ..., freq of m) --
@@ -38,6 +40,11 @@ from bisect import bisect_left
 from itertools import accumulate, count, repeat
 
 BACKEND = "pure"
+
+# the most characters, or tuple entries, that the plain walk yields in one
+# step below an (n-2)-prefix, and that its lists of tails hold in all; past
+# it, one step per (n-1)-prefix
+BATCH_SIZE = 1 << 16
 
 
 def _pieces(prevs, cap, leaves, last, piece):
@@ -87,6 +94,22 @@ def count_for_bounds(bounds):
     return sum(accumulate(ending)) + (caps[-1] - len(ending)) * sum(ending)
 
 
+def _tails(mids, prev, lasts, room):
+    """(tails, size): the rows' tails mid + end after a prefix ending at
+    prev, mid over mids, the pieces for the values prev.., and end over the
+    last position's pieces from mid's value on, and their summed length;
+    None when that length passes room, found before any tail is built."""
+    size, after = 0, []
+    for v, mid in enumerate(mids, prev):
+        ends, start = lasts[v]
+        ends = ends[start:]
+        after.append(ends)
+        size += len(mid) * len(ends) + sum(map(len, ends))
+        if size > room:
+            return None
+    return [mid + end for mid, ends in zip(mids, after) for end in ends], size
+
+
 def iter_bounded(bounds, leaves=(), text=None):
     """Yield every nondecreasing p with 1 <= p[i] <= bounds[i], merged with
     the labels in leaves.
@@ -95,14 +118,18 @@ def iter_bounded(bounds, leaves=(), text=None):
     the tuple sorted(p + leaves), yielded one by one, or, given the triple
     text = (head, sep, tail), the string head + sep.join(map(str,
     sorted(p + leaves))) + tail.  Text rows come in batches: each yielded
-    string is one or more whole rows concatenated, here the rows under one
-    (n-1)-prefix, so the strings joined in order are the framed rows.  The
-    empty bound list yields the row of the labels alone once.
+    string is one or more whole rows concatenated, so the strings joined in
+    order are the framed rows.  A batch holds the rows under one
+    (n-1)-prefix, or under one (n-2)-prefix when a list of tails is kept
+    for its last value and the rows hold at most BATCH_SIZE characters in
+    all.  The empty bound list yields the row of the labels alone once.
 
     The walk runs under the caps, so every prefix it visits completes.  Its
     piece tables keep, per position, one list for each run of previous
     values with no label between them: at most len(bounds) * max(bounds)
-    pieces when leaves is empty.
+    pieces when leaves is empty.  A value's list of tails is built at the
+    second (n-2)-prefix ending at it, so only to be used again, and only
+    into what earlier lists left of BATCH_SIZE.
     """
     leaves = sorted(leaves)
     if text is None:
@@ -120,36 +147,46 @@ def iter_bounded(bounds, leaves=(), text=None):
         yield frame(True, True)(leaves)
         return
     caps = _caps(bounds)
+    if caps[0] < 1:
+        return
     top = n - 1
     tables = [_pieces(caps[d - 1] if d else 1, cap, leaves, d == top,
                       frame(d == 0, d == top))
               for d, cap in enumerate(caps)]
-    pieces, _ = tables[0][1]
-    if top == 0:
-        if text is None:
-            yield from pieces
-        elif pieces:
-            yield "".join(pieces)
-        return
+    # tails[prev]: False after one prefix ending at prev, then what _tails
+    # gives; room is what the lists built leave of BATCH_SIZE
+    tails, room = {}, BATCH_SIZE
     # stack[d] yields the (prefix, last value) pairs still to visit at depth
-    # d + 1; a pushed level runs to its end before its parent resumes
-    stack = [zip(pieces, count(1))]
+    # d, from the empty prefix, whose next value starts at 1; a pushed level
+    # runs to its end before its parent resumes
+    stack = [iter([((), 1) if text is None else ("", 1)])]
     while stack:
-        depth = len(stack)
+        depth = len(stack) - 1
         where = tables[depth]
         for prefix, prev in stack[-1]:
             pieces, offset = where[prev]
-            if depth == top:
-                if text is None:
-                    yield from map(prefix.__add__, pieces[offset:])
-                else:
-                    # the pieces run from prev to a cap >= prev, so at
-                    # least one, and prefix before each is the batch
-                    yield prefix + prefix.join(pieces[offset:])
-            else:
-                stack.append(zip(map(prefix.__add__, pieces[offset:]),
-                                 count(prev)))
+            pieces, batch = pieces[offset:], depth == top
+            if depth == top - 1:
+                known = tails.get(prev)
+                if known is False:
+                    known = tails[prev] = _tails(pieces, prev, tables[top],
+                                                 room)
+                    room -= known[1] if known else 0
+                elif prev not in tails:
+                    tails[prev] = False
+                # the batch's length: prefix before each tail
+                if (known and len(known[0]) * len(prefix) + known[1]
+                        <= BATCH_SIZE):
+                    pieces, batch = known[0], True
+            if not batch:
+                stack.append(zip(map(prefix.__add__, pieces), count(prev)))
                 break
+            if text is None:
+                yield from map(prefix.__add__, pieces)
+            else:
+                # the pieces run from prev to a cap >= prev, so at least
+                # one, and prefix before each is the batch
+                yield prefix + prefix.join(pieces)
         else:
             stack.pop()
 

@@ -9,7 +9,7 @@ enumeration's reach, the luck DP meets its Lagrange-inversion closed form.
 """
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
 
 import pytest
@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catpark import kernels
-from catpark.caterpillar import build_caterpillar, enumerate_caterpillar_pk, simulate
+from catpark.caterpillar import (build_caterpillar, enumerate_caterpillar_pk,
+                                 non_backbone_labels, simulate)
 from catpark.decomposition import f_stat, g_stat
 from catpark.engine import multi_stat_poly_brute, multi_stat_variables
 from catpark.polynomials import MultiPoly
@@ -199,16 +200,51 @@ def test_iter_bounded_against_odometer(bounds):
                            for row in rows))
 
 
+def batch_count(bounds, leaves, text, framed):
+    """The batches the walk yields for bounds' framed rows.  The rows under
+    an (n-2)-prefix of p ending at prev are the prefix's text before each
+    of prev's tails.  At the second prefix ending at prev, prev gets a list
+    of its tails when their length fits what the lists before it left of
+    kernels.BATCH_SIZE.  A prefix whose prev has a list and whose rows hold
+    at most BATCH_SIZE characters is one batch; any other is one per
+    (n-1)-prefix of p below it."""
+    n = len(bounds)
+    if n < 2:
+        return min(len(framed), 1)
+    head, sep, _ = text
+    room, listed, batches = kernels.BATCH_SIZE, {}, 0
+    for start, group in groupby(zip(odometer(bounds), framed),
+                                lambda row: row[0][:n - 2]):
+        group = list(group)
+        prev = start[-1] if start else 1
+        # the prefix's values and the labels below its last value
+        items = sorted(start + tuple(v for v in leaves if v < prev))
+        prefix = head + sep.join(map(str, items)) if start else ""
+        length = sum(len(row) for _, row in group)
+        if listed.get(prev) is False:
+            tails = length - len(group) * len(prefix)
+            listed[prev] = tails <= room
+            room -= tails if listed[prev] else 0
+        elif prev not in listed:
+            listed[prev] = False
+        if listed[prev] and length <= kernels.BATCH_SIZE:
+            batches += 1
+        else:
+            batches += len({p[:n - 1] for p, _ in group})
+    return batches
+
+
 @pytest.mark.parametrize("bounds", [[], [0], [3], [0, 3], [3, 2], [2, 5, 5]]
                          + [[m * (i + k - 1) - r for i in range(1, n + 1)]
-                            for m, k, r in FAMILIES[:6] for n in (2, 4)],
+                            for m, k, r in FAMILIES[:6] for n in range(2, 6)]
+                         + [canonical_bounds(m, 6) for m in (1, 2)],
                          ids=str)
 @pytest.mark.parametrize("leaves", [(), (2, 4), (5, 1, 3, 3)], ids=str)
 def test_iter_bounded_text_batches(bounds, leaves):
-    """Text rows come one string per (n-1)-prefix: joined in order, the
-    strings are the framed rows, and each ends where a row ends."""
+    """Text rows come one string per (n-2)-prefix while its rows fit
+    BATCH_SIZE, else one per (n-1)-prefix: joined in order, the strings are
+    the framed rows, and each ends where a row ends."""
     rows = list(kernels.iter_bounded(bounds, leaves))
-    prefixes = kernels.count_for_bounds(kernels._caps(bounds)[:-1])
     for head, sep, tail in FRAMES:
         framed = [head + sep.join(map(str, row)) + tail for row in rows]
         batches = list(kernels.iter_bounded(bounds, leaves,
@@ -218,7 +254,62 @@ def test_iter_bounded_text_batches(bounds, leaves):
         # every batch boundary is a row boundary, so each holds whole rows
         assert (set(accumulate(map(len, batches)))
                 <= set(accumulate(map(len, framed))))
-        assert len(batches) == (prefixes if rows else 0)
+        assert len(batches) == batch_count(bounds, leaves, (head, sep, tail),
+                                           framed)
+
+
+def test_iter_bounded_batch_of_exactly_batch_size(monkeypatch):
+    """The rows under (2, 2), the second (n-2)-prefix to end at 2, are one
+    batch when they hold exactly BATCH_SIZE characters; one character less
+    splits them, one batch per (n-1)-prefix."""
+    text = ("<", ",", ">")
+    rows = "<2,2,2,2><2,2,2,3><2,2,3,3>"
+    monkeypatch.setattr(kernels, "BATCH_SIZE", len(rows))
+    assert rows in list(kernels.iter_bounded([2, 3, 3, 3], (), text))
+    monkeypatch.setattr(kernels, "BATCH_SIZE", len(rows) - 1)
+    batches = list(kernels.iter_bounded([2, 3, 3, 3], (), text))
+    assert batches[-3:-1] == ["<2,2,2,2><2,2,2,3>", "<2,2,3,3>"]
+    # the tails of 2 hold 15 characters, leaving exactly the 5 of 3's
+    monkeypatch.setattr(kernels, "BATCH_SIZE", 20)
+    walk = kernels.iter_bounded([2, 3, 3, 3], (), text)
+    for _ in walk:
+        kept = dict(walk.gi_frame.f_locals["tails"])
+    assert (kept[1], kept[2][1], kept[3]) == (False, 15, ([",3,3>"], 5))
+
+
+@pytest.mark.parametrize("size", [0, 2000, kernels.BATCH_SIZE, 1 << 60])
+@pytest.mark.parametrize("bounds,leaves", [
+    ([], ()), ([], (3, 1)), ([2], ()), ([3], (1, 2)), ([3, 2], ()),
+    ([1, 4], (2, 3)), ([1, 4, 7], ()), ([1, 4, 7], (2, 3, 5, 6)),
+    ([2, 5, 5], (5, 1, 3, 3)), ([1, 3, 5, 7], (5, 1, 3, 3)),
+    ([3, 4, 6, 6], (2, 5)), ([1, 5, 9, 13], non_backbone_labels(4, 4)),
+    ([1, 4, 7, 10, 13], non_backbone_labels(3, 5)),
+    ([1, 31, 61], non_backbone_labels(30, 3))], ids=str)
+def test_iter_bounded_tails_against_odometer(monkeypatch, bounds, leaves,
+                                             size):
+    """Tuple and text rows match the odometer at n = 0..5 whatever
+    BATCH_SIZE is, at 0 in one batch per (n-1)-prefix; batches are counted
+    as batch_count says, the lists of tails the walk keeps hold at most
+    BATCH_SIZE in all, and no batch is longer than BATCH_SIZE or the
+    longest batch of one (n-1)-prefix."""
+    rows = [tuple(sorted(p + leaves)) for p in odometer(bounds)]
+    text = ("<", ",", ">")
+    framed = ["<" + ",".join(map(str, row)) + ">" for row in rows]
+    monkeypatch.setattr(kernels, "BATCH_SIZE", 0)
+    per_parent = list(map(len, kernels.iter_bounded(bounds, leaves, text)))
+    assert len(per_parent) == kernels.count_for_bounds(
+        kernels._caps(bounds)[:-1])
+    monkeypatch.setattr(kernels, "BATCH_SIZE", size)
+    assert list(kernels.iter_bounded(bounds, leaves)) == rows
+    walk = kernels.iter_bounded(bounds, leaves, text)
+    batches = []
+    for batch in walk:
+        batches.append(batch)
+        kept = walk.gi_frame.f_locals.get("tails", {}).values()
+        assert sum(sum(map(len, known[0])) for known in kept if known) <= size
+    assert "".join(batches) == "".join(framed)
+    assert len(batches) == batch_count(bounds, leaves, text, framed)
+    assert max(map(len, batches)) <= max([size] + per_parent)
 
 
 @settings(max_examples=200, deadline=None)
